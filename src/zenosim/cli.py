@@ -1,13 +1,16 @@
 """``zeno`` command line: run scenario files, inspect sector structure.
 
 Exit codes: 0 success, 1 validation error (bad scenario, bad parameters),
-2 numerical error (ambiguous spectrum, lost sector tracking, ...).
+2 numerical error (ambiguous spectrum, lost sector tracking, a failed
+LAPACK routine, ...).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from .continuous import zeno_sectors
 from .errors import NumericalError, ValidationError
@@ -89,7 +92,6 @@ def _cmd_sectors(args) -> int:
     else:
         from .continuous import CoupledHamiltonian
         from .operators import Operator
-        import numpy as np
 
         hm = load_matrix(args.matrix_file)
         zero = Operator(np.zeros((hm.dim, hm.dim), dtype=complex), hermitian=True)
@@ -132,7 +134,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 

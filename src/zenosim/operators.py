@@ -18,6 +18,19 @@ Conventions
   diagnostics such as :func:`offblock_norm`.
 * A matrix counts as Hermitian when ``max|A - A^dag|`` does not exceed
   ``HERMITIAN_RTOL`` times its spectral norm.
+* Invariant checks are decided from cheap bounds first and fall back to
+  the exact spectral norm (an SVD) only when the bounds cannot decide, so
+  every accept/reject decision is the one the exact check makes.  A
+  spectral norm lies between ``||M||_F / sqrt(n)`` and ``||M||_F``; a
+  scaled tolerance ``rtol * max(floor, ||M||)`` is settled by those two
+  bounds, and a residual bound ``||R|| <= b`` passes outright when
+  ``||R||_F <= b``.  Both sides carry a relative slack ``_ROUNDING``
+  that covers the rounding of the Frobenius sum and of the SVD.
+* :func:`eig` certifies the idempotency of all Hermitian sector
+  projectors at once from ``e = ||V^dag V - I||_F`` of the ``eigh``
+  eigenvectors: ``||P^2 - P|| <= (1 + e) e`` plus a stated rounding term
+  (:func:`_idempotency_certified`).  When the certificate does not reach
+  ``IDEMPOTENCY_TOL * dim``, every projector is checked in full.
 
 Intended scale is "desk" size, dimensions up to a couple hundred; there is
 deliberately no sparse or structured path.
@@ -29,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AmbiguousSpectrumError, ValidationError
 
@@ -44,6 +56,14 @@ UNITARITY_TOL = 1e-12     # times dim
 REAL_EIGENVALUE_RTOL = 1e-9
 DEFAULT_CLUSTER_RTOL = 1e-8
 DEFAULT_MAX_SECTOR_CONDITION = 1e8
+
+# Relative slack on computed norms used as bounds for the exact check.  It
+# exceeds the worst-case rounding of a Frobenius norm (n^2 u for a BLAS dot
+# over n^2 squares) and the p(n) u error of LAPACK's largest singular value
+# for n up to a few thousand, far beyond the intended scale.
+_ROUNDING = 1e-9
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_TINY = np.finfo(float).tiny
 
 
 def snorm(a) -> float:
@@ -68,16 +88,47 @@ def as_matrix(a) -> np.ndarray:
 
 
 def _check_finite(m: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m.view(float)).all():
         raise ValidationError(f"{what} contains NaN or Inf entries")
+
+
+def _within_scaled(dev, m: np.ndarray, allowed) -> bool:
+    """``dev <= allowed(snorm(m))`` for an ``allowed`` nondecreasing in the
+    norm.  The floor ``allowed(0)`` passes most calls outright; otherwise
+    ``||m||_F / sqrt(n) <= ||m||_2 <= ||m||_F`` decides unless ``dev``
+    falls between the two allowances, and only then the SVD runs."""
+    if dev <= allowed(0.0):
+        return True
+    f = fnorm(m)
+    if math.isfinite(f):
+        if dev <= allowed(f / math.sqrt(m.shape[0]) * (1 - _ROUNDING)):
+            return True
+        if dev > allowed(f * (1 + _ROUNDING)):
+            return False
+    return bool(dev <= allowed(snorm(m)))
+
+
+def _norm_exceeds(r: np.ndarray, bound: float) -> bool:
+    """``snorm(r) > bound``; a Frobenius norm within the bound settles it
+    without an SVD."""
+    if fnorm(r) * (1 + _ROUNDING) <= bound:
+        return False
+    return snorm(r) > bound
+
+
+def _hermitian_allowance(norm: float) -> float:
+    return HERMITIAN_RTOL * max(norm, _TINY)
+
+
+def _hermitian_deviation(m: np.ndarray) -> float:
+    return np.max(np.abs(m - m.conj().T))
 
 
 def is_hermitian(a) -> bool:
     """Hermiticity test at the module tolerance (1e-12 relative to the
     spectral norm; the zero matrix is Hermitian)."""
     m = as_matrix(a)
-    dev = np.max(np.abs(m - m.conj().T))
-    return bool(dev <= HERMITIAN_RTOL * max(snorm(m), np.finfo(float).tiny))
+    return _within_scaled(_hermitian_deviation(m), m, _hermitian_allowance)
 
 
 @dataclass(frozen=True)
@@ -98,12 +149,11 @@ class Operator:
             raise ValidationError(f"operator must be square, got shape {m.shape}")
         _check_finite(m, "operator")
         if self.hermitian:
-            dev = np.max(np.abs(m - m.conj().T))
-            scale = max(snorm(m), np.finfo(float).tiny)
-            if dev > HERMITIAN_RTOL * scale:
+            dev = _hermitian_deviation(m)
+            if not _within_scaled(dev, m, _hermitian_allowance):
                 raise ValidationError(
                     f"matrix flagged Hermitian deviates by {dev:.3e} "
-                    f"(allowed {HERMITIAN_RTOL * scale:.3e})"
+                    f"(allowed {_hermitian_allowance(snorm(m)):.3e})"
                 )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -148,22 +198,7 @@ class Projector:
     rank: int
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex, order="C")
-        _check_finite(m, "projector")
-        n = m.shape[0]
-        if m.ndim != 2 or m.shape[1] != n:
-            raise ValidationError(f"projector must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_RTOL * max(1.0, snorm(m)):
-            raise ValidationError("projector is not Hermitian")
-        if snorm(m @ m - m) > IDEMPOTENCY_TOL * n:
-            raise ValidationError("projector is not idempotent")
-        tr = m.trace().real
-        if abs(tr - self.rank) > TRACE_RANK_TOL * max(1, n):
-            raise ValidationError(
-                f"projector trace {tr:.12g} does not match rank {self.rank}"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _projector_matrix(self.matrix, self.rank))
 
     @property
     def dim(self) -> int:
@@ -177,6 +212,35 @@ class Projector:
 
     def __rmatmul__(self, other):
         return as_matrix(other) @ self.matrix
+
+
+def _projector_matrix(matrix, rank: int, idempotency_certified: bool = False) -> np.ndarray:
+    """Validated read-only copy of a projector matrix (Hermitian,
+    idempotent unless the caller certified it, trace equal to ``rank``)."""
+    m = np.array(matrix, dtype=complex, order="C")
+    _check_finite(m, "projector")
+    n = m.shape[0]
+    if m.ndim != 2 or m.shape[1] != n:
+        raise ValidationError(f"projector must be square, got shape {m.shape}")
+    if not _within_scaled(_hermitian_deviation(m), m,
+                          lambda norm: HERMITIAN_RTOL * max(1.0, norm)):
+        raise ValidationError("projector is not Hermitian")
+    if not idempotency_certified and _norm_exceeds(m @ m - m, IDEMPOTENCY_TOL * n):
+        raise ValidationError("projector is not idempotent")
+    tr = m.trace().real
+    if abs(tr - rank) > TRACE_RANK_TOL * max(1, n):
+        raise ValidationError(f"projector trace {tr:.12g} does not match rank {rank}")
+    m.setflags(write=False)
+    return m
+
+
+def _certified_projector(matrix: np.ndarray, rank: int) -> Projector:
+    """Projector whose idempotency :func:`eig` has certified in batch; the
+    Hermiticity and trace checks still run."""
+    p = object.__new__(Projector)
+    object.__setattr__(p, "matrix", _projector_matrix(matrix, rank, idempotency_certified=True))
+    object.__setattr__(p, "rank", rank)
+    return p
 
 
 def projector_from_columns(columns: np.ndarray) -> Projector:
@@ -257,10 +321,13 @@ class SectorDecomposition:
     def total_rank(self) -> int:
         return sum(s.multiplicity for s in self.sectors)
 
-    def completeness_defect(self) -> float:
+    def _identity_residual(self) -> np.ndarray:
         total = sum((s.projector.matrix for s in self.sectors),
                     np.zeros((self.dim, self.dim), dtype=complex))
-        return snorm(total - np.eye(self.dim))
+        return total - np.eye(self.dim)
+
+    def completeness_defect(self) -> float:
+        return snorm(self._identity_residual())
 
     def orthogonality_defect(self) -> float:
         worst = 0.0
@@ -273,12 +340,15 @@ class SectorDecomposition:
         """Assert completeness and mutual orthogonality (Hermitian case)."""
         if not self.complete:
             raise ValidationError("decomposition is marked incomplete")
-        d = self.completeness_defect()
-        if d > COMPLETENESS_TOL * self.dim:
-            raise ValidationError(f"projectors do not resolve the identity ({d:.3e})")
-        o = self.orthogonality_defect()
-        if o > ORTHOGONALITY_TOL:
-            raise ValidationError(f"projectors are not mutually orthogonal ({o:.3e})")
+        if _norm_exceeds(self._identity_residual(), COMPLETENESS_TOL * self.dim):
+            raise ValidationError(
+                f"projectors do not resolve the identity ({self.completeness_defect():.3e})")
+        for i, si in enumerate(self.sectors):
+            for sj in self.sectors[i + 1:]:
+                if _norm_exceeds(si.projector.matrix @ sj.projector.matrix, ORTHOGONALITY_TOL):
+                    raise ValidationError(
+                        "projectors are not mutually orthogonal "
+                        f"({self.orthogonality_defect():.3e})")
 
 
 @dataclass(frozen=True)
@@ -296,11 +366,12 @@ class DensityMatrix:
         _check_finite(m, "density matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got {m.shape}")
-        scale = max(1.0, snorm(m))
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_RTOL * scale * m.shape[0]:
+        n = m.shape[0]
+        if not _within_scaled(_hermitian_deviation(m), m,
+                              lambda norm: HERMITIAN_RTOL * max(1.0, norm) * n):
             raise ValidationError("density matrix is not Hermitian")
         evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if evals.min() < -self._PSD_TOL * scale:
+        if not _within_scaled(-evals.min(), m, lambda norm: self._PSD_TOL * max(1.0, norm)):
             raise ValidationError(
                 f"density matrix has negative eigenvalue {evals.min():.3e}"
             )
@@ -355,6 +426,8 @@ def expm(a, t: float | complex = 1.0) -> Operator:
         w, v = np.linalg.eigh(op.matrix)
         phases = np.exp(-1j * t * w)
         return Operator((v * phases) @ v.conj().T)
+    import scipy.linalg  # deferred: the Hermitian paths never need it
+
     return Operator(scipy.linalg.expm(-1j * t * op.matrix))
 
 
@@ -436,12 +509,17 @@ def eig(a, cluster_tol: float | None = None,
     if op.hermitian:
         w, v = np.linalg.eigh(op.matrix)
         clusters = cluster_values(w, tol)
+        certified = _idempotency_certified(v)
         sectors = []
         for idx in clusters:
             cols = v[:, idx]
-            proj = Projector(cols @ cols.conj().T, rank=len(idx))
+            m = cols @ cols.conj().T
+            proj = (_certified_projector(m, len(idx)) if certified
+                    else Projector(m, rank=len(idx)))
             sectors.append(Sector(complex(np.mean(w[idx])), proj, condition=1.0))
         return SectorDecomposition(tuple(sectors), tol, op.dim, complete=True)
+
+    import scipy.linalg  # deferred: the Hermitian paths never need it
 
     w, vr = scipy.linalg.eig(op.matrix)
     clusters = cluster_values(w, tol)
@@ -461,6 +539,32 @@ def eig(a, cluster_tol: float | None = None,
     return SectorDecomposition(tuple(sectors), tol, op.dim,
                                complete=not dropped and _ranks_fill(sectors, op.dim),
                                dropped=tuple(dropped))
+
+
+def _idempotency_certified(v: np.ndarray) -> bool:
+    """Whether ``e = ||V^dag V - I||_F`` proves that ``M = fl(C C^dag)``
+    passes the projector idempotency check for every column subset ``C``
+    of ``V``.
+
+    In exact arithmetic ``(C C^dag)^2 - C C^dag = C G C^dag`` with
+    ``G = C^dag C - I`` a principal submatrix of ``V^dag V - I``, so its
+    norm is at most ``||C||^2 ||G|| <= (1 + e) e``.  The rounding term
+    bounds what floating point adds: ``g = 8 (d + 1) u`` overstates the
+    elementwise error ``sqrt(2) gamma_{d+2}`` of a length-``d`` complex
+    inner product, which enters through the computed ``e``, the product
+    ``C C^dag`` (``eta1``) and ``M @ M`` (``eta2``); the remaining
+    subtraction and the SVD of the exact check fit in ``_ROUNDING``.  The
+    rounding term is about ``32 d^2 u``: 1.4e-10 at d = 200, against the
+    ``IDEMPOTENCY_TOL * d = 2e-8`` it has to stay under.
+    """
+    d = v.shape[0]
+    g = 8 * (d + 1) * _UNIT_ROUNDOFF
+    e_computed = fnorm(v.conj().T @ v - np.eye(d))
+    e = (e_computed * (1 + _ROUNDING) + g * d) / (1 - g * math.sqrt(d))
+    eta1 = g * d * (1 + e)
+    eta2 = g * (math.sqrt(d) * (1 + e) + eta1) ** 2
+    bound = ((1 + e) * e + eta1 * (3 + 2 * e + eta1) + eta2) * (1 + _ROUNDING) ** 2
+    return bound <= IDEMPOTENCY_TOL * d
 
 
 def _ranks_fill(sectors, dim) -> bool:

@@ -10,6 +10,7 @@ reproduce byte-identical files (modulo an optional timestamp line).
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -125,7 +126,14 @@ def _need_map(obj, path: str) -> dict:
     return obj
 
 
+# PyYAML resolves floats by the YAML 1.1 rule, which requires a dot and a
+# signed exponent, so plain spellings such as 1e3 or -1e-2 arrive as strings.
+_FLOAT_TEXT = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+
 def _need_number(obj, path: str) -> float:
+    if isinstance(obj, str) and _FLOAT_TEXT.fullmatch(obj):
+        obj = float(obj)
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise _err(path, f"expected a number, got {obj!r}")
     v = float(obj)

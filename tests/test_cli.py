@@ -83,3 +83,13 @@ def test_sectors_bad_params_exit_one(capsys):
     assert "missing parameter" in capsys.readouterr().err
     assert main(["sectors", "--model", "three_level",
                  "--params", "omega=1,K=1,zeta=2"]) == 1
+
+
+def test_linalg_failure_exits_two_without_traceback(monkeypatch, capsys):
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    assert main(["sectors", "--model", "three_level", "--params", "omega=1,K=10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: Eigenvalues did not converge")
+    assert "Traceback" not in err

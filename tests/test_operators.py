@@ -1,13 +1,19 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import zenosim
 from zenosim import (
     AmbiguousSpectrumError,
     DensityMatrix,
     Operator,
     Projector,
+    SectorDecomposition,
     ValidationError,
     as_operator,
     basis_projector,
@@ -15,10 +21,13 @@ from zenosim import (
     expm,
     load_matrix,
     offblock_norm,
+    projector_from_columns,
     save_matrix,
     snorm,
+    survival_probability,
 )
-from zenosim.operators import block_diagonal_part, default_cluster_tol
+from zenosim import operators
+from zenosim.operators import Sector, block_diagonal_part, default_cluster_tol
 
 from conftest import random_hermitian
 
@@ -275,3 +284,260 @@ def test_matrix_file_errors(tmp_path):
     p.write_text("dim 2\n0 5 1 0\n")
     with pytest.raises(ValidationError, match="out of range"):
         load_matrix(p)
+
+
+# --------------------------------------------------------------------------
+# bound-first invariant checks: the same decisions as the exact-SVD checks
+#
+# Each ``exact_*`` function below writes out the check as it reads with
+# the spectral norm computed by an SVD every time; the library decides
+# from Frobenius bounds first and must reach the same verdict (and raise
+# the same message) on every input, including inputs built to land on
+# either side of each threshold.
+
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+TINY = np.finfo(float).tiny
+
+
+def svd_norm(m):
+    return float(np.linalg.norm(m, 2))
+
+
+def hermitian_dev(m):
+    return np.max(np.abs(m - m.conj().T))
+
+
+def exact_is_hermitian(m):
+    return bool(hermitian_dev(m) <= 1e-12 * max(svd_norm(m), TINY))
+
+
+def exact_projector_error(m, rank):
+    n = m.shape[0]
+    if hermitian_dev(m) > 1e-12 * max(1.0, svd_norm(m)):
+        return "projector is not Hermitian"
+    if svd_norm(m @ m - m) > 1e-10 * n:
+        return "projector is not idempotent"
+    tr = m.trace().real
+    if abs(tr - rank) > 1e-10 * max(1, n):
+        return f"projector trace {tr:.12g} does not match rank {rank}"
+    return None
+
+
+def exact_density_error(m):
+    scale = max(1.0, svd_norm(m))
+    if hermitian_dev(m) > 1e-12 * scale * m.shape[0]:
+        return "density matrix is not Hermitian"
+    evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    if evals.min() < -1e-10 * scale:
+        return f"density matrix has negative eigenvalue {evals.min():.3e}"
+    tr = m.trace().real
+    if tr > 1.0 + 1e-10:
+        return f"density matrix trace {tr:.12g} exceeds one"
+    return None
+
+
+def exact_resolution_error(projectors, dim):
+    total = sum(projectors, np.zeros((dim, dim), dtype=complex))
+    d = svd_norm(total - np.eye(dim))
+    if d > 1e-10 * dim:
+        return f"projectors do not resolve the identity ({d:.3e})"
+    worst = 0.0
+    for i, pi in enumerate(projectors):
+        for pj in projectors[i + 1:]:
+            worst = max(worst, svd_norm(pi @ pj))
+    if worst > 1e-10:
+        return f"projectors are not mutually orthogonal ({worst:.3e})"
+    return None
+
+
+def exact_supported(rho, p):
+    return not svd_norm(rho - p @ rho @ p) > 1e-10 * max(1.0, svd_norm(rho))
+
+
+def raised(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def spectrum(rng, dim, kind):
+    """Eigenvalues: spread, near-degenerate clusters, or one dominant
+    value (then Frobenius and spectral norms nearly coincide)."""
+    if kind == "spread":
+        return rng.standard_normal(dim)
+    if kind == "clustered":
+        return rng.integers(-2, 3, dim) + 1e-9 * rng.standard_normal(dim)
+    return np.concatenate([[1.0], 1e-3 * rng.standard_normal(dim - 1)])
+
+
+def straddling_skew(rng, dim, size):
+    """Anti-Hermitian perturbation whose Hermitian deviation
+    ``max|A - A^dag|`` equals ``size``."""
+    i, j = rng.integers(dim, size=2)
+    a = np.zeros((dim, dim), dtype=complex)
+    if i == j:
+        a[i, i] = 0.5j * size
+    else:
+        a[i, j] = 0.5 * size
+        a[j, i] = -0.5 * size
+    return a
+
+
+seeds = st.integers(0, 2**32 - 1)
+dims = st.integers(1, 9)
+kinds = st.sampled_from(["spread", "clustered", "dominant"])
+# ratio of the perturbation to the exact threshold: far on either side,
+# inside the Frobenius band, and within rounding of the threshold itself
+ratios = st.one_of(st.floats(0.05, 20.0),
+                   st.floats(-1e-12, 1e-12).map(lambda x: 1.0 + x))
+scales = st.sampled_from([1e-8, 1e-3, 1.0, 7.0, 1e4])
+
+
+@PROPERTY
+@given(seeds, dims, kinds, ratios, scales)
+def test_hermitian_checks_decide_as_exact_svd(seed, dim, kind, ratio, scale):
+    rng = np.random.default_rng(seed)
+    u = unitary(rng, dim)
+    h = (u * (scale * spectrum(rng, dim, kind))) @ u.conj().T
+    h = (h + h.conj().T) / 2
+    m = h + straddling_skew(rng, dim, ratio * 1e-12 * svd_norm(h))
+    expected = exact_is_hermitian(m)
+    assert operators.is_hermitian(m) == expected
+    assert (raised(Operator, m, hermitian=True) is None) == expected
+
+
+@PROPERTY
+@given(seeds, dims, st.sampled_from(["hermitian", "idempotent", "trace"]), ratios,
+       st.sampled_from([1.0, 3.0]))
+def test_projector_decides_as_exact_svd(seed, dim, which, ratio, gain):
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(0, dim + 1))
+    q = unitary(rng, dim)[:, :rank]
+    m = gain * (q @ q.conj().T)
+    if which == "hermitian":
+        m = m + straddling_skew(rng, dim, ratio * 1e-12 * max(1.0, svd_norm(m)))
+    elif which == "idempotent":
+        e = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        e = (e + e.conj().T) / 2
+        e *= ratio * 1e-10 * dim / svd_norm(e)
+        m = m + e
+    else:
+        m = m * (1 + ratio * 1e-10 * max(1, dim) / max(rank, 1))
+    assert raised(Projector, m, rank=rank) == exact_projector_error(m, rank)
+
+
+@PROPERTY
+@given(seeds, dims, st.sampled_from(["hermitian", "psd", "large"]), ratios)
+def test_density_matrix_decides_as_exact_svd(seed, dim, which, ratio):
+    rng = np.random.default_rng(seed)
+    u = unitary(rng, dim)
+    p = rng.dirichlet(np.ones(dim))
+    if which == "large" and dim > 1:
+        # norm above one: the scale of both checks leaves its floor
+        p = np.concatenate([[1.5], -0.5 * p[1:] / p[1:].sum()])
+        p[-1] -= ratio * 1e-10 * 1.5
+    elif which == "psd":
+        p[-1] = -ratio * 1e-10
+    m = (u * p) @ u.conj().T
+    m = (m + m.conj().T) / 2
+    if which == "hermitian":
+        m = m + straddling_skew(rng, dim, ratio * 1e-12 * max(1.0, svd_norm(m)) * dim)
+    assert raised(DensityMatrix, m) == exact_density_error(m)
+
+
+@PROPERTY
+@given(seeds, st.integers(2, 8), st.floats(-13, -7), kinds)
+def test_validate_resolution_decides_as_exact_svd(seed, dim, log_eps, kind):
+    rng = np.random.default_rng(seed)
+    basis = unitary(rng, dim)
+    basis = basis + 10.0 ** log_eps * (rng.standard_normal((dim, dim))
+                                       + 1j * rng.standard_normal((dim, dim)))
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=min(2, dim - 1), replace=False))
+    blocks = np.split(np.arange(dim), cuts)
+    projectors = [projector_from_columns(basis[:, b]) for b in blocks]
+    values = {"spread": [0.0, 1.0, 2.0], "clustered": [0.0, 1e-6, 2e-6],
+              "dominant": [0.0, 1.0, 1e3]}[kind]
+    dec = SectorDecomposition(
+        tuple(Sector(complex(v), p) for v, p in zip(values, projectors)),
+        cluster_tol=1e-9, dim=dim)
+    expected = exact_resolution_error([p.matrix for p in projectors], dim)
+    assert raised(dec.validate_resolution) == expected
+
+
+@PROPERTY
+@given(seeds, st.integers(2, 8), ratios, st.floats(0.3, 1.0))
+def test_survival_support_decides_as_exact_svd(seed, dim, ratio, purity):
+    rng = np.random.default_rng(seed)
+    q = unitary(rng, dim)
+    rank = int(rng.integers(1, dim))
+    p = projector_from_columns(q[:, :rank])
+    inside = q[:, 0]
+    outside = q[:, rank]
+    # leakage amplitude c puts ||rho - P rho P|| at about c * purity
+    c = ratio * 1e-10 / purity
+    psi = inside + c * outside
+    psi /= np.linalg.norm(psi)
+    rho_m = purity * np.outer(psi, psi.conj())
+    rho_m += (1 - purity) * p.matrix / rank
+    rho = DensityMatrix((rho_m + rho_m.conj().T) / 2)
+    message = raised(survival_probability, rho, np.eye(dim), p)
+    assert (message is None) == exact_supported(rho.matrix, p.matrix)
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 12), st.floats(-16, -6))
+def test_certificate_implies_exact_idempotency(seed, dim, log_eps):
+    rng = np.random.default_rng(seed)
+    v = unitary(rng, dim) + 10.0 ** log_eps * (rng.standard_normal((dim, dim))
+                                               + 1j * rng.standard_normal((dim, dim)))
+    if operators._idempotency_certified(v):
+        for k in range(1, dim + 1):
+            cols = v[:, rng.permutation(dim)[:k]]
+            m = cols @ cols.conj().T
+            assert svd_norm(m @ m - m) <= 1e-10 * dim
+
+
+def test_certificate_accepts_eigh_vectors_and_rejects_skewed_ones(rng):
+    _, v = np.linalg.eigh(random_hermitian(rng, 200))
+    assert operators._idempotency_certified(v)
+    assert not operators._idempotency_certified(v * (1 + 1e-6))
+
+
+def test_eig_uses_one_certificate_instead_of_per_projector_svds(rng, monkeypatch):
+    calls = []
+    real = operators.snorm
+    monkeypatch.setattr(operators, "snorm", lambda a: calls.append(1) or real(a))
+    dec = eig(random_hermitian(rng, 30))
+    assert len(dec) == 30
+    assert len(calls) == 1  # default_cluster_tol; no projector needed an SVD
+    dec.validate_resolution()
+
+
+def test_eig_falls_back_and_rejects_when_eigenvectors_are_not_orthonormal(rng, monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def skewed_eigh(a):
+        w, v = real_eigh(a)
+        return w, v * 1.001
+    monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+    calls = []
+    real = operators.snorm
+    monkeypatch.setattr(operators, "snorm", lambda a: calls.append(1) or real(a))
+    with pytest.raises(ValidationError, match="not idempotent"):
+        eig(random_hermitian(rng, 5))
+    assert len(calls) >= 2  # the idempotency residual went to the exact check
+
+
+def test_import_does_not_load_scipy_linalg():
+    src = str(Path(zenosim.__file__).resolve().parents[1])
+    code = "import sys, zenosim; sys.exit('scipy.linalg' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

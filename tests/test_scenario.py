@@ -232,3 +232,20 @@ def test_result_series_validation():
         ResultSeries(("a",), ((1.0, 2.0),), {})
     with pytest.raises(ValidationError):
         ResultSeries(("a",), ((float("nan"),),), {})
+
+
+def test_exponent_numbers_without_dot_are_numbers():
+    # YAML 1.1 leaves 1e3 and 1e-3 as strings; the loader reads them as floats
+    s = parse_scenario(MINIMAL.replace("task: survival",
+                                       "task: sweep-K\nsweep: {K: [1e3, 2.5e+3]}\n"
+                                       "time: {t_max: 1e-3, samples: 3}"))
+    assert s.sweep_values == (1000.0, 2500.0)
+    assert s.t_max == 1e-3
+    with pytest.raises(ValidationError, match=r"model\.params\.K: must be >= 0"):
+        parse_scenario(MINIMAL.replace("K: 10.0", "K: -1e2"))
+
+
+@pytest.mark.parametrize("text", ["'ten'", "1e", "e3", "1_000e1", "inf", ".nan", "1e400", "'0x10'"])
+def test_non_numeric_strings_still_rejected(text):
+    with pytest.raises(ValidationError, match=r"model\.params\.K: (expected a number|must be finite)"):
+        parse_scenario(MINIMAL.replace("K: 10.0", f"K: {text}"))
