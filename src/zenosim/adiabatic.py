@@ -82,9 +82,12 @@ def rotating_bundle(h0, h_meas0, generator, rate: float,
         raise ValidationError("rotation generator must be Hermitian")
     if gen.dim != hm0.dim:
         raise ValidationError("rotation generator dimension mismatch")
+    # R(t) = expm(gen, rate * t), from one eigendecomposition of the generator
+    w, v = np.linalg.eigh(gen.matrix)
+    vdag = v.conj().T
 
     def h_meas(t: float) -> np.ndarray:
-        r = expm(gen, rate * t).matrix
+        r = (v * np.exp(-1j * (rate * t) * w)) @ vdag
         return r @ hm0.matrix @ r.conj().T
 
     return TimeDependentBundle(h=lambda t: h, h_meas=h_meas, coupling=coupling)
@@ -100,15 +103,22 @@ def _max_norms(bundle: TimeDependentBundle, t: float, probes: int = 9) -> tuple[
 def required_steps(bundle: TimeDependentBundle, t: float) -> int:
     """Smallest step count resolving both the system and the (K-scaled)
     measurement timescale at a tenth of a period."""
-    hn, mn = _max_norms(bundle, t)
+    return _steps_for(bundle, t, _max_norms(bundle, t))
+
+
+def _steps_for(bundle: TimeDependentBundle, t: float, norms: tuple[float, float]) -> int:
+    hn, mn = norms
     fastest = max(hn, bundle.coupling * mn)
     if fastest == 0 or t == 0:
         return 1
     return max(1, int(math.ceil(t * fastest / _STEP_FRACTION)))
 
 
-def _check_resolution(bundle: TimeDependentBundle, t: float, steps: int) -> None:
-    hn, mn = _max_norms(bundle, t)
+def _check_resolution(bundle: TimeDependentBundle, t: float, steps: int,
+                      norms: tuple[float, float]) -> None:
+    """Refuse steps coarser than a tenth of either period; ``norms`` is
+    ``_max_norms(bundle, t)``."""
+    hn, mn = norms
     dt = t / steps
     km = bundle.coupling * mn
     # report the tighter of the two violated timescales
@@ -118,7 +128,7 @@ def _check_resolution(bundle: TimeDependentBundle, t: float, steps: int) -> None
         if rate > 0 and dt > _STEP_FRACTION / rate:
             raise StepResolutionError(
                 f"step {dt:.3e} does not resolve the {name} timescale "
-                f"{_STEP_FRACTION / rate:.3e}; need >= {required_steps(bundle, t)} steps",
+                f"{_STEP_FRACTION / rate:.3e}; need >= {_steps_for(bundle, t, norms)} steps",
                 timescale=name)
 
 
@@ -145,7 +155,7 @@ def propagate_td(bundle: TimeDependentBundle, t: float, steps: int) -> Operator:
     dim = np.asarray(bundle.h(0.0)).shape[0]
     if t == 0:
         return Operator(np.eye(dim, dtype=complex))
-    _check_resolution(bundle, t, steps)
+    _check_resolution(bundle, t, steps, _max_norms(bundle, t))
     dt = t / steps
     u = np.eye(dim, dtype=complex)
     for k in range(steps):
@@ -168,7 +178,7 @@ def propagate_td_interaction(bundle: TimeDependentBundle, t: float,
     if t == 0:
         eye = Operator(np.eye(dim, dtype=complex))
         return eye, eye
-    _check_resolution(bundle, t, steps)
+    _check_resolution(bundle, t, steps, _max_norms(bundle, t))
     dt = t / steps
     us = np.eye(dim, dtype=complex)
     ui = np.eye(dim, dtype=complex)
@@ -274,10 +284,11 @@ def intertwining_defect(bundle: TimeDependentBundle, t: float, k_grid,
     reports = []
     for k in ks:
         b = bundle.with_coupling(k)
-        nsteps = required_steps(b, t) if steps is None else int(steps)
+        norms = _max_norms(b, t)
+        nsteps = _steps_for(b, t, norms) if steps is None else int(steps)
         nsteps = max(nsteps, samples)
         nsteps += (-nsteps) % samples       # integer steps per checkpoint
-        _check_resolution(b, t, nsteps)
+        _check_resolution(b, t, nsteps, norms)
         per = nsteps // samples
         dt = t / nsteps
 

@@ -266,7 +266,7 @@ def perturbative_spectrum(hk: CoupledHamiltonian, order: int = 2,
 
     branches: list[PerturbativeBranch] = []
     for n, s in enumerate(sectors):
-        basis = _orthonormal_basis(s.projector)
+        basis = s.projector.basis
         b1 = basis.conj().T @ h @ basis                      # first-order block
         w1, v1 = np.linalg.eigh((b1 + b1.conj().T) / 2)
         slices = cluster_values(w1, _DEGENERACY_RTOL * scale)
@@ -292,14 +292,6 @@ def perturbative_spectrum(hk: CoupledHamiltonian, order: int = 2,
     return PerturbativeExpansion(hk=hk, sectors=sectors, order=order,
                                  branches=tuple(branches),
                                  reduced_resolvents=tuple(resolvents))
-
-
-def _orthonormal_basis(p: Projector) -> np.ndarray:
-    w, v = np.linalg.eigh(p.matrix)
-    cols = v[:, w > 0.5]
-    if cols.shape[1] != p.rank:
-        raise ValidationError("projector rank does not match its spectrum")
-    return cols
 
 
 def _branch(n: int, eta0: complex, eta1: float, eta2: float, cols: np.ndarray,

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -203,6 +204,18 @@ class Projector:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Orthonormal ``dim x rank`` basis ``Q`` of the range, ``P = Q Q^dag``:
+        the eigenvectors of the matrix with eigenvalue above 1/2
+        (computed once, read-only)."""
+        w, v = np.linalg.eigh(self.matrix)
+        cols = v[:, w > 0.5]
+        if cols.shape[1] != self.rank:
+            raise ValidationError("projector rank does not match its spectrum")
+        cols.setflags(write=False)
+        return cols
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix, dtype=dtype)
@@ -622,10 +635,10 @@ def load_matrix(path) -> Operator:
     """Read a matrix literal file; the Hermiticity flag is auto-detected."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
-    body = [(k, ln.strip()) for k, ln in enumerate(lines, start=1) if ln.strip()]
-    if not body:
+    k0 = next((k for k, ln in enumerate(lines, start=1) if ln.strip()), None)
+    if k0 is None:
         raise ValidationError(f"{path}: empty matrix file")
-    k0, header = body[0]
+    header = lines[k0 - 1].strip()
     parts = header.split()
     if len(parts) != 2 or parts[0] != "dim":
         raise ValidationError(f"{path}:{k0}: expected 'dim d' header, got {header!r}")
@@ -635,9 +648,49 @@ def load_matrix(path) -> Operator:
         raise ValidationError(f"{path}:{k0}: dimension is not an integer") from None
     if d < 1:
         raise ValidationError(f"{path}:{k0}: dimension must be >= 1")
+    m = _parse_clean_entries(lines[k0:], d)
+    if m is None:
+        entries = [(k, ln.strip()) for k, ln in enumerate(lines[k0:], start=k0 + 1)
+                   if ln.strip()]
+        m = _parse_entries(path, entries, d)
+    return as_operator(m)
+
+
+_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("re", float), ("im", float)])
+
+
+def _parse_clean_entries(lines: list[str], d: int) -> np.ndarray | None:
+    """The matrix of well-formed entry lines, parsed in one pass: besides
+    blank lines, exactly ``d * d`` lines of two integers and two finite
+    floats, each index pair in range and present once.  Anything else
+    returns None and is left to :func:`_parse_entries`, which names the
+    offending line.  ``loadtxt`` accepts a subset of the spellings
+    ``int``/``float`` accept, parses them to the same values and skips the
+    same blank lines."""
+    if len(lines) < d * d or not any(ln.strip() for ln in lines):
+        return None
+    try:
+        data = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    i, j, re, im = data["row"], data["col"], data["re"], data["im"]
+    if not (len(data) == d * d
+            and ((0 <= i) & (i < d) & (0 <= j) & (j < d)).all()
+            and np.isfinite(re).all() and np.isfinite(im).all()):
+        return None
+    if np.bincount(i * d + j, minlength=d * d).max() != 1:
+        return None
+    m = np.empty((d, d), dtype=complex)
+    m.real[i, j] = re
+    m.imag[i, j] = im
+    return m
+
+
+def _parse_entries(path, entries, d: int) -> np.ndarray:
+    """Line-by-line parse that raises on the first malformed entry."""
     m = np.zeros((d, d), dtype=complex)
     seen = np.zeros((d, d), dtype=bool)
-    for k, ln in body[1:]:
+    for k, ln in entries:
         fields = ln.split()
         if len(fields) != 4:
             raise ValidationError(f"{path}:{k}: expected 'row col re im', got {ln!r}")
@@ -657,4 +710,4 @@ def load_matrix(path) -> Operator:
     if not seen.all():
         missing = int((~seen).sum())
         raise ValidationError(f"{path}: {missing} of {d * d} entries missing")
-    return as_operator(m)
+    return m

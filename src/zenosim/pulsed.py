@@ -8,6 +8,13 @@ freeze into unitary motion inside the projected subspaces: the selective
 chain converges to ``P exp(-i P H P t)`` and the nonselective one to
 independent block evolutions with exactly conserved per-sector weights.
 
+Chains run where that motion lives.  A selective chain multiplies
+``rank x rank`` matrices in an orthonormal basis of ``Ran P``
+(:attr:`Projector.basis`); a nonselective chain runs in the basis made of
+all sector bases, where the sandwich map keeps the diagonal blocks.  ``U``
+is rotated into the small basis once per chain and the result rotated
+back once.
+
 Units have hbar = 1 throughout; rates and frequencies are inverse time.
 """
 
@@ -86,10 +93,14 @@ def _normalized_vector(a) -> np.ndarray:
 def pulsed_propagator(h, p: Projector, n: int, t: float) -> Operator:
     """Selective chain ``[P U(t/N) P]^N`` with ``U = exp(-i H t/N)``.
 
-    The power is accumulated by repeated multiplication (so that an N-sweep
-    reuses the same error-accumulation order) and monitored against the
-    contraction bound ``||V|| <= 1``; norm overshoot within roundoff is
-    renormalized away, anything larger raises.
+    The chain runs inside ``Ran P``: with the orthonormal basis ``Q`` of
+    the range (``P = Q Q^dag``) the power is ``Q [Q^dag U Q]^N Q^dag``, so
+    each step multiplies ``rank x rank`` matrices instead of ``dim x dim``
+    ones.  The power is accumulated by repeated multiplication (so that an
+    N-sweep reuses the same error-accumulation order) and monitored against
+    the contraction bound ``||V|| <= 1``, which the isometry ``Q`` leaves
+    unchanged; norm overshoot within roundoff is renormalized away,
+    anything larger raises.
     """
     hop = as_operator(h)
     if not hop.hermitian:
@@ -100,14 +111,15 @@ def pulsed_propagator(h, p: Projector, n: int, t: float) -> Operator:
         raise ValidationError("horizon must be finite and non-negative")
 
     u = expm(hop, t / n).matrix
-    step = p.matrix @ u @ p.matrix
+    q = p.basis
+    step = q.conj().T @ u @ q
     v = step.copy()
     for k in range(1, n):
         v = step @ v
         if k % _MONITOR_STRIDE == 0:
             v = _enforce_contraction(v, p.dim)
     v = _enforce_contraction(v, p.dim)
-    return Operator(v)
+    return Operator(q @ v @ q.conj().T)
 
 
 def _enforce_contraction(v: np.ndarray, dim: int) -> np.ndarray:
@@ -138,15 +150,46 @@ def survival_probability(rho0: DensityMatrix, v, p: Projector) -> float:
     """
     rho = rho0.matrix
     proj = p.matrix
+    _check_support(rho, proj)
+    w = proj @ as_matrix(v) @ proj
+    return _probability(float((w @ rho @ w.conj().T).trace().real))
+
+
+def _check_support(rho: np.ndarray, proj: np.ndarray) -> None:
     resid = rho - proj @ rho @ proj
     # The floor of the allowance settles nearly every call without an SVD.
     if _norm_exceeds(resid, 1e-10) and snorm(resid) > 1e-10 * max(1.0, snorm(rho)):
         raise ValidationError("initial state is not supported in the measured subspace")
-    w = proj @ as_matrix(v) @ proj
-    prob = float((w @ rho @ w.conj().T).trace().real)
+
+
+def _probability(prob: float) -> float:
     if prob < -1e-12 or prob > 1.0 + 1e-12:
         raise NumericalError(f"survival probability {prob:.15g} outside [0, 1]")
     return min(1.0, max(0.0, prob))
+
+
+def _survival_grid(h: Operator, ts: np.ndarray, rho0: DensityMatrix,
+                   p: Projector) -> list[float]:
+    """``survival_probability(rho0, expm(h, t), p)`` for every t in ``ts``.
+
+    With ``P = Q Q^dag`` and ``rho0 = Q s Q^dag`` the survival is
+    ``Tr[A s A^dag]`` for the ``rank x rank`` amplitude ``A = Q^dag U Q``.
+    A Hermitian ``h = V diag(w) V^dag`` is diagonalized once and gives
+    ``A(t) = (Q^dag V) e^{-i w t} (V^dag Q)`` for the whole grid; other
+    generators take one Pade exponential per sample.  The support check
+    runs once, the [0, 1] range check on every value.
+    """
+    _check_support(rho0.matrix, p.matrix)
+    q = p.basis
+    s = q.conj().T @ rho0.matrix @ q
+    if h.hermitian:
+        w, vecs = np.linalg.eigh(h.matrix)
+        left, right = q.conj().T @ vecs, vecs.conj().T @ q
+        amps = np.einsum("ik,tk,kj->tij", left, np.exp(-1j * np.multiply.outer(ts, w)), right)
+    else:
+        amps = np.array([q.conj().T @ expm(h, t).matrix @ q for t in ts])
+    probs = np.einsum("tij,jk,tik->t", amps, s, amps.conj()).real
+    return [_probability(float(x)) for x in probs]
 
 
 def survival_amplitude(h, a, tau: float) -> complex:
@@ -247,14 +290,6 @@ def zeno_time_fitted(h, a, tau0: float | None = None, points: int = 5) -> float:
 # nonselective chains
 
 
-def _sandwich(rho: np.ndarray, sectors: SectorDecomposition) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for s in sectors:
-        p = s.projector.matrix
-        out += p @ rho @ p
-    return out
-
-
 def nonselective_evolve(h, sectors: SectorDecomposition, n: int, t: float,
                         rho0: DensityMatrix, project_final: bool = True) -> DensityMatrix:
     """State after ``n`` unread measurements in a horizon ``t``.
@@ -265,6 +300,11 @@ def nonselective_evolve(h, sectors: SectorDecomposition, n: int, t: float,
     read-out: its off-block content then decays like C/N instead of being
     exactly zero by construction.  The trace is checked to 1e-12 at every
     step.
+
+    The chain runs in the sector basis ``W = [Q_1 ... Q_m]`` (``P_n =
+    Q_n Q_n^dag``): ``U`` and ``rho0`` are rotated once, the sandwich map
+    ``rho -> sum_n P_n rho P_n`` becomes the elementwise mask that keeps
+    the diagonal blocks, and the final state is rotated back.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError("measurement count must be an integer >= 1")
@@ -274,19 +314,23 @@ def nonselective_evolve(h, sectors: SectorDecomposition, n: int, t: float,
         raise ValidationError("state dimension does not match sectors")
     sectors.validate_resolution()
 
-    u = expm(h, t / n).matrix
+    w = np.hstack([s.projector.basis for s in sectors])
+    label = np.repeat(np.arange(len(sectors)), [s.multiplicity for s in sectors])
+    mask = label[:, None] == label[None, :]
+    u = w.conj().T @ expm(h, t / n).matrix @ w
     udag = u.conj().T
-    rho = _sandwich(rho0.matrix, sectors)
+    rho = (w.conj().T @ rho0.matrix @ w) * mask
     prev = float(rho.trace().real)
     for k in range(n):
         rho = u @ rho @ udag
         if k < n - 1 or project_final:
-            rho = _sandwich(rho, sectors)
+            rho = rho * mask
         tr = float(rho.trace().real)
         if abs(tr - prev) > 1e-12 * max(1.0, abs(prev)):
             raise NumericalError(
                 f"step {k} changed the trace by {abs(tr - prev):.3e}")
         prev = tr
+    rho = w @ rho @ w.conj().T
     return DensityMatrix((rho + rho.conj().T) / 2)
 
 

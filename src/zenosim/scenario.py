@@ -22,7 +22,6 @@ from . import __version__
 from .adiabatic import intertwining_defect, rotating_bundle
 from .continuous import (
     CoupledHamiltonian,
-    exact_propagator,
     nonadiabatic_defect,
     zeno_sectors,
 )
@@ -45,10 +44,10 @@ from .operators import (
     snorm,
 )
 from .pulsed import (
+    _survival_grid,
     nonselective_evolve,
     pulsed_limit,
     pulsed_propagator,
-    survival_probability,
 )
 
 TASKS = ("survival", "sectors", "limit-compare", "nonselective",
@@ -437,19 +436,13 @@ def run(s: Scenario, cluster_tol: float | None = None) -> ResultSeries:
         v0 = _initial_vector(s, hk.dim)
         rho0 = DensityMatrix.pure(v0)
         proj = projector_from_columns(v0.reshape(-1, 1))
-        analytic = (s.model_kind == "three_level" and s.initial_state is None)
-        columns = ("t", "p0") + (("p0_analytic",) if analytic else ())
-        rows = []
-        for t in ts:
-            u = exact_propagator(hk, t)
-            p = survival_probability(rho0, u, proj)
-            if analytic:
-                pa = three_level_survival(s.model_params["omega"],
-                                          s.model_params["K"], t)
-                rows.append((float(t), p, pa))
-            else:
-                rows.append((float(t), p))
-        return ResultSeries(columns, tuple(rows), md)
+        columns = ("t", "p0")
+        series = [ts.tolist(), _survival_grid(hk.total(), ts, rho0, proj)]
+        if s.model_kind == "three_level" and s.initial_state is None:
+            columns += ("p0_analytic",)
+            series.append(three_level_survival(s.model_params["omega"],
+                                               s.model_params["K"], ts).tolist())
+        return ResultSeries(columns, tuple(zip(*series)), md)
 
     if s.task == "sectors":
         dec = zeno_sectors(hk, cluster_tol=cluster_tol)
@@ -509,8 +502,7 @@ def run(s: Scenario, cluster_tol: float | None = None) -> ResultSeries:
         md["dfs_dimension"] = dec.total_rank()
         rows = []
         for n, sec in enumerate(dec):
-            w, vecs = np.linalg.eigh(sec.projector.matrix)
-            basis = vecs[:, w > 0.5]
+            basis = sec.projector.basis
             for j in range(basis.shape[1]):
                 for comp in range(dec.dim):
                     amp = basis[comp, j]

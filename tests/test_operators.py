@@ -286,6 +286,77 @@ def test_matrix_file_errors(tmp_path):
         load_matrix(p)
 
 
+# Each file below reaches the decision (and, for a rejection, the exact
+# line-numbered message) that the line-by-line parser gives on it.
+ENTRIES = "0 0 1 0\n0 1 0 0\n1 0 0 0\n1 1 1 0\n"
+MATRIX_FILES = [
+    ("dim 2\n# entries follow\n" + ENTRIES,
+     ":2: expected 'row col re im', got '# entries follow'"),
+    ("dim 2\n0 0 1 0\n# 0 1 0\n0 1 0 0\n1 0 0 0\n1 1 1 0\n",
+     ":3: could not parse entry '# 0 1 0'"),
+    ("dim 2\n0 0 1 0\n0 1.0 0 0\n1 0 0 0\n1 1 1 0\n",
+     ":3: could not parse entry '0 1.0 0 0'"),
+    ("dim 2\n0 0 1 0\n0 1 0 0\n1e0 0 0 0\n1 1 1 0\n",
+     ":4: could not parse entry '1e0 0 0 0'"),
+    ("dim 2\n0 0 1 0\n0 +1 0 0\n+1 0 0 0\n1 1 1 0\n", [[1, 0], [0, 1]]),
+    ("dim 2\n0 0 1_0 0\n0 1 0 0\n1 0 0 0\n1 1 1 0\n", [[10, 0], [0, 1]]),
+    ("dim 2\n0 0 1 0\n0 1 nan 0\n1 0 0 0\n1 1 1 0\n", ":3: non-finite entry"),
+    ("dim 2\n0 0 1 0\n0 1 0 0\n1 0 0 -inf\n1 1 1 0\n", ":4: non-finite entry"),
+    ("\n  \ndim 2\n\n0 0 1 0\n   \n0 1 0.5 0\n1 0 0.5 0\n\n1 1 1 0\n\n",
+     [[1, 0.5], [0.5, 1]]),
+    ("dim 2\n\n0 0 1 0\n\n0 1 0 0 7\n1 0 0 0\n1 1 1 0\n",
+     ":5: expected 'row col re im', got '0 1 0 0 7'"),
+    ("dim 2\n0 0 1 0\n0 1 0 0\n0 0 1 0\n1 1 1 0\n", ":4: duplicate entry (0,0)"),
+    ("dim 2\n" + ENTRIES + "1 1 1 0\n", ":6: duplicate entry (1,1)"),
+    ("dim 2\n0 0 1 0\n0 1 0 0\n1 1 1 0\n", ": 1 of 4 entries missing"),
+    ("dim 2\n0 0 1 0\n0 2 0 0\n1 0 0 0\n1 1 1 0\n",
+     ":3: index (0,2) out of range for dim 2"),
+    ("dim 2\n0 0 1 0\n0 1 0 0\n-1 0 0 0\n1 1 1 0\n",
+     ":4: index (-1,0) out of range for dim 2"),
+    ("dim 2\n0 0 nan 0\n0 5 0 0\n1 0 0 0\n1 1 1 0\n", ":2: non-finite entry"),
+    ("dim 1\n0 0 2.5 0\n", [[2.5]]),
+]
+
+
+@pytest.mark.parametrize("text, outcome", MATRIX_FILES)
+def test_matrix_file_decisions(tmp_path, text, outcome):
+    p = tmp_path / "m.txt"
+    p.write_text(text)
+    if isinstance(outcome, str):
+        with pytest.raises(ValidationError) as info:
+            load_matrix(p)
+        assert str(info.value) == f"{p}{outcome}"
+    else:
+        assert np.array_equal(load_matrix(p).matrix, np.array(outcome, dtype=complex))
+
+
+def test_matrix_file_roundtrip_bit_exact(tmp_path):
+    rng = np.random.default_rng(7)
+    d = 200
+    m = rng.standard_normal((d, d)) * 10.0 ** rng.integers(-150, 150, (d, d)) \
+        + 1j * rng.standard_normal((d, d))
+    m[0, :4] = [0.0, -0.0, complex(-0.0, -0.0), complex(5e-324, -0.0)]
+    path = tmp_path / "m.txt"
+    save_matrix(path, m)
+    back = load_matrix(path).matrix
+    assert np.array_equal(back.view(np.int64), m.view(np.int64))
+    lines = path.read_text().splitlines()
+    by_line = operators._parse_entries(path, list(enumerate(lines[1:], start=2)), d)
+    assert np.array_equal(back.view(np.int64), by_line.view(np.int64))
+
+
+def test_projector_basis():
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    p = Projector(q[:, :4] @ q[:, :4].conj().T, rank=4)
+    basis = p.basis
+    assert basis.shape == (6, 4)
+    assert p.basis is basis and not basis.flags.writeable
+    assert np.linalg.norm(basis.conj().T @ basis - np.eye(4), 2) <= 1e-14
+    assert np.linalg.norm(basis @ basis.conj().T - p.matrix, 2) <= 1e-14
+    assert basis_projector(3).basis.shape == (3, 0)
+
+
 # --------------------------------------------------------------------------
 # bound-first invariant checks: the same decisions as the exact-SVD checks
 #

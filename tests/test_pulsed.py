@@ -2,22 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zenosim import (
+    CoupledHamiltonian,
     DensityMatrix,
     NumericalError,
     PulsedSchedule,
     ValidationError,
     as_operator,
     basis_projector,
+    decay_model,
     eig,
     effective_rate,
     effective_rate_from_amplitude,
+    exact_propagator,
     expm,
     nonselective_evolve,
     nonselective_limit,
     offblock_norm,
     pulsed_limit,
+    projector_from_columns,
     pulsed_propagator,
     snorm,
     survival_amplitude,
@@ -27,6 +32,9 @@ from zenosim import (
     zeno_time,
     zeno_time_fitted,
 )
+from zenosim.pulsed import _survival_grid
+
+from conftest import random_hermitian
 
 
 def rabi2(omega=1.0):
@@ -372,3 +380,121 @@ def test_nonselective_rejects_mismatched_state():
     sec = three_level_sectors()
     with pytest.raises(ValidationError):
         nonselective_evolve(np.eye(2), sec, 4, 1.0, DensityMatrix.pure([1, 0]))
+
+
+# --------------------------------------------------------------------------
+# chains in the sector basis against written-out full-dimension oracles
+#
+# The library runs selective chains in an orthonormal basis of Ran P,
+# nonselective chains in the basis of all sectors, and the survival task
+# from one eigendecomposition per time grid.  Each oracle below is the
+# textbook full-dimension computation; both must agree to 1e-12 on random
+# Hermitian Hamiltonians with degenerate measurement couplings (d <= 8).
+
+ORACLE = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def degenerate_problems(draw):
+    """Random Hermitian H and a measurement coupling with repeated
+    eigenvalues (sector ranks drawn at random), as a seeded draw."""
+    d = draw(st.integers(2, 8))
+    outcomes = draw(st.integers(1, d))
+    cuts = sorted(draw(st.lists(st.integers(1, d - 1), min_size=outcomes - 1,
+                                max_size=outcomes - 1, unique=True)))
+    ranks = np.diff([0, *cuts, d])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = _unitary(rng, d)
+    hm = (v * np.repeat(np.arange(len(ranks), dtype=float), ranks)) @ v.conj().T
+    h = random_hermitian(rng, d) * draw(st.floats(0.1, 3.0))
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return h, eig(as_operator((hm + hm.conj().T) / 2)), psi / np.linalg.norm(psi)
+
+
+def oracle_nonselective(h, sectors, n, t, rho0, project_final):
+    ps = [s.projector.matrix for s in sectors]
+
+    def sandwich(rho):
+        return sum(p @ rho @ p for p in ps)
+
+    u = expm(h, t / n).matrix
+    rho = sandwich(rho0.matrix)
+    for k in range(n):
+        rho = u @ rho @ u.conj().T
+        if k < n - 1 or project_final:
+            rho = sandwich(rho)
+    return (rho + rho.conj().T) / 2
+
+
+def oracle_selective(h, p, n, t):
+    step = p.matrix @ expm(as_operator(h), t / n).matrix @ p.matrix
+    v = step
+    for _ in range(n - 1):
+        v = step @ v
+    return v
+
+
+@ORACLE
+@given(degenerate_problems(), st.integers(1, 40), st.floats(0.0, 3.0), st.booleans())
+def test_nonselective_chain_matches_sandwich_oracle(problem, n, t, project_final):
+    h, sectors, psi = problem
+    rho0 = DensityMatrix.pure(psi)
+    out = nonselective_evolve(h, sectors, n, t, rho0, project_final=project_final)
+    want = oracle_nonselective(h, sectors, n, t, rho0, project_final)
+    assert np.max(np.abs(out.matrix - want)) <= 1e-12
+
+
+@ORACLE
+@given(degenerate_problems(), st.integers(1, 40), st.floats(0.0, 3.0), st.data())
+def test_selective_chain_matches_full_dimension_oracle(problem, n, t, data):
+    h, sectors, _ = problem
+    p = sectors.sectors[data.draw(st.integers(0, len(sectors) - 1))].projector
+    got = pulsed_propagator(h, p, n, t).matrix
+    assert np.max(np.abs(got - oracle_selective(h, p, n, t))) <= 1e-12
+
+
+@ORACLE
+@given(degenerate_problems(), st.floats(0.1, 20.0), st.integers(2, 40), st.data())
+def test_survival_grid_matches_per_sample_oracle(problem, k, samples, data):
+    h, sectors, psi = problem
+    hm = sum(s.eigenvalue.real * s.projector.matrix for s in sectors)
+    hk = CoupledHamiltonian(as_operator(h), as_operator(hm), k)
+    ts = np.linspace(0.0, data.draw(st.floats(0.1, 10.0)), samples)
+    if data.draw(st.booleans()):
+        rho0, p = DensityMatrix.pure(psi), projector_from_columns(psi.reshape(-1, 1))
+    else:  # a mixed state inside a higher-rank subspace
+        s = sectors.sectors[data.draw(st.integers(0, len(sectors) - 1))]
+        rho0, p = DensityMatrix(s.projector.matrix / s.multiplicity), s.projector
+    got = _survival_grid(hk.total(), ts, rho0, p)
+    want = [survival_probability(rho0, exact_propagator(hk, t), p) for t in ts]
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+@ORACLE
+@given(st.floats(0.2, 5.0), st.floats(0.1, 5.0), st.floats(0.0, 20.0),
+       st.floats(0.5, 10.0))
+def test_survival_grid_matches_oracle_for_decay_model(tau_z, gamma, k, t_max):
+    hk = decay_model(tau_z, gamma, k)
+    assert not hk.total().hermitian
+    v0 = np.array([1, 0, 0], dtype=complex)
+    rho0, p = DensityMatrix.pure(v0), projector_from_columns(v0.reshape(-1, 1))
+    ts = np.linspace(0.0, t_max, 21)
+    got = _survival_grid(hk.total(), ts, rho0, p)
+    want = [survival_probability(rho0, exact_propagator(hk, t), p) for t in ts]
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+def test_survival_grid_rejects_unsupported_state():
+    hk = three_level(1.0, 2.0)
+    rho0 = DensityMatrix.pure([1, 0, 0])
+    p = basis_projector(3, 1)
+    message = "initial state is not supported in the measured subspace"
+    with pytest.raises(ValidationError, match=message):
+        survival_probability(rho0, exact_propagator(hk, 0.5), p)
+    with pytest.raises(ValidationError, match=message):
+        _survival_grid(hk.total(), np.linspace(0.0, 1.0, 5), rho0, p)
