@@ -68,7 +68,6 @@ from .operators import (
 )
 from .pulsed import (
     EffectiveRate,
-    PulsedSchedule,
     effective_rate,
     effective_rate_from_amplitude,
     nonselective_evolve,

@@ -21,16 +21,14 @@ from .errors import ValidationError
 from .operators import (
     Operator,
     Projector,
-    Sector,
     SectorDecomposition,
+    _eigenvector_sectors,
     as_operator,
     block_diagonal_part,
     cluster_values,
-    default_cluster_tol,
     eig,
     expm,
     projector_from_columns,
-    real_eigenvalue_tol,
     snorm,
 )
 
@@ -81,38 +79,24 @@ def zeno_sectors(hk: CoupledHamiltonian, cluster_tol: float | None = None) -> Se
     weight leaks out of the space and is reported as a trace deficit by the
     density-matrix evolutions.
     """
-    hm = hk.h_meas
-    if hm.hermitian:
-        return eig(hm, cluster_tol=cluster_tol)
-    return real_sectors(hm, cluster_tol=cluster_tol)
+    return real_sectors(hk.h_meas, cluster_tol=cluster_tol)
 
 
-def real_sectors(h_meas, cluster_tol: float | None = None,
-                 real_tol: float | None = None) -> SectorDecomposition:
+def real_sectors(h_meas, cluster_tol: float | None = None) -> SectorDecomposition:
     """Real-eigenvalue sectors of a possibly dissipative coupling.
 
     Eigenvalues with ``|Im eta|`` below the threshold are clustered and
     each cluster contributes the orthogonal projector onto the span of its
-    right eigenvectors.  No real eigenvalue at all yields an empty (valid)
+    right eigenvectors, with the measured condition number of its spectral
+    projector (clusters above ``DEFAULT_MAX_SECTOR_CONDITION`` are
+    dropped).  No real eigenvalue at all yields an empty (valid)
     decomposition.  Complex eigenvalues are never clustered here, so a
     smeared dissipative spectrum cannot poison the decomposition.
     """
     hm = as_operator(h_meas)
     if hm.hermitian:
         return eig(hm, cluster_tol=cluster_tol)
-    tol = default_cluster_tol(hm) if cluster_tol is None else float(cluster_tol)
-    rtol = real_eigenvalue_tol(hm) if real_tol is None else float(real_tol)
-    w, vr = np.linalg.eig(hm.matrix)
-    real_idx = np.flatnonzero(np.abs(w.imag) <= rtol)
-    sectors = []
-    if real_idx.size:
-        clusters = cluster_values(w[real_idx], tol)
-        for group in clusters:
-            idx = real_idx[group]
-            eta = complex(np.mean(w[idx].real))
-            proj = projector_from_columns(vr[:, idx])
-            sectors.append(Sector(eta, proj, condition=1.0))
-    return SectorDecomposition(tuple(sectors), tol, hm.dim, complete=False)
+    return _eigenvector_sectors(hm, cluster_tol, real_only=True)
 
 
 def diag_part(h, sectors: SectorDecomposition) -> Operator:

@@ -32,23 +32,3 @@ def loglog_fit(x, y) -> tuple[float, float]:
     slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
     return float(slope), float(intercept)
 
-
-def exp_decay_rate(t, p) -> float:
-    """Decay rate from a least-squares fit of log(p) against t.
-
-    Fits p(t) ~ A * exp(-rate * t) and returns the rate.
-    """
-    ts = np.asarray(t, dtype=float)
-    ps = np.asarray(p, dtype=float)
-    if ts.shape != ps.shape or ts.size < 2:
-        raise ValidationError("need at least two matching samples for a rate fit")
-    if np.any(ps <= 0):
-        raise ValidationError("rate fit requires strictly positive probabilities")
-    slope, _ = np.polyfit(ts, np.log(ps), 1)
-    return float(-slope)
-
-
-def halving_ratios(y) -> np.ndarray:
-    """Consecutive ratios y[k+1] / y[k] along a doubling grid."""
-    ys = np.asarray(y, dtype=float)
-    return ys[1:] / ys[:-1]

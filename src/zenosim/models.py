@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .continuous import CoupledHamiltonian, real_sectors, zeno_sectors
+from .continuous import CoupledHamiltonian, real_sectors
 from .errors import ValidationError
 from .operators import Operator, SectorDecomposition, as_operator
 
@@ -295,8 +295,7 @@ def cavity(g: float, kappa: float, n_max: int = 2) -> CavityModel:
                        sectors=ExcitationSectors(number_op=number, labels=labels))
 
 
-def dfs_extract(hk: CoupledHamiltonian, cluster_tol: float | None = None,
-                real_tol: float | None = None) -> SectorDecomposition:
+def dfs_extract(hk: CoupledHamiltonian, cluster_tol: float | None = None) -> SectorDecomposition:
     """Sectors of the measurement coupling in which probability survives.
 
     For a Hermitian coupling this is the full sector decomposition.  For a
@@ -305,9 +304,7 @@ def dfs_extract(hk: CoupledHamiltonian, cluster_tol: float | None = None,
     The union of the returned subspaces is protected from the dissipation:
     dynamics restricted there stays unitary.
     """
-    if hk.h_meas.hermitian:
-        return zeno_sectors(hk, cluster_tol=cluster_tol)
-    return real_sectors(hk.h_meas, cluster_tol=cluster_tol, real_tol=real_tol)
+    return real_sectors(hk.h_meas, cluster_tol=cluster_tol)
 
 
 # ---------------------------------------------------------------------------

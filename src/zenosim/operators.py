@@ -31,6 +31,11 @@ Conventions
   eigenvectors: ``||P^2 - P|| <= (1 + e) e`` plus a stated rounding term
   (:func:`_idempotency_certified`).  When the certificate does not reach
   ``IDEMPOTENCY_TOL * dim``, every projector is checked in full.
+* Non-Hermitian sectors, the real-eigenvalue (decoherence-free) ones
+  included, come from one eigenvector routine and carry the measured
+  condition number of their spectral projector; clusters above
+  ``DEFAULT_MAX_SECTOR_CONDITION`` are dropped and listed in ``dropped``.
+* A clustering tolerance must be finite and >= 0.
 
 Intended scale is "desk" size, dimensions up to a couple hundred; there is
 deliberately no sparse or structured path.
@@ -504,6 +509,17 @@ def cluster_values(values: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
+def _cluster_tol(op: Operator, cluster_tol) -> float:
+    """The clustering tolerance of a decomposition of ``op``: the default
+    when None, else a finite value >= 0."""
+    if cluster_tol is None:
+        return default_cluster_tol(op)
+    tol = float(cluster_tol)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"cluster tolerance must be finite and >= 0, got {tol!r}")
+    return tol
+
+
 def eig(a, cluster_tol: float | None = None,
         max_condition: float = DEFAULT_MAX_SECTOR_CONDITION) -> SectorDecomposition:
     """Spectral decomposition into distinct-eigenvalue sectors.
@@ -517,40 +533,51 @@ def eig(a, cluster_tol: float | None = None,
     invariant subspace) are excluded and recorded in ``dropped``.
     """
     op = as_operator(a)
-    tol = default_cluster_tol(op) if cluster_tol is None else float(cluster_tol)
-
-    if op.hermitian:
-        w, v = np.linalg.eigh(op.matrix)
-        clusters = cluster_values(w, tol)
-        certified = _idempotency_certified(v)
-        sectors = []
-        for idx in clusters:
-            cols = v[:, idx]
-            m = cols @ cols.conj().T
-            proj = (_certified_projector(m, len(idx)) if certified
-                    else Projector(m, rank=len(idx)))
-            sectors.append(Sector(complex(np.mean(w[idx])), proj, condition=1.0))
-        return SectorDecomposition(tuple(sectors), tol, op.dim, complete=True)
-
-    import scipy.linalg  # deferred: the Hermitian paths never need it
-
-    w, vr = scipy.linalg.eig(op.matrix)
+    if not op.hermitian:
+        return _eigenvector_sectors(op, cluster_tol, max_condition)
+    tol = _cluster_tol(op, cluster_tol)
+    w, v = np.linalg.eigh(op.matrix)
     clusters = cluster_values(w, tol)
+    certified = _idempotency_certified(v)
+    sectors = []
+    for idx in clusters:
+        cols = v[:, idx]
+        m = cols @ cols.conj().T
+        proj = (_certified_projector(m, len(idx)) if certified
+                else Projector(m, rank=len(idx)))
+        sectors.append(Sector(complex(np.mean(w[idx])), proj, condition=1.0))
+    return SectorDecomposition(tuple(sectors), tol, op.dim, complete=True)
+
+
+def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
+                         max_condition: float = DEFAULT_MAX_SECTOR_CONDITION,
+                         real_only: bool = False) -> SectorDecomposition:
+    """Sectors of a non-Hermitian ``op`` from its right eigenvectors.
+
+    Each cluster of eigenvalues gives the orthogonal projector onto the
+    span of its eigenvectors and the measured condition number of its
+    spectral projector; clusters above ``max_condition`` go to
+    ``dropped``.  ``real_only`` keeps only eigenvalues with
+    ``|Im eta| <= real_eigenvalue_tol(op)``, reports their real parts and
+    marks the decomposition incomplete.
+    """
+    tol = _cluster_tol(op, cluster_tol)
+    w, vr = np.linalg.eig(op.matrix)
+    keep = (np.flatnonzero(np.abs(w.imag) <= real_eigenvalue_tol(op)) if real_only
+            else np.arange(w.size))
     vr_inv = np.linalg.inv(vr)
     sectors = []
     dropped = []
-    for idx in clusters:
-        eta = complex(np.mean(w[idx]))
-        spectral = vr[:, idx] @ vr_inv[idx, :]
-        condition = snorm(spectral)
+    for group in cluster_values(w[keep], tol):
+        idx = keep[group]
+        eta = complex(np.mean(w[idx].real)) if real_only else complex(np.mean(w[idx]))
+        condition = snorm(vr[:, idx] @ vr_inv[idx, :])
         if condition > max_condition:
             dropped.append((eta, condition))
             continue
-        q, _ = np.linalg.qr(vr[:, idx])
-        proj = Projector(q @ q.conj().T, rank=len(idx))
-        sectors.append(Sector(eta, proj, condition=condition))
-    return SectorDecomposition(tuple(sectors), tol, op.dim,
-                               complete=not dropped and _ranks_fill(sectors, op.dim),
+        sectors.append(Sector(eta, projector_from_columns(vr[:, idx]), condition=condition))
+    complete = not real_only and not dropped and _ranks_fill(sectors, op.dim)
+    return SectorDecomposition(tuple(sectors), tol, op.dim, complete=complete,
                                dropped=tuple(dropped))
 
 
@@ -588,15 +615,7 @@ def offblock_norm(a, sectors: SectorDecomposition) -> float:
     """Frobenius norm of the part of ``a`` outside the sector blocks,
     ``||A - sum_n P_n A P_n||_F``.  Zero iff ``a`` is block diagonal."""
     m = as_matrix(a)
-    if m.shape[0] != sectors.dim:
-        raise ValidationError(
-            f"operator dimension {m.shape[0]} does not match sectors ({sectors.dim})"
-        )
-    block = np.zeros_like(m)
-    for s in sectors:
-        p = s.projector.matrix
-        block += p @ m @ p
-    return fnorm(m - block)
+    return fnorm(m - block_diagonal_part(m, sectors))
 
 
 def block_diagonal_part(a, sectors: SectorDecomposition) -> np.ndarray:

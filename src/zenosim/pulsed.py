@@ -49,21 +49,6 @@ _MONITOR_STRIDE = 64
 
 
 @dataclass(frozen=True)
-class PulsedSchedule:
-    """A pulsed run: the measured projector(s), pulse count and horizon."""
-
-    projectors: SectorDecomposition | Projector
-    pulses: int
-    horizon: float
-
-    def __post_init__(self):
-        if not isinstance(self.pulses, int) or self.pulses < 1:
-            raise ValidationError("pulse count must be an integer >= 1")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValidationError("horizon must be finite and positive")
-
-
-@dataclass(frozen=True)
 class EffectiveRate:
     """Exponential-equivalent decay rate and phase drift of repeated
     measurements at interval tau.

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -38,6 +39,7 @@ from .models import (
 )
 from .operators import (
     DensityMatrix,
+    Operator,
     load_matrix,
     offblock_norm,
     projector_from_columns,
@@ -50,19 +52,6 @@ from .pulsed import (
     pulsed_propagator,
 )
 
-TASKS = ("survival", "sectors", "limit-compare", "nonselective",
-         "sweep-K", "sweep-N", "dfs", "intertwine")
-MODEL_KINDS = ("three_level", "four_level", "cavity", "decay", "matrix")
-
-_MODEL_PARAMS = {
-    # kind -> {param: (required, validator description)}
-    "three_level": {"omega": True, "K": True},
-    "four_level": {"omega": True, "K": True, "Kp": True, "regime": False},
-    "cavity": {"g": True, "kappa": True, "n_max": False},
-    "decay": {"tau_z": True, "gamma": True, "K": True},
-    "matrix": {},
-}
-
 _DEFAULT_T_MAX = 10.0
 _DEFAULT_SAMPLES = 1001
 
@@ -74,9 +63,6 @@ class Scenario:
     task: str
     model_kind: str
     model_params: dict
-    hmeas_file: str | None = None
-    h_file: str | None = None
-    matrix_coupling: float = 1.0
     t_max: float = _DEFAULT_T_MAX
     samples: int = _DEFAULT_SAMPLES
     sweep_key: str | None = None           # "K" or "N"
@@ -147,6 +133,87 @@ def _need_int(obj, path: str) -> int:
     return obj
 
 
+def _nonnegative(obj, path: str) -> float:
+    v = _need_number(obj, path)
+    if v < 0:
+        raise _err(path, "must be >= 0")
+    return v
+
+
+def _positive(obj, path: str) -> float:
+    v = _need_number(obj, path)
+    if v <= 0:
+        raise _err(path, "must be > 0")
+    return v
+
+
+def _truncation(obj, path: str) -> int:
+    n = _need_int(obj, path)
+    if n < 2:
+        raise _err(path, "must be >= 2")
+    return n
+
+
+def _regime(obj, path: str) -> str:
+    if obj not in ("inner", "outer"):
+        raise _err(path, "must be 'inner' or 'outer'")
+    return obj
+
+
+def _file(obj, path: str) -> str:
+    return str(obj)
+
+
+def _four_level(K, Kp, omega, regime="inner") -> CoupledHamiltonian:
+    m = four_level(omega, K, Kp)
+    return m.inner_regime() if regime == "inner" else m.outer_regime()
+
+
+def _matrix_model(hmeas_file, h_file=None, K=1.0) -> CoupledHamiltonian:
+    hm = load_matrix(hmeas_file)
+    h = (load_matrix(h_file) if h_file is not None
+         else Operator(np.zeros((hm.dim, hm.dim), dtype=complex), hermitian=True))
+    return CoupledHamiltonian(h, hm, K)
+
+
+class _Model(NamedTuple):
+    required: dict                            # parameter -> validator(value, path)
+    optional: dict
+    build: Callable[..., CoupledHamiltonian]  # called with the parameters as keywords
+
+
+# The model registry of scenario files and ``zeno sectors``.  CSV metadata
+# echoes the parameters in table order, required ones first.
+_MODELS = {
+    "three_level": _Model({"K": _nonnegative, "omega": _nonnegative}, {},
+                          lambda K, omega: three_level(omega, K)),
+    "four_level": _Model({"K": _nonnegative, "Kp": _nonnegative, "omega": _nonnegative},
+                         {"regime": _regime}, _four_level),
+    "cavity": _Model({"g": _nonnegative, "kappa": _nonnegative}, {"n_max": _truncation},
+                     lambda g, kappa, n_max=2: cavity(g, kappa, n_max).hk),
+    "decay": _Model({"K": _nonnegative, "gamma": _positive, "tau_z": _positive}, {},
+                    lambda K, gamma, tau_z: decay_model(tau_z, gamma, K)),
+    "matrix": _Model({"hmeas_file": _file}, {"h_file": _file, "K": _nonnegative},
+                     _matrix_model),
+}
+MODEL_KINDS = tuple(_MODELS)
+
+
+def _model_params(kind: str, raw: dict, prefix: str) -> dict:
+    """Validated parameters of a ``kind`` model, in table order; errors
+    name the field ``prefix + key``."""
+    model = _MODELS[kind]
+    checks = {**model.required, **model.optional}
+    for key in raw:
+        if key not in checks:
+            raise _err(f"{prefix}{key}", f"unknown parameter for {kind}")
+    for key in model.required:
+        if key not in raw:
+            raise _err(f"{prefix}{key}", "missing parameter")
+    return {key: check(raw[key], f"{prefix}{key}")
+            for key, check in checks.items() if key in raw}
+
+
 def parse_scenario(data, base_dir: str | Path = ".") -> Scenario:
     """Parse and validate scenario text (str or bytes).
 
@@ -184,51 +251,19 @@ def parse_scenario(data, base_dir: str | Path = ".") -> Scenario:
         raise _err("model.kind",
                    f"unknown model {kind!r}; expected one of {', '.join(MODEL_KINDS)}")
 
-    hmeas_file = h_file = None
-    matrix_coupling = 1.0
-    params: dict = {}
     if kind == "matrix":
-        for key in model:
-            if key not in ("kind", "hmeas_file", "h_file", "K"):
-                raise _err(f"model.{key}", "unknown field for a matrix model")
-        if "hmeas_file" not in model:
-            raise _err("model.hmeas_file", "missing required field")
-        hmeas_file = str(Path(base_dir) / str(model["hmeas_file"]))
-        if "h_file" in model:
-            h_file = str(Path(base_dir) / str(model["h_file"]))
-        if "K" in model:
-            matrix_coupling = _need_number(model["K"], "model.K")
-            if matrix_coupling < 0:
-                raise _err("model.K", "must be >= 0")
+        fields, prefix = {k: v for k, v in model.items() if k != "kind"}, "model."
     else:
         for key in model:
             if key not in ("kind", "params"):
                 raise _err(f"model.{key}", "unknown field")
-        raw = _need_map(model.get("params", {}), "model.params")
-        allowed = _MODEL_PARAMS[kind]
-        for key in raw:
-            if key not in allowed:
-                raise _err(f"model.params.{key}", f"unknown parameter for {kind}")
-        for key, required in allowed.items():
-            if required and key not in raw:
-                raise _err(f"model.params.{key}", "missing required parameter")
-        for key, value in raw.items():
-            if key == "regime":
-                if value not in ("inner", "outer"):
-                    raise _err("model.params.regime", "must be 'inner' or 'outer'")
-                params[key] = value
-            elif key == "n_max":
-                n = _need_int(value, "model.params.n_max")
-                if n < 2:
-                    raise _err("model.params.n_max", "must be >= 2")
-                params[key] = n
-            else:
-                v = _need_number(value, f"model.params.{key}")
-                if key in ("K", "Kp", "omega", "g", "kappa") and v < 0:
-                    raise _err(f"model.params.{key}", "must be >= 0")
-                if key in ("tau_z", "gamma") and v <= 0:
-                    raise _err(f"model.params.{key}", "must be > 0")
-                params[key] = v
+        fields, prefix = _need_map(model.get("params", {}), "model.params"), "model.params."
+    params = _model_params(kind, fields, prefix)
+    if kind == "matrix":
+        for key in ("hmeas_file", "h_file"):
+            if key in params:
+                params[key] = str(Path(base_dir) / params[key])
+        params.setdefault("K", 1.0)
 
     defaults_used = []
     t_max, samples = _DEFAULT_T_MAX, _DEFAULT_SAMPLES
@@ -238,9 +273,7 @@ def parse_scenario(data, base_dir: str | Path = ".") -> Scenario:
             if key not in ("t_max", "samples"):
                 raise _err(f"time.{key}", "unknown field")
         if "t_max" in tsec:
-            t_max = _need_number(tsec["t_max"], "time.t_max")
-            if t_max <= 0:
-                raise _err("time.t_max", "must be > 0")
+            t_max = _positive(tsec["t_max"], "time.t_max")
         else:
             defaults_used.append("time.t_max")
         if "samples" in tsec:
@@ -271,10 +304,7 @@ def parse_scenario(data, base_dir: str | Path = ".") -> Scenario:
                     raise _err(path, "must be >= 1")
                 vals.append(n)
             else:
-                x = _need_number(v, path)
-                if x < 0:
-                    raise _err(path, "must be >= 0")
-                vals.append(x)
+                vals.append(_nonnegative(v, path))
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise _err(f"sweep.{sweep_key}", "grid must be strictly increasing")
         sweep_values = tuple(vals)
@@ -321,13 +351,10 @@ def parse_scenario(data, base_dir: str | Path = ".") -> Scenario:
             raise _err("output", "must be a non-empty path string")
         output = doc["output"]
 
-    # task/parameter compatibility
-    if task in ("sweep-K", "intertwine") and sweep_key != "K":
-        raise _err("sweep.K", f"task {task!r} requires a K grid")
-    if task in ("sweep-N", "nonselective") and sweep_key != "N":
-        raise _err("sweep.N", f"task {task!r} requires an N grid")
-    if task == "limit-compare" and sweep_key is None:
-        raise _err("sweep", "task 'limit-compare' requires a K or N grid")
+    grids = _TASKS[task].grids
+    if grids and sweep_key not in grids:
+        raise _err("sweep" if len(grids) > 1 else f"sweep.{grids[0]}",
+                   f"task {task!r} requires a sweep over {' or '.join(grids)}")
     if task == "intertwine":
         if rotation is None:
             raise _err("rotation", "task 'intertwine' requires a rotation section")
@@ -337,8 +364,6 @@ def parse_scenario(data, base_dir: str | Path = ".") -> Scenario:
         raise _err("model.kind", "task 'dfs' requires the cavity model or a matrix file")
 
     return Scenario(task=task, model_kind=kind, model_params=params,
-                    hmeas_file=hmeas_file, h_file=h_file,
-                    matrix_coupling=matrix_coupling,
                     t_max=t_max, samples=samples,
                     sweep_key=sweep_key, sweep_values=sweep_values,
                     initial_state=initial_state, rotation=rotation,
@@ -357,29 +382,6 @@ def load_scenario(path) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # running
-
-
-def _build_hk(s: Scenario) -> CoupledHamiltonian:
-    if s.model_kind == "three_level":
-        return three_level(s.model_params["omega"], s.model_params["K"])
-    if s.model_kind == "four_level":
-        m = four_level(s.model_params["omega"], s.model_params["K"],
-                       s.model_params["Kp"])
-        regime = s.model_params.get("regime", "inner")
-        return m.inner_regime() if regime == "inner" else m.outer_regime()
-    if s.model_kind == "cavity":
-        return cavity(s.model_params["g"], s.model_params["kappa"],
-                      s.model_params.get("n_max", 2)).hk
-    if s.model_kind == "decay":
-        return decay_model(s.model_params["tau_z"], s.model_params["gamma"],
-                           s.model_params["K"])
-    hm = load_matrix(s.hmeas_file)
-    if s.h_file is not None:
-        h = load_matrix(s.h_file)
-    else:
-        from .operators import Operator
-        h = Operator(np.zeros((hm.dim, hm.dim), dtype=complex), hermitian=True)
-    return CoupledHamiltonian(h, hm, s.matrix_coupling)
 
 
 def _initial_vector(s: Scenario, dim: int, uniform: bool = False) -> np.ndarray:
@@ -402,14 +404,8 @@ def _base_metadata(s: Scenario, cluster_tol) -> dict:
         "task": s.task,
         "model": s.model_kind,
     }
-    for k, v in sorted(s.model_params.items()):
+    for k, v in s.model_params.items():
         md[f"param.{k}"] = v
-    if s.hmeas_file:
-        md["param.hmeas_file"] = s.hmeas_file
-    if s.h_file:
-        md["param.h_file"] = s.h_file
-    if s.model_kind == "matrix":
-        md["param.K"] = s.matrix_coupling
     md["time.t_max"] = s.t_max
     md["time.samples"] = s.samples
     if s.sweep_key:
@@ -429,101 +425,119 @@ def run(s: Scenario, cluster_tol: float | None = None) -> ResultSeries:
     randomness enters anywhere.
     """
     md = _base_metadata(s, cluster_tol)
-    hk = _build_hk(s)
+    hk = _MODELS[s.model_kind].build(**s.model_params)
+    return _TASKS[s.task].runner(s, hk, cluster_tol, md)
+
+
+def _with_slope(columns, rows, md) -> ResultSeries:
+    """The table, with the log-log slope of its second column against its
+    first in ``md`` when there are two or more rows, all positive."""
+    xs = [r[0] for r in rows]
+    ys = [r[1] for r in rows]
+    if len(rows) >= 2 and all(y > 0 for y in ys):
+        md["slope"] = loglog_slope(xs, ys)
+    return ResultSeries(columns, tuple(rows), md)
+
+
+def _survival(s, hk, cluster_tol, md) -> ResultSeries:
     ts = np.linspace(0.0, s.t_max, s.samples)
+    v0 = _initial_vector(s, hk.dim)
+    rho0 = DensityMatrix.pure(v0)
+    proj = projector_from_columns(v0.reshape(-1, 1))
+    columns = ("t", "p0")
+    series = [ts.tolist(), _survival_grid(hk.total(), ts, rho0, proj)]
+    if s.model_kind == "three_level" and s.initial_state is None:
+        columns += ("p0_analytic",)
+        series.append(three_level_survival(s.model_params["omega"],
+                                           s.model_params["K"], ts).tolist())
+    return ResultSeries(columns, tuple(zip(*series)), md)
 
-    if s.task == "survival":
-        v0 = _initial_vector(s, hk.dim)
-        rho0 = DensityMatrix.pure(v0)
-        proj = projector_from_columns(v0.reshape(-1, 1))
-        columns = ("t", "p0")
-        series = [ts.tolist(), _survival_grid(hk.total(), ts, rho0, proj)]
-        if s.model_kind == "three_level" and s.initial_state is None:
-            columns += ("p0_analytic",)
-            series.append(three_level_survival(s.model_params["omega"],
-                                               s.model_params["K"], ts).tolist())
-        return ResultSeries(columns, tuple(zip(*series)), md)
 
-    if s.task == "sectors":
-        dec = zeno_sectors(hk, cluster_tol=cluster_tol)
-        rows = tuple(
-            (n, s_.eigenvalue.real, s_.eigenvalue.imag, s_.multiplicity, s_.condition)
-            for n, s_ in enumerate(dec))
-        md["complete"] = int(dec.complete)
-        return ResultSeries(("sector", "eta_re", "eta_im", "rank", "condition"),
-                            rows, md)
+def _sectors(s, hk, cluster_tol, md) -> ResultSeries:
+    dec = zeno_sectors(hk, cluster_tol=cluster_tol)
+    rows = tuple(
+        (n, s_.eigenvalue.real, s_.eigenvalue.imag, s_.multiplicity, s_.condition)
+        for n, s_ in enumerate(dec))
+    md["complete"] = int(dec.complete)
+    return ResultSeries(("sector", "eta_re", "eta_im", "rank", "condition"), rows, md)
 
-    if s.task in ("sweep-K", "limit-compare") and s.sweep_key == "K":
-        sectors = zeno_sectors(hk, cluster_tol=cluster_tol)
-        rows = []
-        for k in s.sweep_values:
-            d = nonadiabatic_defect(hk.with_coupling(k), s.t_max, sectors=sectors)
-            rows.append((float(k), d))
-        ks = [r[0] for r in rows]
-        ds = [r[1] for r in rows]
-        if len(rows) >= 2 and all(d > 0 for d in ds):
-            md["slope"] = loglog_slope(ks, ds)
-        return ResultSeries(("K", "defect"), tuple(rows), md)
 
-    if s.task in ("sweep-N", "limit-compare"):
-        sectors = zeno_sectors(hk, cluster_tol=cluster_tol)
-        v0 = _initial_vector(s, hk.dim)
-        proj = _sector_projector(sectors, v0)
-        h = hk.total()
-        lim = pulsed_limit(h, proj, s.t_max).matrix
-        rows = []
-        for n in s.sweep_values:
-            err = snorm(pulsed_propagator(h, proj, int(n), s.t_max).matrix - lim)
-            rows.append((int(n), err))
-        ns = [r[0] for r in rows]
-        es = [r[1] for r in rows]
-        if len(rows) >= 2 and all(e > 0 for e in es):
-            md["slope"] = loglog_slope(ns, es)
-        return ResultSeries(("N", "error"), tuple(rows), md)
+def _sweep_k(s, hk, cluster_tol, md) -> ResultSeries:
+    sectors = zeno_sectors(hk, cluster_tol=cluster_tol)
+    rows = [(float(k), nonadiabatic_defect(hk.with_coupling(k), s.t_max, sectors=sectors))
+            for k in s.sweep_values]
+    return _with_slope(("K", "defect"), rows, md)
 
-    if s.task == "nonselective":
-        sectors = zeno_sectors(hk, cluster_tol=cluster_tol)
-        v0 = _initial_vector(s, hk.dim, uniform=True)
-        rho0 = DensityMatrix.pure(v0)
-        h = hk.total()
-        rows = []
-        for n in s.sweep_values:
-            rho = nonselective_evolve(h, sectors, int(n), s.t_max, rho0,
-                                      project_final=False)
-            rows.append((int(n), offblock_norm(rho, sectors), rho.trace))
-        ns = [r[0] for r in rows]
-        obs = [r[1] for r in rows]
-        if len(rows) >= 2 and all(o > 0 for o in obs):
-            md["slope"] = loglog_slope(ns, obs)
-        return ResultSeries(("N", "offblock_norm", "trace"), tuple(rows), md)
 
-    if s.task == "dfs":
-        dec = dfs_extract(hk, cluster_tol=cluster_tol)
-        md["dfs_dimension"] = dec.total_rank()
-        rows = []
-        for n, sec in enumerate(dec):
-            basis = sec.projector.basis
-            for j in range(basis.shape[1]):
-                for comp in range(dec.dim):
-                    amp = basis[comp, j]
-                    rows.append((n, sec.eigenvalue.real, sec.eigenvalue.imag,
-                                 j, comp, amp.real, amp.imag))
-        return ResultSeries(
-            ("sector", "eta_re", "eta_im", "vector", "component", "re", "im"),
-            tuple(rows), md)
+def _sweep_n(s, hk, cluster_tol, md) -> ResultSeries:
+    sectors = zeno_sectors(hk, cluster_tol=cluster_tol)
+    v0 = _initial_vector(s, hk.dim)
+    proj = _sector_projector(sectors, v0)
+    h = hk.total()
+    lim = pulsed_limit(h, proj, s.t_max).matrix
+    rows = [(int(n), snorm(pulsed_propagator(h, proj, int(n), s.t_max).matrix - lim))
+            for n in s.sweep_values]
+    return _with_slope(("N", "error"), rows, md)
 
-    if s.task == "intertwine":
-        rot = s.rotation
-        gen = rotation_generator(hk.dim, rot["levels"][0], rot["levels"][1],
-                                 rot["kind"])
-        bundle = rotating_bundle(hk.h.matrix, hk.h_meas, gen, rot["rate"],
-                                 hk.coupling)
-        reports = intertwining_defect(bundle, s.t_max, list(s.sweep_values))
-        rows = tuple((float(r.coupling), r.max_defect, r.max_drift)
-                     for r in reports)
-        return ResultSeries(("K", "defect", "drift"), rows, md)
 
-    raise ValidationError(f"task {s.task!r} is not runnable")  # unreachable
+def _limit_compare(s, hk, cluster_tol, md) -> ResultSeries:
+    runner = _sweep_k if s.sweep_key == "K" else _sweep_n
+    return runner(s, hk, cluster_tol, md)
+
+
+def _nonselective(s, hk, cluster_tol, md) -> ResultSeries:
+    sectors = zeno_sectors(hk, cluster_tol=cluster_tol)
+    v0 = _initial_vector(s, hk.dim, uniform=True)
+    rho0 = DensityMatrix.pure(v0)
+    h = hk.total()
+    rows = []
+    for n in s.sweep_values:
+        rho = nonselective_evolve(h, sectors, int(n), s.t_max, rho0, project_final=False)
+        rows.append((int(n), offblock_norm(rho, sectors), rho.trace))
+    return _with_slope(("N", "offblock_norm", "trace"), rows, md)
+
+
+def _dfs(s, hk, cluster_tol, md) -> ResultSeries:
+    dec = dfs_extract(hk, cluster_tol=cluster_tol)
+    md["dfs_dimension"] = dec.total_rank()
+    rows = []
+    for n, sec in enumerate(dec):
+        basis = sec.projector.basis
+        for j in range(basis.shape[1]):
+            for comp in range(dec.dim):
+                amp = basis[comp, j]
+                rows.append((n, sec.eigenvalue.real, sec.eigenvalue.imag,
+                             j, comp, amp.real, amp.imag))
+    return ResultSeries(
+        ("sector", "eta_re", "eta_im", "vector", "component", "re", "im"),
+        tuple(rows), md)
+
+
+def _intertwine(s, hk, cluster_tol, md) -> ResultSeries:
+    rot = s.rotation
+    gen = rotation_generator(hk.dim, rot["levels"][0], rot["levels"][1], rot["kind"])
+    bundle = rotating_bundle(hk.h.matrix, hk.h_meas, gen, rot["rate"], hk.coupling)
+    reports = intertwining_defect(bundle, s.t_max, list(s.sweep_values))
+    rows = tuple((float(r.coupling), r.max_defect, r.max_drift) for r in reports)
+    return ResultSeries(("K", "defect", "drift"), rows, md)
+
+
+class _Task(NamedTuple):
+    runner: Callable[..., ResultSeries]   # (scenario, model, cluster_tol, metadata)
+    grids: tuple[str, ...]                # sweep grids the task accepts; () needs none
+
+
+_TASKS = {
+    "survival": _Task(_survival, ()),
+    "sectors": _Task(_sectors, ()),
+    "limit-compare": _Task(_limit_compare, ("K", "N")),
+    "nonselective": _Task(_nonselective, ("N",)),
+    "sweep-K": _Task(_sweep_k, ("K",)),
+    "sweep-N": _Task(_sweep_n, ("N",)),
+    "dfs": _Task(_dfs, ()),
+    "intertwine": _Task(_intertwine, ("K",)),
+}
+TASKS = tuple(_TASKS)
 
 
 def _sector_projector(sectors, v0: np.ndarray):

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
-from zenosim import save_matrix, three_level
+from zenosim import ValidationError, save_matrix, three_level
 from zenosim.cli import main
-from zenosim.scenario import read_result_csv
+from zenosim.scenario import parse_scenario, read_result_csv
 
 SURVIVAL = """
 model: {kind: three_level, params: {omega: 1.0, K: 10.0}}
@@ -93,3 +94,51 @@ def test_linalg_failure_exits_two_without_traceback(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical error: Eigenvalues did not converge")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_cluster_tol_must_be_finite_and_nonnegative(tmp_path, capsys, tol):
+    assert main(["sectors", "--model", "four_level", "--params", "omega=1,K=1,Kp=1",
+                 "--tol", tol]) == 1
+    assert "cluster tolerance" in capsys.readouterr().err
+    scn = tmp_path / "s.yaml"
+    scn.write_text("model: {kind: four_level, params: {omega: 1, K: 1, Kp: 1}}\n"
+                   "task: sweep-K\nsweep: {K: [10, 20, 40]}\n")
+    out = tmp_path / "out.csv"
+    assert main(["run", str(scn), "--out", str(out), "--tol", tol]) == 1
+    assert not out.exists()
+
+
+# The same model parameters, as `zeno sectors --params` text and as a
+# scenario's model.params: (kind, params, accepted).
+REGISTRY_CASES = [
+    ("three_level", "omega=1,K=10", True),
+    ("four_level", "omega=1,K=1,Kp=1", True),
+    ("cavity", "g=1,kappa=1", True),
+    ("decay", "tau_z=1,gamma=1,K=1", True),
+    ("cavity", "g=1,kappa=1,n_max=2.5", False),
+    ("cavity", "g=1,kappa=1,n_max=1", False),
+    ("cavity", "g=1,kappa=1,n_max=3", True),
+    ("three_level", "omega=1,K=-1", False),
+    ("three_level", "omega=1,K=1e3", True),
+    ("four_level", "omega=1,K=1,Kp=1,regime=sideways", False),
+    ("four_level", "omega=1,K=1,Kp=1,regime=outer", True),
+    ("three_level", "omega=1,K=1,zeta=2", False),
+    ("three_level", "omega=1", False),
+    ("decay", "tau_z=0,gamma=1,K=1", False),
+    ("decay", "tau_z=1,gamma=yes,K=1", False),
+    ("decay", "tau_z=inf,gamma=1,K=1", False),
+]
+
+
+@pytest.mark.parametrize("kind,params,accepted", REGISTRY_CASES)
+def test_cli_and_scenario_take_the_same_model_decisions(capsys, kind, params, accepted):
+    mapping = ", ".join(item.replace("=", ": ") for item in params.split(","))
+    try:
+        parse_scenario(f"model: {{kind: {kind}, params: {{{mapping}}}}}\ntask: sectors\n")
+        scenario_accepts = True
+    except ValidationError:
+        scenario_accepts = False
+    code = main(["sectors", "--model", kind, "--params", params])
+    assert code in (0, 1)
+    assert scenario_accepts == (code == 0) == accepted

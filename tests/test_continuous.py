@@ -21,6 +21,8 @@ from zenosim import (
     zeno_sectors,
 )
 
+from zenosim.continuous import real_sectors
+
 from conftest import random_hermitian
 
 
@@ -50,6 +52,19 @@ def test_sectors_cavity_real_eigenvalue_rule():
     assert len(dec) == 1
     assert dec.sectors[0].eigenvalue == pytest.approx(0.0, abs=1e-12)
     assert dec.sectors[0].multiplicity == 5
+
+
+def test_real_sector_of_normal_coupling_reports_measured_condition(rng):
+    # unitarily diagonalizable, with a rank-2 real sector and two decaying modes
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    hm = (q * np.array([0.5, 0.5, 1 - 1j, -0.5j])) @ q.conj().T
+    dec = real_sectors(hm)
+    assert not dec.complete and dec.dropped == ()
+    assert [s.multiplicity for s in dec] == [2]
+    assert abs(dec.sectors[0].condition - 1.0) <= 1e-12
+    # non-normal: the eta = 0 spectral projector is (A + i)/i, of norm sqrt(2)
+    a = np.array([[0, 1], [0, -1j]])
+    assert real_sectors(a).sectors[0].condition == pytest.approx(math.sqrt(2), rel=1e-12)
 
 
 def test_coupled_hamiltonian_validation():

@@ -208,6 +208,20 @@ def test_eig_nonhermitian_dissipative_block():
     assert all(s.condition >= 1.0 for s in dec)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+def test_eig_rejects_nonfinite_or_negative_cluster_tol(tol):
+    hermitian = np.diag([0.0, 1.0, 1.0])
+    lossy = np.array([[0, 1j], [-1j, -1j]])
+    for a in (hermitian, lossy):
+        with pytest.raises(ValidationError, match="cluster tolerance"):
+            eig(as_operator(a), cluster_tol=tol)
+
+
+def test_eig_accepts_zero_cluster_tol():
+    dec = eig(as_operator(np.diag([0.0, 1.0, 1.0])), cluster_tol=0.0)
+    assert [s.multiplicity for s in dec] == [1, 2]
+
+
 # --------------------------------------------------------------------------
 # offblock_norm
 

@@ -8,7 +8,6 @@ from zenosim import (
     CoupledHamiltonian,
     DensityMatrix,
     NumericalError,
-    PulsedSchedule,
     ValidationError,
     as_operator,
     basis_projector,
@@ -47,14 +46,6 @@ def full_three_level(omega=1.0, k=1.0):
 
 # --------------------------------------------------------------------------
 # pulsed propagator
-
-
-def test_schedule_validation():
-    p = basis_projector(2, 0)
-    with pytest.raises(ValidationError):
-        PulsedSchedule(p, pulses=0, horizon=1.0)
-    with pytest.raises(ValidationError):
-        PulsedSchedule(p, pulses=4, horizon=-1.0)
 
 
 def test_commuting_projection_collapses_to_single_pulse():
