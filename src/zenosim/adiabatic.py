@@ -93,50 +93,69 @@ def rotating_bundle(h0, h_meas0, generator, rate: float,
     return TimeDependentBundle(h=lambda t: h, h_meas=h_meas, coupling=coupling)
 
 
-def _max_norms(bundle: TimeDependentBundle, t: float, probes: int = 9) -> tuple[float, float]:
-    ts = np.linspace(0.0, t, probes) if t > 0 else np.array([0.0])
-    hn = max(snorm(np.asarray(bundle.h(s), dtype=complex)) for s in ts)
-    mn = max(snorm(np.asarray(bundle.h_meas(s), dtype=complex)) for s in ts)
-    return hn, mn
-
-
 def required_steps(bundle: TimeDependentBundle, t: float) -> int:
     """Smallest step count resolving both the system and the (K-scaled)
-    measurement timescale at a tenth of a period."""
-    return _steps_for(bundle, t, _max_norms(bundle, t))
+    measurement timescale at a tenth of a period over the horizon ``t``
+    (finite and >= 0)."""
+    return _step_plan(bundle, t, None, resolve=True)
 
 
-def _steps_for(bundle: TimeDependentBundle, t: float, norms: tuple[float, float]) -> int:
-    hn, mn = norms
-    fastest = max(hn, bundle.coupling * mn)
-    if fastest == 0 or t == 0:
-        return 1
-    return max(1, int(math.ceil(t * fastest / _STEP_FRACTION)))
+def _count(n, what: str) -> int:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"{what} must be an integer >= 1")
+    return int(n)
 
 
-def _check_resolution(bundle: TimeDependentBundle, t: float, steps: int,
-                      norms: tuple[float, float]) -> None:
-    """Refuse steps coarser than a tenth of either period; ``norms`` is
-    ``_max_norms(bundle, t)``."""
-    hn, mn = norms
-    dt = t / steps
-    km = bundle.coupling * mn
-    # report the tighter of the two violated timescales
-    checks = sorted((("system", hn), ("measurement", km)),
-                    key=lambda kv: -kv[1])
-    for name, rate in checks:
+def _step_plan(bundle: TimeDependentBundle, t: float, steps, checkpoints: int = 1,
+               resolve: bool = False) -> int:
+    """Validated step count for integrating ``bundle`` over ``[0, t]``.
+
+    The horizon must be finite and >= 0 and ``steps`` an integer >= 1;
+    with ``resolve``, ``steps=None`` asks for the smallest count that
+    resolves both timescales.  The count is raised to at least
+    ``checkpoints`` and rounded up to a multiple of it.  A count whose step
+    exceeds a tenth of either period raises :class:`StepResolutionError`
+    naming the tighter of the violated timescales.
+    """
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError("horizon must be finite and non-negative")
+    if not (resolve and steps is None):
+        steps = _count(steps, "step count")
+    checkpoints = _count(checkpoints, "checkpoint count")
+    # the largest norms over nine probe times
+    probes = np.linspace(0.0, t, 9) if t > 0 else [0.0]
+    hn = max(snorm(np.asarray(bundle.h(s), dtype=complex)) for s in probes)
+    mn = max(snorm(np.asarray(bundle.h_meas(s), dtype=complex)) for s in probes)
+    rates = (("system", hn), ("measurement", bundle.coupling * mn))
+    need = max(1, math.ceil(t * max(rate for _, rate in rates) / _STEP_FRACTION))
+    n = max(need if steps is None else steps, checkpoints)
+    n += (-n) % checkpoints             # integer steps per checkpoint
+    dt = t / n
+    for name, rate in sorted(rates, key=lambda kv: -kv[1]):
         if rate > 0 and dt > _STEP_FRACTION / rate:
             raise StepResolutionError(
                 f"step {dt:.3e} does not resolve the {name} timescale "
-                f"{_STEP_FRACTION / rate:.3e}; need >= {_steps_for(bundle, t, norms)} steps",
+                f"{_STEP_FRACTION / rate:.3e}; need >= {need} steps",
                 timescale=name)
+    return n
 
 
-def _step_generator(bundle: TimeDependentBundle, tm: float) -> Operator:
-    gen = bundle.total(tm)
-    if not is_hermitian(gen):
-        raise ValidationError(f"bundle is not Hermitian at t = {tm:.6g}")
-    return as_operator(gen, hermitian=True)
+def _midpoint_checkpoints(bundle: TimeDependentBundle, t: float, steps: int,
+                          checkpoints: int = 1):
+    """Yield ``U`` at ``checkpoints`` evenly spaced times up to ``t``, from
+    ``steps`` midpoint steps ``exp(-i H_K(t_k + dt/2) dt)`` (a multiple of
+    ``checkpoints``, as :func:`_step_plan` returns)."""
+    dt = t / steps
+    per = steps // checkpoints
+    u = np.eye(np.asarray(bundle.h(0.0)).shape[0], dtype=complex)
+    for k in range(steps):
+        tm = (k + 0.5) * dt
+        gen = bundle.total(tm)
+        if not is_hermitian(gen):
+            raise ValidationError(f"bundle is not Hermitian at t = {tm:.6g}")
+        u = expm(as_operator(gen, hermitian=True), dt).matrix @ u
+        if (k + 1) % per == 0:
+            yield u
 
 
 def propagate_td(bundle: TimeDependentBundle, t: float, steps: int) -> Operator:
@@ -144,23 +163,15 @@ def propagate_td(bundle: TimeDependentBundle, t: float, steps: int) -> Operator:
 
     Ordered product of midpoint-sampled exponentials,
     ``U = prod_k exp(-i H_K(t_k + dt/2) dt)``: unitary by construction at
-    every step and second-order accurate in the step size.  Steps must
+    every step and second-order accurate in the step size.  The horizon
+    ``t`` must be finite and >= 0 and ``steps`` an integer >= 1 whose steps
     resolve both timescales (a tenth of the fastest period), otherwise a
     resolution error names the binding one.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValidationError("step count must be an integer >= 1")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValidationError("horizon must be finite and non-negative")
-    dim = np.asarray(bundle.h(0.0)).shape[0]
+    steps = _step_plan(bundle, t, steps)
     if t == 0:
-        return Operator(np.eye(dim, dtype=complex))
-    _check_resolution(bundle, t, steps, _max_norms(bundle, t))
-    dt = t / steps
-    u = np.eye(dim, dtype=complex)
-    for k in range(steps):
-        gen = _step_generator(bundle, (k + 0.5) * dt)
-        u = expm(gen, dt).matrix @ u
+        return Operator(np.eye(np.asarray(bundle.h(0.0)).shape[0], dtype=complex))
+    [u] = _midpoint_checkpoints(bundle, t, steps)
     return Operator(u)
 
 
@@ -170,15 +181,14 @@ def propagate_td_interaction(bundle: TimeDependentBundle, t: float,
     generated by the rotated coupling ``K U_S^dag H_meas U_S``.
 
     Their product reproduces :func:`propagate_td` to integrator accuracy;
-    the comparison is the frame-consistency check of the integrator.
+    the comparison is the frame-consistency check of the integrator.  The
+    horizon and step rules are those of :func:`propagate_td`.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValidationError("step count must be an integer >= 1")
+    steps = _step_plan(bundle, t, steps)
     dim = np.asarray(bundle.h(0.0)).shape[0]
     if t == 0:
         eye = Operator(np.eye(dim, dtype=complex))
         return eye, eye
-    _check_resolution(bundle, t, steps, _max_norms(bundle, t))
     dt = t / steps
     us = np.eye(dim, dtype=complex)
     ui = np.eye(dim, dtype=complex)
@@ -261,18 +271,20 @@ def intertwining_defect(bundle: TimeDependentBundle, t: float, k_grid,
     ``k_grid``.
 
     For each K the path is integrated with automatically resolved steps
-    (or ``steps``, which must resolve the largest K), the sectors of
-    ``H_meas(t_k)`` are followed by maximal overlap through ``samples``
-    checkpoints, and each sector reports its worst intertwining defect and
-    population drift.  Both shrink as K grows.
+    (or ``steps``, an integer >= 1 which must resolve the largest K), the
+    sectors of ``H_meas(t_k)`` are followed by maximal overlap through
+    ``samples`` checkpoints (an integer >= 1), and each sector reports its
+    worst intertwining defect and population drift.  Both shrink as K
+    grows.  The horizon ``t`` must be finite and >= 0; the step count is
+    raised to a multiple of ``samples``.
     """
     ks = [float(k) for k in k_grid]
     if not ks:
         raise ValidationError("coupling grid must not be empty")
     if any(k < 0 for k in ks):
         raise ValidationError("coupling strengths must be >= 0")
-    if samples < 1:
-        raise ValidationError("need at least one checkpoint")
+    plans = [(k, _step_plan(bundle.with_coupling(k), t, steps, samples, resolve=True))
+             for k in ks]
 
     sample_ts = np.linspace(0.0, t, samples + 1)
     # sector path is coupling-independent: track it once
@@ -281,28 +293,14 @@ def intertwining_defect(bundle: TimeDependentBundle, t: float, k_grid,
         fresh = eig(as_operator(np.asarray(bundle.h_meas(tk), dtype=complex)))
         sector_path.append(_tracked_sectors(sector_path[-1], fresh))
 
+    sectors0 = sector_path[0]
+    rho0 = [p.matrix / p.rank for p in sectors0.projectors]
     reports = []
-    for k in ks:
-        b = bundle.with_coupling(k)
-        norms = _max_norms(b, t)
-        nsteps = _steps_for(b, t, norms) if steps is None else int(steps)
-        nsteps = max(nsteps, samples)
-        nsteps += (-nsteps) % samples       # integer steps per checkpoint
-        _check_resolution(b, t, nsteps, norms)
-        per = nsteps // samples
-        dt = t / nsteps
-
-        sectors0 = sector_path[0]
-        rho0 = [p.matrix / p.rank for p in sectors0.projectors]
+    for k, nsteps in plans:
         worst_defect = [0.0] * len(sectors0)
         worst_drift = [0.0] * len(sectors0)
-
-        u = np.eye(b.total(0.0).shape[0], dtype=complex)
-        for chunk in range(1, samples + 1):
-            for k_step in range(per):
-                tm = ((chunk - 1) * per + k_step + 0.5) * dt
-                u = expm(_step_generator(b, tm), dt).matrix @ u
-            here = sector_path[chunk]
+        checkpoints = _midpoint_checkpoints(bundle.with_coupling(k), t, nsteps, samples)
+        for here, u in zip(sector_path[1:], checkpoints):
             for n, s in enumerate(here):
                 p0 = sectors0.sectors[n].projector.matrix
                 pt = s.projector.matrix

@@ -15,7 +15,7 @@ import yaml
 
 from .continuous import zeno_sectors
 from .errors import NumericalError, ValidationError
-from .scenario import _MODELS, _model_params, export_csv, load_scenario, run
+from .scenario import _MODELS, _certified, _fields, export_csv, load_scenario, run
 
 
 def _params(text: str) -> dict:
@@ -50,11 +50,13 @@ def _cmd_sectors(args) -> int:
     if (args.model is None) == (args.matrix_file is None):
         raise ValidationError("pass exactly one of --model or --matrix-file")
     if args.model is not None:
-        params = _model_params(args.model, _params(args.params), "--params: ")
-        hk = _MODELS[args.model].build(**params)
+        model = _MODELS[args.model]
+        params = _fields(_params(args.params), "--params", model.fields, model.required,
+                         f"parameter for {args.model}", prefix="--params: ")
+        hk = model.build(**params)
     else:
         hk = _MODELS["matrix"].build(hmeas_file=args.matrix_file)
-    dec = zeno_sectors(hk, cluster_tol=args.tol)
+    dec = _certified(zeno_sectors(hk, cluster_tol=args.tol))
     print(f"{len(dec)} sector(s), dimension {dec.dim}, "
           f"{'complete' if dec.complete else 'incomplete (real eigenvalues only)'}")
     print(f"{'sector':>6} {'eta_re':>24} {'eta_im':>24} {'rank':>5} {'condition':>10}")

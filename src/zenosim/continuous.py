@@ -88,10 +88,10 @@ def real_sectors(h_meas, cluster_tol: float | None = None) -> SectorDecompositio
     Eigenvalues with ``|Im eta|`` below the threshold are clustered and
     each cluster contributes the orthogonal projector onto the span of its
     right eigenvectors, with the measured condition number of its spectral
-    projector (clusters above ``DEFAULT_MAX_SECTOR_CONDITION`` are
-    dropped).  No real eigenvalue at all yields an empty (valid)
-    decomposition.  Complex eigenvalues are never clustered here, so a
-    smeared dissipative spectrum cannot poison the decomposition.
+    projector (a cluster whose eigenvector block or spectral projector
+    exceeds ``DEFAULT_MAX_SECTOR_CONDITION`` is dropped).  No real eigenvalue
+    yields an empty (valid) decomposition.  Complex eigenvalues are never
+    clustered here, so a smeared dissipative spectrum cannot poison it.
     """
     hm = as_operator(h_meas)
     if hm.hermitian:

@@ -33,8 +33,8 @@ Conventions
   ``IDEMPOTENCY_TOL * dim``, every projector is checked in full.
 * Non-Hermitian sectors, the real-eigenvalue (decoherence-free) ones
   included, come from one eigenvector routine and carry the measured
-  condition number of their spectral projector; clusters above
-  ``DEFAULT_MAX_SECTOR_CONDITION`` are dropped and listed in ``dropped``.
+  condition number of their spectral projector; a cluster whose eigenvector
+  block or spectral projector exceeds ``DEFAULT_MAX_SECTOR_CONDITION`` is dropped.
 * A clustering tolerance must be finite and >= 0.
 
 Intended scale is "desk" size, dimensions up to a couple hundred; there is
@@ -528,9 +528,9 @@ def eig(a, cluster_tol: float | None = None,
     sector whose projector has rank equal to the multiplicity.  Hermitian
     input yields an exact resolution of the identity.  For non-Hermitian
     input the projector of each cluster is the orthogonal projector onto
-    the span of its right eigenvectors; clusters whose spectral projector
-    has condition number above ``max_condition`` (poorly separated
-    invariant subspace) are excluded and recorded in ``dropped``.
+    the span of its right eigenvectors; clusters whose eigenvector block or
+    spectral projector has condition number above ``max_condition``
+    (defective eigenvalue, poorly separated subspace) go to ``dropped``.
     """
     op = as_operator(a)
     if not op.hermitian:
@@ -556,22 +556,27 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
 
     Each cluster of eigenvalues gives the orthogonal projector onto the
     span of its eigenvectors and the measured condition number of its
-    spectral projector; clusters above ``max_condition`` go to
-    ``dropped``.  ``real_only`` keeps only eigenvalues with
-    ``|Im eta| <= real_eigenvalue_tol(op)``, reports their real parts and
-    marks the decomposition incomplete.
+    spectral projector.  A cluster goes to ``dropped``, with the figure,
+    when the condition number of its eigenvector block or else of its
+    spectral projector exceeds ``max_condition``.  ``real_only`` keeps only
+    eigenvalues with ``|Im eta| <= real_eigenvalue_tol(op)``, reports their
+    real parts and marks the decomposition incomplete.
     """
     tol = _cluster_tol(op, cluster_tol)
     w, vr = np.linalg.eig(op.matrix)
     keep = (np.flatnonzero(np.abs(w.imag) <= real_eigenvalue_tol(op)) if real_only
             else np.arange(w.size))
-    vr_inv = np.linalg.inv(vr)
+    vr_inv = None
     sectors = []
     dropped = []
     for group in cluster_values(w[keep], tol):
         idx = keep[group]
         eta = complex(np.mean(w[idx].real)) if real_only else complex(np.mean(w[idx]))
-        condition = snorm(vr[:, idx] @ vr_inv[idx, :])
+        # a defective eigenvalue leaves its eigenvector block rank deficient
+        condition = float(np.linalg.cond(vr[:, idx]))
+        if condition <= max_condition:
+            vr_inv = np.linalg.inv(vr) if vr_inv is None else vr_inv
+            condition = snorm(vr[:, idx] @ vr_inv[idx, :])
         if condition > max_condition:
             dropped.append((eta, condition))
             continue
@@ -652,8 +657,11 @@ def save_matrix(path, a) -> None:
 
 def load_matrix(path) -> Operator:
     """Read a matrix literal file; the Hermiticity flag is auto-detected."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read matrix file {path}: {exc}") from None
     k0 = next((k for k, ln in enumerate(lines, start=1) if ln.strip()), None)
     if k0 is None:
         raise ValidationError(f"{path}: empty matrix file")

@@ -330,12 +330,8 @@ def nonselective_limit(h, sectors: SectorDecomposition, t: float,
     if rho0.dim != sectors.dim:
         raise ValidationError("state dimension does not match sectors")
     sectors.validate_resolution()
-    hmat = as_matrix(h)
-    hermitian = as_operator(h).hermitian
     out = np.zeros_like(rho0.matrix)
     for s in sectors:
-        p = s.projector.matrix
-        block_h = as_operator(p @ hmat @ p, hermitian=hermitian)
-        vn = p @ expm(block_h, t).matrix
+        vn = pulsed_limit(h, s.projector, t).matrix
         out += vn @ rho0.matrix @ vn.conj().T
     return DensityMatrix((out + out.conj().T) / 2)

@@ -13,6 +13,7 @@ import math
 import re
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -26,7 +27,7 @@ from .continuous import (
     nonadiabatic_defect,
     zeno_sectors,
 )
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .fitting import loglog_slope
 from .models import (
     cavity,
@@ -40,6 +41,7 @@ from .models import (
 from .operators import (
     DensityMatrix,
     Operator,
+    _cluster_tol,
     load_matrix,
     offblock_norm,
     projector_from_columns,
@@ -111,6 +113,31 @@ def _need_map(obj, path: str) -> dict:
     return obj
 
 
+def _fields(obj, path: str, table: dict, required=(), what: str = "field",
+            prefix: str | None = None) -> dict:
+    """Validated values of the mapping ``obj`` found at ``path``, in table
+    order.
+
+    ``table`` maps every accepted key to its validator ``(value, path) ->
+    value``; other keys and absent ``required`` ones are rejected.  The
+    path of a field is ``prefix + key``, by default ``path + "." + key``.
+    """
+    _need_map(obj, path)
+    prefix = f"{path}." if prefix is None else prefix
+    for key in obj:
+        if key not in table:
+            raise _err(f"{prefix}{key}", f"unknown {what}")
+    for key in required:
+        if key not in obj:
+            raise _err(f"{prefix}{key}", f"missing {what}")
+    return {key: check(obj[key], f"{prefix}{key}")
+            for key, check in table.items() if key in obj}
+
+
+def _keep(obj, path: str):
+    return obj
+
+
 # PyYAML resolves floats by the YAML 1.1 rule, which requires a dot and a
 # signed exponent, so plain spellings such as 1e3 or -1e-2 arrive as strings.
 _FLOAT_TEXT = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
@@ -121,16 +148,13 @@ def _need_number(obj, path: str) -> float:
         obj = float(obj)
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise _err(path, f"expected a number, got {obj!r}")
-    v = float(obj)
+    try:
+        v = float(obj)
+    except OverflowError:       # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise _err(path, "must be finite")
     return v
-
-
-def _need_int(obj, path: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise _err(path, f"expected an integer, got {obj!r}")
-    return obj
 
 
 def _nonnegative(obj, path: str) -> float:
@@ -147,21 +171,81 @@ def _positive(obj, path: str) -> float:
     return v
 
 
-def _truncation(obj, path: str) -> int:
-    n = _need_int(obj, path)
-    if n < 2:
-        raise _err(path, "must be >= 2")
-    return n
+def _int_at_least(low: int):
+    def check(obj, path: str) -> int:
+        if isinstance(obj, bool) or not isinstance(obj, int):
+            raise _err(path, f"expected an integer, got {obj!r}")
+        if obj < low:
+            raise _err(path, f"must be >= {low}")
+        return obj
+    return check
 
 
-def _regime(obj, path: str) -> str:
-    if obj not in ("inner", "outer"):
-        raise _err(path, "must be 'inner' or 'outer'")
+def _one_of(*choices: str):
+    def check(obj, path: str) -> str:
+        if obj not in choices:
+            raise _err(path, f"expected one of {', '.join(choices)}, got {obj!r}")
+        return obj
+    return check
+
+
+def _path_string(obj, path: str) -> str:
+    if not isinstance(obj, str) or not obj:
+        raise _err(path, "must be a non-empty path string")
     return obj
 
 
-def _file(obj, path: str) -> str:
-    return str(obj)
+def _grid(item):
+    """Validator of a non-empty, strictly increasing list of ``item`` values."""
+    def check(obj, path: str) -> tuple:
+        if not isinstance(obj, list) or not obj:
+            raise _err(path, "must be a non-empty list")
+        values = [item(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise _err(path, "grid must be strictly increasing")
+        return tuple(values)
+    return check
+
+
+_GRIDS = {"K": _grid(_nonnegative), "N": _grid(_int_at_least(1))}
+
+
+def _sweep(obj, path: str) -> tuple:
+    """``(key, values)`` of a sweep section, which holds exactly one grid."""
+    if isinstance(obj, dict) and list(obj) not in (["K"], ["N"]):
+        raise _err(path, "must contain exactly one grid, K or N")
+    [(key, values)] = _fields(obj, path, _GRIDS).items()
+    return key, values
+
+
+def _initial_state(obj, path: str) -> tuple:
+    if not isinstance(obj, list) or not obj:
+        raise _err(path, "must be a non-empty list of amplitudes")
+    amps = []
+    for i, entry in enumerate(obj):
+        where = f"{path}[{i}]"
+        if isinstance(entry, list):
+            if len(entry) != 2:
+                raise _err(where, "expected [re, im]")
+            amps.append(complex(_need_number(entry[0], where),
+                                _need_number(entry[1], where)))
+        else:
+            amps.append(complex(_need_number(entry, where)))
+    if not any(abs(a) > 0 for a in amps):
+        raise _err(path, "must not be the zero vector")
+    return tuple(amps)
+
+
+def _levels(obj, path: str) -> tuple:
+    if (not isinstance(obj, list) or len(obj) != 2
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in obj)
+            or obj[0] == obj[1]):
+        raise _err(path, "expected two distinct 1-based level indices")
+    return tuple(obj)
+
+
+_TIME = {"t_max": _positive, "samples": _int_at_least(2)}
+_ROTATION = {"kind": _one_of("phase", "plane"), "levels": _levels, "rate": _need_number}
 
 
 def _four_level(K, Kp, omega, regime="inner") -> CoupledHamiltonian:
@@ -181,6 +265,10 @@ class _Model(NamedTuple):
     optional: dict
     build: Callable[..., CoupledHamiltonian]  # called with the parameters as keywords
 
+    @property
+    def fields(self) -> dict:
+        return {**self.required, **self.optional}
+
 
 # The model registry of scenario files and ``zeno sectors``.  CSV metadata
 # echoes the parameters in table order, required ones first.
@@ -188,30 +276,34 @@ _MODELS = {
     "three_level": _Model({"K": _nonnegative, "omega": _nonnegative}, {},
                           lambda K, omega: three_level(omega, K)),
     "four_level": _Model({"K": _nonnegative, "Kp": _nonnegative, "omega": _nonnegative},
-                         {"regime": _regime}, _four_level),
-    "cavity": _Model({"g": _nonnegative, "kappa": _nonnegative}, {"n_max": _truncation},
+                         {"regime": _one_of("inner", "outer")}, _four_level),
+    "cavity": _Model({"g": _nonnegative, "kappa": _nonnegative}, {"n_max": _int_at_least(2)},
                      lambda g, kappa, n_max=2: cavity(g, kappa, n_max).hk),
     "decay": _Model({"K": _nonnegative, "gamma": _positive, "tau_z": _positive}, {},
                     lambda K, gamma, tau_z: decay_model(tau_z, gamma, K)),
-    "matrix": _Model({"hmeas_file": _file}, {"h_file": _file, "K": _nonnegative},
+    "matrix": _Model({"hmeas_file": _path_string}, {"h_file": _path_string, "K": _nonnegative},
                      _matrix_model),
 }
 MODEL_KINDS = tuple(_MODELS)
 
 
-def _model_params(kind: str, raw: dict, prefix: str) -> dict:
-    """Validated parameters of a ``kind`` model, in table order; errors
-    name the field ``prefix + key``."""
+def _model(obj, path: str, base_dir) -> tuple[str, dict]:
+    """``(kind, parameters)`` of a model section.  A ``matrix`` model gives
+    its parameters in the section itself, and its file paths resolve
+    against ``base_dir``."""
+    kind = _one_of(*MODEL_KINDS)(_need_map(obj, path).get("kind"), f"{path}.kind")
     model = _MODELS[kind]
-    checks = {**model.required, **model.optional}
-    for key in raw:
-        if key not in checks:
-            raise _err(f"{prefix}{key}", f"unknown parameter for {kind}")
-    for key in model.required:
-        if key not in raw:
-            raise _err(f"{prefix}{key}", "missing parameter")
-    return {key: check(raw[key], f"{prefix}{key}")
-            for key, check in checks.items() if key in raw}
+    what = f"parameter for {kind}"
+    if kind != "matrix":
+        section = _fields(obj, path, {"kind": _keep, "params": _keep})
+        return kind, _fields(section.get("params", {}), f"{path}.params",
+                             model.fields, model.required, what)
+    params = _fields(obj, path, {"kind": _keep, **model.fields}, model.required, what)
+    del params["kind"]
+    params.update({key: str(Path(base_dir) / params[key])
+                   for key in ("hmeas_file", "h_file") if key in params})
+    params.setdefault("K", 1.0)
+    return kind, params
 
 
 def parse_scenario(data, base_dir: str | Path = ".") -> Scenario:
@@ -222,152 +314,47 @@ def parse_scenario(data, base_dir: str | Path = ".") -> Scenario:
     (or the line, for YAML syntax errors); nothing is silently defaulted
     except the documented time grid, which is echoed in the metadata.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = yaml.safe_load(data)
+        doc = yaml.safe_load(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"scenario: not UTF-8 text ({exc})") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}" if mark is not None else "document"
         raise ValidationError(f"scenario {where}: invalid YAML ({exc})") from None
-    doc = _need_map(doc, "scenario")
 
-    known = {"task", "model", "time", "sweep", "initial_state", "rotation", "output"}
-    for key in doc:
-        if key not in known:
-            raise _err(str(key), "unknown scenario field")
-
-    if "task" not in doc:
-        raise _err("task", "missing required field")
+    doc = _fields(doc, "scenario", {
+        "task": _one_of(*TASKS),
+        "model": lambda obj, path: _model(obj, path, base_dir),
+        "time": partial(_fields, table=_TIME),
+        "sweep": _sweep,
+        "initial_state": _initial_state,
+        "rotation": partial(_fields, table=_ROTATION, required=("levels",)),
+        "output": _path_string,
+    }, required=("task", "model"), prefix="")
     task = doc["task"]
-    if task not in TASKS:
-        raise _err("task", f"unknown task {task!r}; expected one of {', '.join(TASKS)}")
+    kind, params = doc["model"]
+    sweep_key, sweep_values = doc.get("sweep", (None, ()))
+    rotation = {"kind": "phase", "rate": 0.0, **doc["rotation"]} if "rotation" in doc else None
+    times = doc.get("time", {})
 
-    model = _need_map(doc.get("model"), "model") if "model" in doc else None
-    if model is None:
-        raise _err("model", "missing required field")
-    kind = model.get("kind")
-    if kind not in MODEL_KINDS:
-        raise _err("model.kind",
-                   f"unknown model {kind!r}; expected one of {', '.join(MODEL_KINDS)}")
-
-    if kind == "matrix":
-        fields, prefix = {k: v for k, v in model.items() if k != "kind"}, "model."
-    else:
-        for key in model:
-            if key not in ("kind", "params"):
-                raise _err(f"model.{key}", "unknown field")
-        fields, prefix = _need_map(model.get("params", {}), "model.params"), "model.params."
-    params = _model_params(kind, fields, prefix)
-    if kind == "matrix":
-        for key in ("hmeas_file", "h_file"):
-            if key in params:
-                params[key] = str(Path(base_dir) / params[key])
-        params.setdefault("K", 1.0)
-
-    defaults_used = []
-    t_max, samples = _DEFAULT_T_MAX, _DEFAULT_SAMPLES
-    if "time" in doc:
-        tsec = _need_map(doc["time"], "time")
-        for key in tsec:
-            if key not in ("t_max", "samples"):
-                raise _err(f"time.{key}", "unknown field")
-        if "t_max" in tsec:
-            t_max = _positive(tsec["t_max"], "time.t_max")
-        else:
-            defaults_used.append("time.t_max")
-        if "samples" in tsec:
-            samples = _need_int(tsec["samples"], "time.samples")
-            if samples < 2:
-                raise _err("time.samples", "must be >= 2")
-        else:
-            defaults_used.append("time.samples")
-    else:
-        defaults_used += ["time.t_max", "time.samples"]
-
-    sweep_key, sweep_values = None, ()
-    if "sweep" in doc:
-        sw = _need_map(doc["sweep"], "sweep")
-        keys = sorted(sw)
-        if keys not in (["K"], ["N"]):
-            raise _err("sweep", "must contain exactly one grid, K or N")
-        sweep_key = keys[0]
-        grid = sw[sweep_key]
-        if not isinstance(grid, list) or not grid:
-            raise _err(f"sweep.{sweep_key}", "must be a non-empty list")
-        vals = []
-        for i, v in enumerate(grid):
-            path = f"sweep.{sweep_key}[{i}]"
-            if sweep_key == "N":
-                n = _need_int(v, path)
-                if n < 1:
-                    raise _err(path, "must be >= 1")
-                vals.append(n)
-            else:
-                vals.append(_nonnegative(v, path))
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise _err(f"sweep.{sweep_key}", "grid must be strictly increasing")
-        sweep_values = tuple(vals)
-
-    initial_state = None
-    if "initial_state" in doc:
-        raw = doc["initial_state"]
-        if not isinstance(raw, list) or not raw:
-            raise _err("initial_state", "must be a non-empty list of amplitudes")
-        amps = []
-        for i, entry in enumerate(raw):
-            path = f"initial_state[{i}]"
-            if isinstance(entry, list):
-                if len(entry) != 2:
-                    raise _err(path, "expected [re, im]")
-                amps.append(complex(_need_number(entry[0], path),
-                                    _need_number(entry[1], path)))
-            else:
-                amps.append(complex(_need_number(entry, path)))
-        if not any(abs(a) > 0 for a in amps):
-            raise _err("initial_state", "must not be the zero vector")
-        initial_state = tuple(amps)
-
-    rotation = None
-    if "rotation" in doc:
-        rot = _need_map(doc["rotation"], "rotation")
-        for key in rot:
-            if key not in ("kind", "levels", "rate"):
-                raise _err(f"rotation.{key}", "unknown field")
-        rkind = rot.get("kind", "phase")
-        if rkind not in ("phase", "plane"):
-            raise _err("rotation.kind", "must be 'phase' or 'plane'")
-        levels = rot.get("levels")
-        if (not isinstance(levels, list) or len(levels) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in levels)
-                or levels[0] == levels[1]):
-            raise _err("rotation.levels", "expected two distinct 1-based level indices")
-        rate = _need_number(rot.get("rate", 0.0), "rotation.rate")
-        rotation = {"kind": rkind, "levels": tuple(levels), "rate": rate}
-
-    output = None
-    if "output" in doc:
-        if not isinstance(doc["output"], str) or not doc["output"]:
-            raise _err("output", "must be a non-empty path string")
-        output = doc["output"]
-
-    grids = _TASKS[task].grids
-    if grids and sweep_key not in grids:
-        raise _err("sweep" if len(grids) > 1 else f"sweep.{grids[0]}",
-                   f"task {task!r} requires a sweep over {' or '.join(grids)}")
-    if task == "intertwine":
-        if rotation is None:
-            raise _err("rotation", "task 'intertwine' requires a rotation section")
-        if kind in ("cavity", "decay"):
-            raise _err("model.kind", "task 'intertwine' requires Hermitian models")
-    if task == "dfs" and kind not in ("cavity", "matrix"):
-        raise _err("model.kind", "task 'dfs' requires the cavity model or a matrix file")
+    rule = _TASKS[task]
+    if rule.grids and sweep_key not in rule.grids:
+        raise _err("sweep" if len(rule.grids) > 1 else f"sweep.{rule.grids[0]}",
+                   f"task {task!r} requires a sweep over {' or '.join(rule.grids)}")
+    if rule.rotation and rotation is None:
+        raise _err("rotation", f"task {task!r} requires a rotation section")
+    if kind not in rule.models:
+        raise _err("model.kind", f"task {task!r} requires a model of kind "
+                   f"{' or '.join(rule.models)}")
 
     return Scenario(task=task, model_kind=kind, model_params=params,
-                    t_max=t_max, samples=samples,
+                    t_max=times.get("t_max", _DEFAULT_T_MAX),
+                    samples=times.get("samples", _DEFAULT_SAMPLES),
                     sweep_key=sweep_key, sweep_values=sweep_values,
-                    initial_state=initial_state, rotation=rotation,
-                    output=output, defaults_used=tuple(defaults_used))
+                    initial_state=doc.get("initial_state"), rotation=rotation,
+                    output=doc.get("output"),
+                    defaults_used=tuple(f"time.{name}" for name in _TIME if name not in times))
 
 
 def load_scenario(path) -> Scenario:
@@ -425,6 +412,8 @@ def run(s: Scenario, cluster_tol: float | None = None) -> ResultSeries:
     randomness enters anywhere.
     """
     md = _base_metadata(s, cluster_tol)
+    if cluster_tol is not None:
+        _cluster_tol(None, cluster_tol)     # the operator only supplies the default
     hk = _MODELS[s.model_kind].build(**s.model_params)
     return _TASKS[s.task].runner(s, hk, cluster_tol, md)
 
@@ -434,7 +423,7 @@ def _with_slope(columns, rows, md) -> ResultSeries:
     first in ``md`` when there are two or more rows, all positive."""
     xs = [r[0] for r in rows]
     ys = [r[1] for r in rows]
-    if len(rows) >= 2 and all(y > 0 for y in ys):
+    if len(rows) >= 2 and all(v > 0 for v in xs + ys):
         md["slope"] = loglog_slope(xs, ys)
     return ResultSeries(columns, tuple(rows), md)
 
@@ -453,8 +442,17 @@ def _survival(s, hk, cluster_tol, md) -> ResultSeries:
     return ResultSeries(columns, tuple(zip(*series)), md)
 
 
+def _certified(dec):
+    """``dec``, refused when it dropped clusters that are not certified
+    eigenspaces (ill-conditioned spectral projector or eigenvector basis)."""
+    if dec.dropped:
+        raise NumericalError("cluster(s) not certified as eigenspaces: " + ", ".join(
+            f"eta = {eta:.6g} (condition {condition:.3g})" for eta, condition in dec.dropped))
+    return dec
+
+
 def _sectors(s, hk, cluster_tol, md) -> ResultSeries:
-    dec = zeno_sectors(hk, cluster_tol=cluster_tol)
+    dec = _certified(zeno_sectors(hk, cluster_tol=cluster_tol))
     rows = tuple(
         (n, s_.eigenvalue.real, s_.eigenvalue.imag, s_.multiplicity, s_.condition)
         for n, s_ in enumerate(dec))
@@ -498,7 +496,7 @@ def _nonselective(s, hk, cluster_tol, md) -> ResultSeries:
 
 
 def _dfs(s, hk, cluster_tol, md) -> ResultSeries:
-    dec = dfs_extract(hk, cluster_tol=cluster_tol)
+    dec = _certified(dfs_extract(hk, cluster_tol=cluster_tol))
     md["dfs_dimension"] = dec.total_rank()
     rows = []
     for n, sec in enumerate(dec):
@@ -524,18 +522,22 @@ def _intertwine(s, hk, cluster_tol, md) -> ResultSeries:
 
 class _Task(NamedTuple):
     runner: Callable[..., ResultSeries]   # (scenario, model, cluster_tol, metadata)
-    grids: tuple[str, ...]                # sweep grids the task accepts; () needs none
+    grids: tuple[str, ...] = ()           # sweep grids the task accepts; () needs none
+    rotation: bool = False                # needs a rotation section
+    models: tuple[str, ...] = MODEL_KINDS  # model kinds the task accepts
 
 
 _TASKS = {
-    "survival": _Task(_survival, ()),
-    "sectors": _Task(_sectors, ()),
+    "survival": _Task(_survival),
+    "sectors": _Task(_sectors),
     "limit-compare": _Task(_limit_compare, ("K", "N")),
     "nonselective": _Task(_nonselective, ("N",)),
     "sweep-K": _Task(_sweep_k, ("K",)),
     "sweep-N": _Task(_sweep_n, ("N",)),
-    "dfs": _Task(_dfs, ()),
-    "intertwine": _Task(_intertwine, ("K",)),
+    "dfs": _Task(_dfs, models=("cavity", "matrix")),
+    # the rotating bundle needs Hermitian models
+    "intertwine": _Task(_intertwine, ("K",), rotation=True,
+                        models=("three_level", "four_level", "matrix")),
 }
 TASKS = tuple(_TASKS)
 

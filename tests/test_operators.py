@@ -27,6 +27,7 @@ from zenosim import (
     survival_probability,
 )
 from zenosim import operators
+from zenosim.continuous import real_sectors
 from zenosim.operators import Sector, block_diagonal_part, default_cluster_tol
 
 from conftest import random_hermitian
@@ -220,6 +221,19 @@ def test_eig_rejects_nonfinite_or_negative_cluster_tol(tol):
 def test_eig_accepts_zero_cluster_tol():
     dec = eig(as_operator(np.diag([0.0, 1.0, 1.0])), cluster_tol=0.0)
     assert [s.multiplicity for s in dec] == [1, 2]
+
+
+@pytest.mark.parametrize("coupling", [
+    np.array([[0, 1], [0, 0]], dtype=complex),          # 2x2 Jordan block
+    np.diag([1.0, 1.0], 1).astype(complex),               # 3x3 nilpotent
+    np.array([[0, 1, 0], [0, 0, 0], [0, 0, 2]], dtype=complex),
+], ids=["jordan", "nilpotent", "jordan_plus_simple"])
+def test_defective_eigenvalues_are_dropped_not_certified(coupling):
+    for dec in (eig(as_operator(coupling)), real_sectors(coupling)):
+        assert not dec.complete
+        assert all(abs(s.eigenvalue) > 1 for s in dec)    # only the simple eta = 2 survives
+        [(eta, condition)] = dec.dropped
+        assert eta == 0 and condition > operators.DEFAULT_MAX_SECTOR_CONDITION
 
 
 # --------------------------------------------------------------------------

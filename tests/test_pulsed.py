@@ -354,6 +354,23 @@ def test_nonselective_limit_block_unitary_when_block_diagonal():
     assert snorm(out.matrix - direct) <= 1e-13
 
 
+@pytest.mark.parametrize("loss", [0.0, 0.3])
+def test_nonselective_limit_is_the_sum_of_written_out_sector_limits(rng, loss):
+    # reference: V_n = P_n exp(-i P_n H P_n t) spelled out, compared bit for bit
+    hmat = random_hermitian(rng, 5) - 1j * loss * np.eye(5)
+    sec = eig(np.diag([0.0, 1.0, 1.0, 2.0, 2.0]))
+    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    rho0 = DensityMatrix.pure(v / np.linalg.norm(v))
+    hermitian = as_operator(hmat).hermitian
+    direct = np.zeros((5, 5), dtype=complex)
+    for s in sec:
+        p = s.projector.matrix
+        vn = p @ expm(as_operator(p @ hmat @ p, hermitian=hermitian), 0.9).matrix
+        direct += vn @ rho0.matrix @ vn.conj().T
+    out = nonselective_limit(hmat, sec, 0.9, rho0)
+    assert np.array_equal(out.matrix, (direct + direct.conj().T) / 2)
+
+
 def test_nonselective_limit_matches_chain_at_large_n():
     sec = three_level_sectors()
     h = full_three_level(1.0, 1.0)
