@@ -108,15 +108,12 @@ def _count(n, what: str) -> int:
 
 def _step_plan(bundle: TimeDependentBundle, t: float, steps, checkpoints: int = 1,
                resolve: bool = False) -> int:
-    """Validated step count for integrating ``bundle`` over ``[0, t]``.
-
-    The horizon must be finite and >= 0 and ``steps`` an integer >= 1;
-    with ``resolve``, ``steps=None`` asks for the smallest count that
-    resolves both timescales.  The count is raised to at least
-    ``checkpoints`` and rounded up to a multiple of it.  A count whose step
-    exceeds a tenth of either period raises :class:`StepResolutionError`
-    naming the tighter of the violated timescales.
-    """
+    """Validated step count for integrating ``bundle`` over ``[0, t]``:
+    ``steps`` (or, with ``resolve`` and ``steps=None``, the fewest that
+    resolve both timescales) raised to a multiple of ``checkpoints``.  The
+    horizon must be finite and >= 0 and the counts integers >= 1; a step
+    above a tenth of either period raises :class:`StepResolutionError`
+    naming the tighter of the violated timescales."""
     if not (math.isfinite(t) and t >= 0):
         raise ValidationError("horizon must be finite and non-negative")
     if not (resolve and steps is None):

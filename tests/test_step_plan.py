@@ -28,7 +28,7 @@ def bundle(coupling=10.0):
 
 
 CALLS = {
-    "required_steps": lambda b, t: required_steps(b, t),
+    "required_steps": required_steps,
     "propagate_td": lambda b, t: propagate_td(b, t, 400),
     "propagate_td_interaction": lambda b, t: propagate_td_interaction(b, t, 400),
     "intertwining_defect": lambda b, t: intertwining_defect(b, t, [10.0], samples=5),
