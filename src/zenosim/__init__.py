@@ -15,7 +15,6 @@ from .adiabatic import (
     constant_bundle,
     intertwining_defect,
     propagate_td,
-    propagate_td_interaction,
     required_steps,
     rotating_bundle,
 )
@@ -82,4 +81,18 @@ from .pulsed import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "TimeDependentBundle", "TransportReport", "constant_bundle", "intertwining_defect",
+    "propagate_td", "required_steps", "rotating_bundle", "CoupledHamiltonian",
+    "PerturbativeExpansion", "diag_part", "exact_propagator", "nonadiabatic_defect",
+    "perturbative_spectrum", "zeno_propagator", "zeno_sectors", "AmbiguousSpectrumError",
+    "NumericalError", "SectorTrackingError", "StepResolutionError", "ValidationError",
+    "ZenoError", "CavityModel", "ExcitationSectors", "FourLevelModel", "cavity",
+    "coupling_matrix", "decay_model", "dfs_extract", "four_level", "rotation_generator",
+    "three_level", "three_level_survival", "DensityMatrix", "Operator", "Projector", "Sector",
+    "SectorDecomposition", "as_operator", "basis_projector", "eig", "expm", "load_matrix",
+    "offblock_norm", "projector_from_columns", "save_matrix", "snorm", "EffectiveRate",
+    "effective_rate", "effective_rate_from_amplitude", "nonselective_evolve",
+    "nonselective_limit", "pulsed_limit", "pulsed_propagator", "survival_amplitude",
+    "survival_probability", "zeno_time", "zeno_time_fitted",
+]

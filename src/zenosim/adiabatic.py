@@ -7,12 +7,19 @@ sector at time zero onto the sector at time t (the intertwining property),
 and the population of the moving sector stays constant.  This module
 integrates the Schroedinger equation for such bundles and measures how
 far a finite coupling is from perfect transport.
+
+The midpoint integrator works a chunk of steps at a time, the chunk capped
+at ``_STACK_BYTES`` of generators: it stacks the chunk's midpoint
+generators (a rotating bundle evaluates all its times at once), checks
+them in one pass, diagonalizes them by one batched ``eigh`` and multiplies
+the step propagators into ``U`` one by one in time order, so ``U`` equals
+the product of per-step :func:`expm` calls bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -22,16 +29,17 @@ from .errors import SectorTrackingError, StepResolutionError, ValidationError
 from .operators import (
     Operator,
     SectorDecomposition,
+    _hermitian_slices,
     as_operator,
     eig,
-    expm,
-    is_hermitian,
     snorm,
 )
 
 # Fraction of the fastest period a single step may cover.
 _STEP_FRACTION = 0.1
 _TRACK_OVERLAP_FLOOR = 0.5
+# Bytes of midpoint generators stacked at once: 113 steps at d = 3, one from d = 23.
+_STACK_BYTES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -52,11 +60,16 @@ class TimeDependentBundle:
             raise ValidationError("coupling strength K must be finite and >= 0")
 
     def with_coupling(self, coupling: float) -> "TimeDependentBundle":
-        return TimeDependentBundle(self.h, self.h_meas, coupling)
+        return replace(self, coupling=coupling)
 
     def total(self, t: float) -> np.ndarray:
         return np.asarray(self.h(t), dtype=complex) + \
             self.coupling * np.asarray(self.h_meas(t), dtype=complex)
+
+
+class _StackedBundle(TimeDependentBundle):
+    """Bundle whose ``h`` and ``h_meas`` also take an array of times; each
+    slice of the result is the value at its time, bit for bit."""
 
 
 def constant_bundle(hk: CoupledHamiltonian) -> TimeDependentBundle:
@@ -84,13 +97,12 @@ def rotating_bundle(h0, h_meas0, generator, rate: float,
         raise ValidationError("rotation generator dimension mismatch")
     # R(t) = expm(gen, rate * t), from one eigendecomposition of the generator
     w, v = np.linalg.eigh(gen.matrix)
-    vdag = v.conj().T
 
-    def h_meas(t: float) -> np.ndarray:
-        r = (v * np.exp(-1j * (rate * t) * w)) @ vdag
-        return r @ hm0.matrix @ r.conj().T
+    def h_meas(t):          # t may be an array of times
+        r = (v * np.exp(-1j * (rate * np.asarray(t))[..., None] * w)[..., None, :]) @ v.conj().T
+        return r @ hm0.matrix @ np.swapaxes(r.conj(), -1, -2)
 
-    return TimeDependentBundle(h=lambda t: h, h_meas=h_meas, coupling=coupling)
+    return _StackedBundle(h=lambda t: h, h_meas=h_meas, coupling=coupling)
 
 
 def required_steps(bundle: TimeDependentBundle, t: float) -> int:
@@ -141,18 +153,28 @@ def _midpoint_checkpoints(bundle: TimeDependentBundle, t: float, steps: int,
                           checkpoints: int = 1):
     """Yield ``U`` at ``checkpoints`` evenly spaced times up to ``t``, from
     ``steps`` midpoint steps ``exp(-i H_K(t_k + dt/2) dt)`` (a multiple of
-    ``checkpoints``, as :func:`_step_plan` returns)."""
+    ``checkpoints``, as :func:`_step_plan` returns), in stacked chunks (see
+    the module notes; a pairwise product would round differently).  The
+    first midpoint whose generator has NaN or Inf entries or fails the
+    :func:`is_hermitian` rule raises, naming its time."""
     dt = t / steps
     per = steps // checkpoints
-    u = np.eye(np.asarray(bundle.h(0.0)).shape[0], dtype=complex)
-    for k in range(steps):
-        tm = (k + 0.5) * dt
-        gen = bundle.total(tm)
-        if not is_hermitian(gen):
-            raise ValidationError(f"bundle is not Hermitian at t = {tm:.6g}")
-        u = expm(as_operator(gen, hermitian=True), dt).matrix @ u
-        if (k + 1) % per == 0:
-            yield u
+    dim = np.asarray(bundle.h(0.0)).shape[0]
+    chunk = max(1, _STACK_BYTES // (16 * dim * dim))
+    u = np.eye(dim, dtype=complex)
+    for start in range(0, steps, chunk):
+        ts = (np.arange(start, min(start + chunk, steps)) + 0.5) * dt
+        gens = (bundle.total(ts) if isinstance(bundle, _StackedBundle)
+                else np.stack([bundle.total(s) for s in ts.tolist()]))
+        hermitian = _hermitian_slices(gens)
+        if not hermitian.all():
+            raise ValidationError(f"bundle is not Hermitian at t = {ts[np.argmin(hermitian)]:.6g}")
+        w, v = np.linalg.eigh(gens)
+        steps_u = (v * np.exp(-1j * dt * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        for k, step in enumerate(steps_u, start):
+            u = step @ u
+            if (k + 1) % per == 0:
+                yield u
 
 
 def propagate_td(bundle: TimeDependentBundle, t: float, steps: int) -> Operator:
@@ -170,33 +192,6 @@ def propagate_td(bundle: TimeDependentBundle, t: float, steps: int) -> Operator:
         return Operator(np.eye(np.asarray(bundle.h(0.0)).shape[0], dtype=complex))
     [u] = _midpoint_checkpoints(bundle, t, steps)
     return Operator(u)
-
-
-def propagate_td_interaction(bundle: TimeDependentBundle, t: float,
-                             steps: int) -> tuple[Operator, Operator]:
-    """Split propagation: system factor ``U_S`` and the factor ``U_I``
-    generated by the rotated coupling ``K U_S^dag H_meas U_S``.
-
-    Their product reproduces :func:`propagate_td` to integrator accuracy;
-    the comparison is the frame-consistency check of the integrator.  The
-    horizon and step rules are those of :func:`propagate_td`.
-    """
-    steps = _step_plan(bundle, t, steps)
-    dim = np.asarray(bundle.h(0.0)).shape[0]
-    if t == 0:
-        eye = Operator(np.eye(dim, dtype=complex))
-        return eye, eye
-    dt = t / steps
-    us = np.eye(dim, dtype=complex)
-    ui = np.eye(dim, dtype=complex)
-    for k in range(steps):
-        tm = (k + 0.5) * dt
-        h_mid = np.asarray(bundle.h(tm), dtype=complex)
-        us_mid = expm(as_operator(h_mid, hermitian=True), dt / 2).matrix @ us
-        hi_mid = us_mid.conj().T @ np.asarray(bundle.h_meas(tm), dtype=complex) @ us_mid
-        ui = expm(as_operator(bundle.coupling * hi_mid), dt).matrix @ ui
-        us = expm(as_operator(h_mid, hermitian=True), dt).matrix @ us
-    return Operator(us), Operator(ui)
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +235,18 @@ def _tracked_sectors(prev: SectorDecomposition,
     if len(prev) != len(current):
         raise SectorTrackingError(
             f"sector count changed along the path ({len(prev)} -> {len(current)})")
-    overlap = np.zeros((len(prev), len(current)))
-    for i, sp in enumerate(prev):
-        for j, sc in enumerate(current):
-            overlap[i, j] = float(
-                (sp.projector.matrix @ sc.projector.matrix).trace().real
-            ) / sp.projector.rank
+    pp, pc = (np.array([p.matrix for p in dec.projectors]) for dec in (prev, current))
+    ranks = np.array([p.rank for p in prev.projectors])
+    overlap = np.trace(pp[:, None] @ pc, axis1=2, axis2=3).real / ranks[:, None]
     from scipy.optimize import linear_sum_assignment
 
-    rows, cols = linear_sum_assignment(-overlap)
-    order = [0] * len(prev)
+    rows, cols = linear_sum_assignment(-overlap)        # rows are 0, 1, ..., n - 1
     for i, j in zip(rows, cols):
         if overlap[i, j] < _TRACK_OVERLAP_FLOOR:
             raise SectorTrackingError(
                 f"sector overlap {overlap[i, j]:.3f} below {_TRACK_OVERLAP_FLOOR}; "
                 "the path crosses eigenvalues")
-        order[i] = j
-    return SectorDecomposition(tuple(current.sectors[j] for j in order),
+    return SectorDecomposition(tuple(current.sectors[j] for j in cols),
                                current.cluster_tol, current.dim,
                                complete=current.complete)
 
@@ -283,33 +273,25 @@ def intertwining_defect(bundle: TimeDependentBundle, t: float, k_grid,
     plans = [(k, _step_plan(bundle.with_coupling(k), t, steps, samples, resolve=True))
              for k in ks]
 
-    sample_ts = np.linspace(0.0, t, samples + 1)
     # sector path is coupling-independent: track it once
-    sector_path = [eig(as_operator(np.asarray(bundle.h_meas(0.0), dtype=complex)))]
-    for tk in sample_ts[1:]:
+    sector_path = []
+    for tk in np.linspace(0.0, t, samples + 1):
         fresh = eig(as_operator(np.asarray(bundle.h_meas(tk), dtype=complex)))
-        sector_path.append(_tracked_sectors(sector_path[-1], fresh))
+        sector_path.append(_tracked_sectors(sector_path[-1], fresh) if sector_path else fresh)
 
+    # each checkpoint against all sectors at once, stacked (sector, d, d)
     sectors0 = sector_path[0]
-    rho0 = [p.matrix / p.rank for p in sectors0.projectors]
+    p0 = np.array([p.matrix for p in sectors0.projectors])
+    rho0 = np.array([p.matrix / p.rank for p in sectors0.projectors])
     reports = []
     for k, nsteps in plans:
-        worst_defect = [0.0] * len(sectors0)
-        worst_drift = [0.0] * len(sectors0)
+        defect = drift = np.zeros(len(sectors0))
         checkpoints = _midpoint_checkpoints(bundle.with_coupling(k), t, nsteps, samples)
         for here, u in zip(sector_path[1:], checkpoints):
-            for n, s in enumerate(here):
-                p0 = sectors0.sectors[n].projector.matrix
-                pt = s.projector.matrix
-                worst_defect[n] = max(worst_defect[n], snorm(u @ p0 - pt @ u))
-                pop = float((pt @ u @ rho0[n] @ u.conj().T).trace().real)
-                worst_drift[n] = max(worst_drift[n], abs(pop - 1.0))
-        reports.append(TransportReport(
-            coupling=k,
-            sectors=tuple(
-                SectorTransport(eigenvalue=s.eigenvalue, defect=worst_defect[n],
-                                drift=worst_drift[n])
-                for n, s in enumerate(sectors0)
-            ),
-        ))
+            pt = np.array([p.matrix for p in here.projectors])
+            defect = np.maximum(defect, np.linalg.norm(u @ p0 - pt @ u, 2, axis=(1, 2)))
+            pop = np.trace(pt @ u @ rho0 @ u.conj().T, axis1=1, axis2=2).real
+            drift = np.maximum(drift, np.abs(pop - 1.0))
+        reports.append(TransportReport(k, tuple(map(
+            SectorTransport, [s.eigenvalue for s in sectors0], defect.tolist(), drift.tolist()))))
     return reports

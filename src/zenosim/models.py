@@ -28,20 +28,6 @@ from .continuous import CoupledHamiltonian, real_sectors
 from .errors import ValidationError
 from .operators import Operator, SectorDecomposition, as_operator
 
-__all__ = [
-    "three_level",
-    "three_level_survival",
-    "four_level",
-    "FourLevelModel",
-    "cavity",
-    "CavityModel",
-    "ExcitationSectors",
-    "decay_model",
-    "dfs_extract",
-    "coupling_matrix",
-    "rotation_generator",
-]
-
 
 def coupling_matrix(dim: int, i: int, j: int) -> np.ndarray:
     """Unit coupling |i><j| + |j><i| between 1-based levels i and j."""

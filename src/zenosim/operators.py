@@ -137,6 +137,23 @@ def is_hermitian(a) -> bool:
     return _within_scaled(_hermitian_deviation(m), m, _hermitian_allowance)
 
 
+def _hermitian_slices(ms: np.ndarray) -> np.ndarray:
+    """:func:`is_hermitian` of each slice of the stack ``ms``: the Frobenius
+    bounds of :func:`_within_scaled` decide for the whole stack at once, and
+    only the slices they leave undecided are checked one by one.  A slice
+    with NaN or Inf entries is not Hermitian."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(ms - ms.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        f = np.sqrt((ms.real ** 2 + ms.imag ** 2).sum(axis=(1, 2)))
+        f[~np.isfinite(f)] = np.nan             # an overflowed norm bounds nothing
+        low, high = f / math.sqrt(ms.shape[1]) * (1 - _ROUNDING), f * (1 + _ROUNDING)
+        ok = dev <= HERMITIAN_RTOL * np.maximum(low, _TINY)
+        no = ~np.isfinite(dev) | (dev > HERMITIAN_RTOL * np.maximum(high, _TINY))
+    for k in np.flatnonzero(~ok & ~no):
+        ok[k] = is_hermitian(ms[k])
+    return ok
+
+
 @dataclass(frozen=True)
 class Operator:
     """Dense complex square matrix with a Hermiticity flag.
@@ -714,9 +731,10 @@ def _parse_clean_entries(lines: list[str], d: int) -> np.ndarray | None:
 
 
 def _parse_entries(path, entries, d: int) -> np.ndarray:
-    """Line-by-line parse that raises on the first malformed entry."""
-    m = np.zeros((d, d), dtype=complex)
-    seen = np.zeros((d, d), dtype=bool)
+    """Line-by-line parse that raises on the first malformed entry.  The
+    entries are held by index pair, so a file with fewer than ``d * d`` of
+    them is refused in memory proportional to the file, not to its header."""
+    values = {}
     for k, ln in entries:
         fields = ln.split()
         if len(fields) != 4:
@@ -728,13 +746,13 @@ def _parse_entries(path, entries, d: int) -> np.ndarray:
             raise ValidationError(f"{path}:{k}: could not parse entry {ln!r}") from None
         if not (0 <= i < d and 0 <= j < d):
             raise ValidationError(f"{path}:{k}: index ({i},{j}) out of range for dim {d}")
-        if seen[i, j]:
+        if (i, j) in values:
             raise ValidationError(f"{path}:{k}: duplicate entry ({i},{j})")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValidationError(f"{path}:{k}: non-finite entry")
-        seen[i, j] = True
-        m[i, j] = complex(re, im)
-    if not seen.all():
-        missing = int((~seen).sum())
-        raise ValidationError(f"{path}: {missing} of {d * d} entries missing")
+        values[i, j] = complex(re, im)
+    if len(values) < d * d:
+        raise ValidationError(f"{path}: {d * d - len(values)} of {d * d} entries missing")
+    m = np.empty((d, d), dtype=complex)
+    m[tuple(zip(*values))] = list(values.values())
     return m

@@ -148,7 +148,7 @@ def _check_support(rho: np.ndarray, proj: np.ndarray) -> None:
 
 
 def _probability(prob: float) -> float:
-    if prob < -1e-12 or prob > 1.0 + 1e-12:
+    if not -1e-12 <= prob <= 1.0 + 1e-12:      # NaN included
         raise NumericalError(f"survival probability {prob:.15g} outside [0, 1]")
     return min(1.0, max(0.0, prob))
 

@@ -89,7 +89,7 @@ class ResultSeries:
                 raise ValidationError("result rows are not rectangular")
             for v in r:
                 if isinstance(v, (int, float)) and not math.isfinite(float(v)):
-                    raise ValidationError("result table contains non-finite values")
+                    raise NumericalError("result table contains non-finite values")
 
     def column(self, name: str) -> np.ndarray:
         try:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ from zenosim import (
     StepResolutionError,
     TimeDependentBundle,
     ValidationError,
+    adiabatic,
+    as_operator,
     constant_bundle,
     exact_propagator,
+    expm,
     intertwining_defect,
     propagate_td,
-    propagate_td_interaction,
     required_steps,
     rotating_bundle,
     rotation_generator,
@@ -73,18 +77,110 @@ def test_time_zero_is_identity():
     assert np.array_equal(propagate_td(b, 0.0, 1).matrix, np.eye(3))
 
 
-def test_frame_consistency():
-    b = rotating_three_level(coupling=3.0, rate=0.4)
-    t = 1.0
-    n = 4 * required_steps(b, t)
-    direct = propagate_td(b, t, n).matrix
-    us, ui = propagate_td_interaction(b, t, n)
-    diff_n = snorm(us.matrix @ ui.matrix - direct)
-    us2, ui2 = propagate_td_interaction(b, t, 2 * n)
-    direct2 = propagate_td(b, t, 2 * n).matrix
-    diff_2n = snorm(us2.matrix @ ui2.matrix - direct2)
-    assert diff_n <= 1e-4            # both integrators agree at the tolerance
-    assert diff_2n <= diff_n / 2     # and the disagreement is integration error
+# --------------------------------------------------------------------------
+# batched midpoint integration
+
+SEVEN_STEPS = 7 * 16 * 3 * 3        # stack cap of seven 3x3 generators
+
+
+def per_step_checkpoints(bundle, t, steps, checkpoints=1):
+    """The loop the batched integrator reproduces bit for bit: one
+    Hermitian exponential per midpoint, multiplied into U in time order."""
+    dt = t / steps
+    u = np.eye(3, dtype=complex)
+    out = []
+    for k in range(steps):
+        gen = as_operator(bundle.total((k + 0.5) * dt), hermitian=True)
+        u = expm(gen, dt).matrix @ u
+        if (k + 1) % (steps // checkpoints) == 0:
+            out.append(u)
+    return out
+
+
+def time_by_time(bundle, h_meas=None):
+    """The bundle behind plain callables, which are sampled one time at a
+    time."""
+    return TimeDependentBundle(lambda t: bundle.h(t), h_meas or (lambda t: bundle.h_meas(t)),
+                               bundle.coupling)
+
+
+@pytest.mark.parametrize("steps, checkpoints", [(20, 4), (21, 3), (28, 4), (29, 1), (7, 7)])
+@pytest.mark.parametrize("stacked", [True, False])
+def test_batched_steps_are_the_per_step_loop(monkeypatch, steps, checkpoints, stacked):
+    monkeypatch.setattr(adiabatic, "_STACK_BYTES", SEVEN_STEPS)
+    b = rotating_three_level(coupling=2.0, rate=0.4)
+    b = b if stacked else time_by_time(b)
+    got = list(adiabatic._midpoint_checkpoints(b, 1.0, steps, checkpoints))
+    want = per_step_checkpoints(b, 1.0, steps, checkpoints)
+    assert len(got) == checkpoints
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+def test_propagate_td_is_the_per_step_loop(stacked):
+    b = rotating_three_level(coupling=40.0)
+    b = b if stacked else time_by_time(b)
+    n = required_steps(b, 1.5)
+    [want] = per_step_checkpoints(b, 1.5, n)
+    assert np.array_equal(propagate_td(b, 1.5, n).matrix, want)
+
+
+@pytest.mark.parametrize("onset, first", [(0.0, "0.025"), (0.6, "0.625"), (0.7, "0.725")])
+def test_first_non_hermitian_time_is_reported(monkeypatch, onset, first):
+    # chunks of seven steps: 0.625 is inside the second, 0.725 opens the third
+    monkeypatch.setattr(adiabatic, "_STACK_BYTES", SEVEN_STEPS)
+    b = rotating_three_level()
+    leak = np.zeros((3, 3), dtype=complex)
+    leak[0, 1] = 1e-3
+    bad = time_by_time(b, lambda t: b.h_meas(t) + (leak if t > onset else 0))
+    with pytest.raises(ValidationError, match=f"bundle is not Hermitian at t = {first}$"):
+        propagate_td(bad, 1.0, 20)
+
+
+def test_non_hermitian_rotating_bundle_is_rejected():
+    m = three_level(1.0, 1.0)
+    h = m.h.matrix.copy()
+    h[0, 1] += 1e-3
+    b = rotating_bundle(h, m.h_meas, rotation_generator(3, 2, 3, "phase"), 0.2, 1.0)
+    with pytest.raises(ValidationError, match="bundle is not Hermitian at t = 0.025$"):
+        propagate_td(b, 1.0, 20)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_generator_is_rejected(monkeypatch, value):
+    monkeypatch.setattr(adiabatic, "_STACK_BYTES", SEVEN_STEPS)
+    b = rotating_three_level()
+
+    def h_meas(t):                  # non-finite at one midpoint only, no probe time
+        m = b.h_meas(t)
+        if abs(t - 0.725) < 1e-9:
+            m[1, 1] = value
+        return m
+
+    with pytest.raises(ValidationError, match="bundle is not Hermitian at t = 0.725$"):
+        propagate_td(time_by_time(b, h_meas), 1.0, 20)
+
+
+def test_intertwining_defect_exponentiates_independently_of_the_step_count(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return expm(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "zenosim" or name.startswith("zenosim.")) and hasattr(module, "expm"):
+            monkeypatch.setattr(module, "expm", counting)
+    b = rotating_three_level()
+    ks = [10.0, 40.0]
+    n = required_steps(b.with_coupling(ks[-1]), 1.5)
+    counts = []
+    for steps in (n, 8 * n):
+        calls.clear()
+        intertwining_defect(b, 1.5, ks, samples=10, steps=steps)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= len(ks)
 
 
 # --------------------------------------------------------------------------

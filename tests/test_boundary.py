@@ -112,6 +112,25 @@ def test_defective_couplings_exit_two(tmp_path, capsys, coupling):
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model, t_max, message", [
+    # the propagated survival overflows to NaN
+    ("four_level, params: {omega: 1e300, K: 1e300, Kp: 1.0}", "1e300",
+     "survival probability nan outside [0, 1]"),
+    # the propagated survival is fine, the closed form overflows
+    ("three_level, params: {omega: 1e200, K: 1e200}", "1e-300",
+     "result table contains non-finite values"),
+])
+def test_overflowed_results_exit_two(tmp_path, capsys, model, t_max, message):
+    scn = tmp_path / "s.yaml"
+    scn.write_text(f"model: {{kind: {model}}}\ntask: survival\n"
+                   f"time: {{t_max: {t_max}, samples: 5}}\n")
+    out = tmp_path / "out.csv"
+    assert main(["run", str(scn), "--out", str(out)]) == 2
+    assert f"numerical error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diagonalizable_matrix_file_still_exits_zero(tmp_path):
     save_matrix(tmp_path / "hm.txt", three_level(1.0, 1.0).h_meas)
     assert main(["sectors", "--matrix-file", str(tmp_path / "hm.txt")]) == 0

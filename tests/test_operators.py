@@ -1,6 +1,8 @@
 import math
 import subprocess
 import sys
+import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -343,7 +345,23 @@ MATRIX_FILES = [
      ":4: index (-1,0) out of range for dim 2"),
     ("dim 2\n0 0 nan 0\n0 5 0 0\n1 0 0 0\n1 1 1 0\n", ":2: non-finite entry"),
     ("dim 1\n0 0 2.5 0\n", [[2.5]]),
+    ("dim 3\n0 0 1 0\n1 1 1 0\n", ": 7 of 9 entries missing"),
+    ("dim 3\n0 0 1 0\n0 0 1 0\n", ":3: duplicate entry (0,0)"),
+    ("dim 3\n0 0 1 0\n1 x 1 0\n", ":3: could not parse entry '1 x 1 0'"),
 ]
+
+
+def test_short_matrix_file_is_refused_in_memory_of_its_size(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("dim 3000\n0 0 1 0")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=": 8999999 of 9000000 entries missing$"):
+            load_matrix(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("text, outcome", MATRIX_FILES)
@@ -510,6 +528,17 @@ def test_hermitian_checks_decide_as_exact_svd(seed, dim, kind, ratio, scale):
     expected = exact_is_hermitian(m)
     assert operators.is_hermitian(m) == expected
     assert (raised(Operator, m, hermitian=True) is None) == expected
+    stack = np.stack([h, m, 0 * m])
+    assert operators._hermitian_slices(stack).tolist() == [True, expected, True]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_hermitian_slices_of_non_finite_and_overflowing_matrices():
+    h = np.array([[1.0, 2 - 1j], [2 + 1j, -3.0]])
+    skew = np.array([[0, 1e-11], [0, 0]])
+    stack = np.stack([h, h * np.nan, h * np.inf, 1e200 * h, 1e200 * (h + skew)])
+    assert operators._hermitian_slices(stack).tolist() == [True, False, False, True, False]
+    assert [operators.is_hermitian(m) for m in stack[3:]] == [True, False]
 
 
 @PROPERTY
@@ -640,3 +669,10 @@ def test_import_does_not_load_scipy_linalg():
     result = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_all_names_the_public_functions_and_classes_only():
+    public = {name for name, value in vars(zenosim).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(zenosim.__all__) == len(set(zenosim.__all__))
+    assert set(zenosim.__all__) == public

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from zenosim import ValidationError, save_matrix, three_level, three_level_survival
+from zenosim import (
+    NumericalError,
+    ValidationError,
+    save_matrix,
+    three_level,
+    three_level_survival,
+)
 from zenosim.scenario import (
     ResultSeries,
     export_csv,
@@ -230,7 +236,7 @@ def test_csv_timestamp_present_by_default(tmp_path):
 def test_result_series_validation():
     with pytest.raises(ValidationError):
         ResultSeries(("a",), ((1.0, 2.0),), {})
-    with pytest.raises(ValidationError):
+    with pytest.raises(NumericalError):
         ResultSeries(("a",), ((float("nan"),),), {})
 
 

@@ -12,7 +12,6 @@ from zenosim import (
     eig,
     intertwining_defect,
     propagate_td,
-    propagate_td_interaction,
     required_steps,
     rotating_bundle,
     rotation_generator,
@@ -30,7 +29,6 @@ def bundle(coupling=10.0):
 CALLS = {
     "required_steps": required_steps,
     "propagate_td": lambda b, t: propagate_td(b, t, 400),
-    "propagate_td_interaction": lambda b, t: propagate_td_interaction(b, t, 400),
     "intertwining_defect": lambda b, t: intertwining_defect(b, t, [10.0], samples=5),
 }
 
@@ -44,9 +42,8 @@ def test_every_integrator_rejects_a_bad_horizon(name, t):
 
 @pytest.mark.parametrize("steps", [0, 2.5, None, "10"])
 def test_explicit_step_count_is_required(steps):
-    for propagate in (propagate_td, propagate_td_interaction):
-        with pytest.raises(ValidationError, match="step count must be an integer >= 1"):
-            propagate(bundle(), 1.0, steps)
+    with pytest.raises(ValidationError, match="step count must be an integer >= 1"):
+        propagate_td(bundle(), 1.0, steps)
     if steps is not None:
         with pytest.raises(ValidationError, match="step count must be an integer >= 1"):
             intertwining_defect(bundle(), 1.0, [10.0], samples=5, steps=steps)
@@ -62,7 +59,6 @@ def test_every_integrator_refuses_the_same_coarse_step():
     b = bundle(40.0)
     need = required_steps(b, 1.0)
     for call in (lambda: propagate_td(b, 1.0, need - 1),
-                 lambda: propagate_td_interaction(b, 1.0, need - 1),
                  lambda: intertwining_defect(b, 1.0, [40.0], samples=1, steps=need - 1)):
         with pytest.raises(StepResolutionError, match=f"need >= {need} steps") as info:
             call()
