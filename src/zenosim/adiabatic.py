@@ -40,6 +40,8 @@ _STEP_FRACTION = 0.1
 _TRACK_OVERLAP_FLOOR = 0.5
 # Bytes of midpoint generators stacked at once: 113 steps at d = 3, one from d = 23.
 _STACK_BYTES = 1 << 14
+# Most midpoint steps one integration may take: a few seconds at d = 3.
+_MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -123,9 +125,11 @@ def _step_plan(bundle: TimeDependentBundle, t: float, steps, checkpoints: int = 
     """Validated step count for integrating ``bundle`` over ``[0, t]``:
     ``steps`` (or, with ``resolve`` and ``steps=None``, the fewest that
     resolve both timescales) raised to a multiple of ``checkpoints``.  The
-    horizon must be finite and >= 0 and the counts integers >= 1; a step
-    above a tenth of either period raises :class:`StepResolutionError`
-    naming the tighter of the violated timescales."""
+    horizon must be finite and >= 0, the counts integers >= 1, and
+    ``bundle.h`` and ``bundle.h_meas`` finite at the nine probe times.  A
+    step above a tenth of either period raises :class:`StepResolutionError`
+    naming the tighter of the violated timescales, and so does a plan
+    above ``_MAX_STEPS`` steps, before any step is taken."""
     if not (math.isfinite(t) and t >= 0):
         raise ValidationError("horizon must be finite and non-negative")
     if not (resolve and steps is None):
@@ -133,12 +137,18 @@ def _step_plan(bundle: TimeDependentBundle, t: float, steps, checkpoints: int = 
     checkpoints = _count(checkpoints, "checkpoint count")
     # the largest norms over nine probe times
     probes = np.linspace(0.0, t, 9) if t > 0 else [0.0]
-    hn = max(snorm(np.asarray(bundle.h(s), dtype=complex)) for s in probes)
-    mn = max(snorm(np.asarray(bundle.h_meas(s), dtype=complex)) for s in probes)
+    hn = max(_probe_norm(bundle.h, s, "h") for s in probes)
+    mn = max(_probe_norm(bundle.h_meas, s, "h_meas") for s in probes)
     rates = (("system", hn), ("measurement", bundle.coupling * mn))
-    need = max(1, math.ceil(t * max(rate for _, rate in rates) / _STEP_FRACTION))
+    binding, fastest = max(rates, key=lambda kv: kv[1])
+    need = t * fastest / _STEP_FRACTION         # inf when a norm overflows
+    if not need <= _MAX_STEPS:
+        raise _ceiling_error(f"resolving the {binding} timescale over t = {t:.6g}", binding)
+    need = max(1, math.ceil(need))
     n = max(need if steps is None else steps, checkpoints)
     n += (-n) % checkpoints             # integer steps per checkpoint
+    if n > _MAX_STEPS:
+        raise _ceiling_error(f"a plan of {n} steps", binding)
     dt = t / n
     for name, rate in sorted(rates, key=lambda kv: -kv[1]):
         if rate > 0 and dt > _STEP_FRACTION / rate:
@@ -147,6 +157,19 @@ def _step_plan(bundle: TimeDependentBundle, t: float, steps, checkpoints: int = 
                 f"{_STEP_FRACTION / rate:.3e}; need >= {need} steps",
                 timescale=name)
     return n
+
+
+def _ceiling_error(what: str, timescale: str) -> StepResolutionError:
+    return StepResolutionError(f"{what} exceeds the ceiling of {_MAX_STEPS} steps",
+                               timescale=timescale)
+
+
+def _probe_norm(part: Callable[[float], np.ndarray], s: float, name: str) -> float:
+    """Spectral norm of ``part(s)``, which must be finite."""
+    m = np.asarray(part(s), dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValidationError(f"bundle {name} has NaN or Inf entries at t = {s:.6g}")
+    return snorm(m)
 
 
 def _midpoint_checkpoints(bundle: TimeDependentBundle, t: float, steps: int,
@@ -229,8 +252,16 @@ def _tracked_sectors(prev: SectorDecomposition,
                      current: SectorDecomposition) -> SectorDecomposition:
     """Reorder ``current`` to follow ``prev`` by maximal projector overlap.
 
-    Overlap is ``Tr[P_prev P_new] / rank``; any matched pair below 0.5 is
-    treated as an eigenvalue crossing and refused.
+    Overlap is ``Tr[P_prev P_new] / rank``; each previous sector follows the
+    current sector of its largest overlap.  When these row-wise maxima
+    pick every current sector once, the matching maximizes the summed
+    overlap, since the sum of the row maxima bounds that of every
+    assignment.  Any matched pair below 0.5 is treated as an eigenvalue
+    crossing and refused, and so is a matching that picks some sector
+    twice: for complete Hermitian decompositions each row of overlaps sums
+    to 1, so at most one entry per row exceeds 0.5, and the best assignment
+    would then have matched some pair at or below 0.5 as well (below it,
+    except at exact ties).
     """
     if len(prev) != len(current):
         raise SectorTrackingError(
@@ -238,10 +269,11 @@ def _tracked_sectors(prev: SectorDecomposition,
     pp, pc = (np.array([p.matrix for p in dec.projectors]) for dec in (prev, current))
     ranks = np.array([p.rank for p in prev.projectors])
     overlap = np.trace(pp[:, None] @ pc, axis1=2, axis2=3).real / ranks[:, None]
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(-overlap)        # rows are 0, 1, ..., n - 1
-    for i, j in zip(rows, cols):
+    cols = np.argmax(overlap, axis=1)
+    if len(set(cols.tolist())) < len(cols):
+        raise SectorTrackingError(
+            "two sectors follow the same sector; the path crosses eigenvalues")
+    for i, j in enumerate(cols):
         if overlap[i, j] < _TRACK_OVERLAP_FLOOR:
             raise SectorTrackingError(
                 f"sector overlap {overlap[i, j]:.3f} below {_TRACK_OVERLAP_FLOOR}; "

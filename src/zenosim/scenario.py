@@ -24,7 +24,7 @@ from . import __version__
 from .adiabatic import intertwining_defect, rotating_bundle
 from .continuous import (
     CoupledHamiltonian,
-    nonadiabatic_defect,
+    _defect_sweep,
     zeno_sectors,
 )
 from .errors import NumericalError, ValidationError
@@ -45,13 +45,11 @@ from .operators import (
     load_matrix,
     offblock_norm,
     projector_from_columns,
-    snorm,
 )
 from .pulsed import (
+    _pulsed_errors,
     _survival_grid,
     nonselective_evolve,
-    pulsed_limit,
-    pulsed_propagator,
 )
 
 _DEFAULT_T_MAX = 10.0
@@ -462,19 +460,16 @@ def _sectors(s, hk, cluster_tol, md) -> ResultSeries:
 
 def _sweep_k(s, hk, cluster_tol, md) -> ResultSeries:
     sectors = zeno_sectors(hk, cluster_tol=cluster_tol)
-    rows = [(float(k), nonadiabatic_defect(hk.with_coupling(k), s.t_max, sectors=sectors))
-            for k in s.sweep_values]
+    ks = [float(k) for k in s.sweep_values]
+    rows = list(zip(ks, _defect_sweep(hk, s.t_max, ks, sectors)))
     return _with_slope(("K", "defect"), rows, md)
 
 
 def _sweep_n(s, hk, cluster_tol, md) -> ResultSeries:
     sectors = zeno_sectors(hk, cluster_tol=cluster_tol)
-    v0 = _initial_vector(s, hk.dim)
-    proj = _sector_projector(sectors, v0)
-    h = hk.total()
-    lim = pulsed_limit(h, proj, s.t_max).matrix
-    rows = [(int(n), snorm(pulsed_propagator(h, proj, int(n), s.t_max).matrix - lim))
-            for n in s.sweep_values]
+    proj = _sector_projector(sectors, _initial_vector(s, hk.dim))
+    ns = [int(n) for n in s.sweep_values]
+    rows = list(zip(ns, _pulsed_errors(hk.total(), proj, ns, s.t_max)))
     return _with_slope(("N", "error"), rows, md)
 
 

@@ -1,0 +1,471 @@
+"""One decomposition per sweep grid.
+
+The sweep tasks diagonalize each operator once per grid and work in the
+sector basis that decomposition gives.  Each sector-basis form is checked
+here against the dense computation it replaces, on random Hermitian and
+near-degenerate couplings: the block diagnostics, the grid-shared
+exponentials, the sweep-N error on the rank x rank core, the sweep-K limit
+propagators and the blockwise nonselective step, with the size rules
+that choose between the blocked and the dense forms.  The sector-transport
+guards (overlap tracking without an assignment solver, the step ceiling
+and the finiteness of the probes) close the file.
+"""
+
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import zenosim
+from zenosim import (
+    CoupledHamiltonian,
+    DensityMatrix,
+    Operator,
+    SectorDecomposition,
+    SectorTrackingError,
+    StepResolutionError,
+    TimeDependentBundle,
+    ValidationError,
+    as_operator,
+    decay_model,
+    eig,
+    expm,
+    nonadiabatic_defect,
+    nonselective_evolve,
+    offblock_norm,
+    projector_from_columns,
+    propagate_td,
+    pulsed_limit,
+    pulsed_propagator,
+    required_steps,
+    snorm,
+    three_level,
+    zeno_propagator,
+)
+from zenosim import operators, pulsed
+from zenosim.adiabatic import _tracked_sectors
+from zenosim.cli import main
+from zenosim import continuous
+from zenosim.continuous import _blocked_limits, _defect_sweep
+from zenosim.operators import Sector, block_diagonal_part, fnorm
+from zenosim.pulsed import _blockwise_chain, _dense_chain, _pulsed_errors
+
+from conftest import random_hermitian
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _sizes(draw, d):
+    """Random sector ranks summing to ``d``."""
+    outcomes = draw(st.integers(1, d))
+    cuts = sorted(draw(st.lists(st.integers(1, d - 1), min_size=outcomes - 1,
+                                max_size=outcomes - 1, unique=True)))
+    return np.diff([0, *cuts, d])
+
+
+@st.composite
+def couplings(draw, max_dim=10):
+    """``(H, H_meas)``: a random Hermitian system part and a measurement
+    coupling that is nondegenerate (GUE), exactly degenerate, or
+    near-degenerate (each cluster spread by up to 1e-10, far inside the
+    default cluster tolerance)."""
+    d = draw(st.integers(2, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gue", "degenerate", "near-degenerate"]))
+    if kind == "gue":
+        hm = random_hermitian(rng, d)
+    else:
+        ranks = _sizes(draw, d)
+        eta = np.repeat(np.arange(len(ranks), dtype=float), ranks)
+        if kind == "near-degenerate":
+            eta = eta + rng.uniform(-1e-10, 1e-10, d)
+        v = _unitary(rng, d)
+        hm = (v * eta) @ v.conj().T
+        hm = (hm + hm.conj().T) / 2
+    h = random_hermitian(rng, d) * draw(st.floats(0.1, 3.0))
+    return as_operator(h), as_operator(hm), rng
+
+
+# --------------------------------------------------------------------------
+# sectors of eig carry their eigh columns; resolution checked once
+
+
+@PROPERTY
+@given(couplings())
+def test_eig_sectors_resolve_the_identity_with_their_eigh_columns(problem):
+    _, hm, _ = problem
+    sectors = eig(hm)
+    sectors.validate_resolution()
+    d = sectors.dim
+    assert sectors.completeness_defect() <= 1e-10 * d
+    assert sectors.orthogonality_defect() <= 1e-10
+    for s in sectors:
+        q = s.projector.basis
+        assert q.shape == (d, s.multiplicity) and not q.flags.writeable
+        assert np.array_equal(q @ q.conj().T, s.projector.matrix)
+        assert np.max(np.abs(q.conj().T @ q - np.eye(s.multiplicity))) <= 1e-13
+
+
+def test_eig_sector_basis_needs_no_further_eigh(rng, monkeypatch):
+    sectors = eig(random_hermitian(rng, 12))
+
+    def no_eigh(a):
+        raise AssertionError("eigh called")
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert all(s.projector.basis.shape == (12, 1) for s in sectors)
+
+
+def test_passed_resolution_is_recorded_and_a_failed_one_is_not(rng, monkeypatch):
+    calls = []
+    real = operators._norm_exceeds
+    monkeypatch.setattr(operators, "_norm_exceeds",
+                        lambda r, b: calls.append(1) or real(r, b))
+    sectors = eig(random_hermitian(rng, 6))
+    sectors.validate_resolution()
+    assert calls
+    calls.clear()
+    sectors.validate_resolution()
+    assert calls == []
+
+    half = SectorDecomposition((sectors.sectors[0],), sectors.cluster_tol, 6)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="do not resolve the identity"):
+            half.validate_resolution()
+
+
+# --------------------------------------------------------------------------
+# block diagnostics through Q_n^dag A Q_n
+
+
+@PROPERTY
+@given(couplings(), st.booleans(), st.floats(1e-3, 1e3))
+def test_block_diagnostics_match_the_dense_sandwich(problem, from_columns, scale):
+    _, hm, rng = problem
+    sectors = eig(hm)
+    d = sectors.dim
+    if from_columns:  # projectors whose basis comes from eigh(P) on first use
+        sectors = SectorDecomposition(
+            tuple(Sector(s.eigenvalue, projector_from_columns(s.projector.basis))
+                  for s in sectors), sectors.cluster_tol, d)
+    a = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    dense = sum(s.projector.matrix @ a @ s.projector.matrix for s in sectors)
+    bound = 1e-12 * snorm(a)
+    assert np.max(np.abs(block_diagonal_part(a, sectors) - dense)) <= bound
+    assert abs(offblock_norm(a, sectors) - fnorm(a - dense)) <= bound
+
+
+# --------------------------------------------------------------------------
+# exponentials shared over a grid
+
+
+@PROPERTY
+@given(couplings(), st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6))
+def test_grid_shared_expm_is_bit_identical_to_a_fresh_call(problem, ts):
+    h, _, _ = problem
+    shared = [expm(h, t).matrix for t in ts]
+    fresh = [expm(Operator(h.matrix.copy(), hermitian=True), t).matrix for t in ts]
+    assert all(np.array_equal(a, b) for a, b in zip(shared, fresh))
+
+
+def test_one_eigh_serves_every_exponential_of_an_operator(rng, monkeypatch):
+    h = as_operator(random_hermitian(rng, 5))
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or real(a))
+    for n in (1, 2, 4, 8):
+        expm(h, 1.0 / n)
+    assert len(calls) == 1
+    with pytest.raises(ValidationError, match="requires a Hermitian operator"):
+        Operator(np.array([[0, 1], [0, 0]]))._eigh
+
+
+# --------------------------------------------------------------------------
+# sweep-N on the rank x rank core
+
+
+@PROPERTY
+@given(couplings(), st.lists(st.integers(1, 60), min_size=1, max_size=4, unique=True),
+       st.floats(0.0, 3.0), st.data())
+def test_core_errors_match_the_full_dimension_difference(problem, ns, t, data):
+    h, hm, _ = problem
+    sectors = eig(hm)
+    p = sectors.sectors[data.draw(st.integers(0, len(sectors) - 1))].projector
+    hk = h.matrix + hm.matrix
+    got = _pulsed_errors(as_operator(hk), p, ns, t)
+    lim = pulsed_limit(hk, p, t).matrix
+    want = [snorm(pulsed_propagator(hk, p, n, t).matrix - lim) for n in ns]
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+@PROPERTY
+@given(couplings(), st.integers(1, 200), st.floats(0.0, 20.0), st.data())
+def test_selective_chain_contracts(problem, n, t, data):
+    h, hm, _ = problem
+    sectors = eig(hm)
+    p = sectors.sectors[data.draw(st.integers(0, len(sectors) - 1))].projector
+    v = pulsed_propagator(h.matrix + hm.matrix, p, n, t).matrix
+    assert snorm(v) <= 1.0 + 1e-12 * p.dim
+    assert snorm(v - p.matrix @ v @ p.matrix) <= 1e-12
+
+
+def test_core_errors_refuse_a_non_hermitian_hamiltonian():
+    hk = decay_model(1.0, 1.0, 2.0)
+    p = projector_from_columns(np.array([[1.0], [0.0], [0.0]]))
+    with pytest.raises(ValidationError, match="requires a Hermitian Hamiltonian"):
+        _pulsed_errors(hk.total(), p, [4], 1.0)
+
+
+# --------------------------------------------------------------------------
+# sweep-K limit from the blocked Hamiltonian
+
+
+@PROPERTY
+@given(couplings(), st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4),
+       st.floats(0.0, 2.0))
+def test_blocked_limits_match_zeno_propagator(problem, ks, t):
+    h, hm, _ = problem
+    hk = CoupledHamiltonian(h, hm, 1.0)
+    sectors = eig(hm)
+    for k, limit in zip(ks, _blocked_limits(hk, t, ks, sectors)):
+        want = zeno_propagator(hk.with_coupling(k), t, sectors=sectors).matrix
+        assert np.max(np.abs(limit - want)) <= 1e-12
+
+
+def _spy_blocked(monkeypatch):
+    calls = []
+    real = continuous._blocked_limits
+    monkeypatch.setattr(continuous, "_blocked_limits",
+                        lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_large_hermitian_sweeps_take_the_blocked_limits(rng, monkeypatch):
+    d = 40
+    v = _unitary(rng, d)
+    hm = (v * np.repeat([0.0, 1.0, 2.0, 3.0], d // 4)) @ v.conj().T
+    hk = CoupledHamiltonian(as_operator(random_hermitian(rng, d)),
+                            as_operator((hm + hm.conj().T) / 2), 1.0)
+    sectors = eig(hk.h_meas)
+    ks = [10.0, 20.0, 40.0]
+    calls = _spy_blocked(monkeypatch)
+    got = _defect_sweep(hk, 1.0, ks, sectors)
+    assert calls == [1]
+    want = [nonadiabatic_defect(hk.with_coupling(k), 1.0, sectors=sectors) for k in ks]
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+def _system(d, skew=0.0):
+    rng = np.random.default_rng(7)
+    h = random_hermitian(rng, d) - 1j * skew * np.eye(d)
+    v = _unitary(rng, d)
+    hm = (v * np.repeat([0.0, 1.0], d // 2)) @ v.conj().T
+    return CoupledHamiltonian(as_operator(h), as_operator((hm + hm.conj().T) / 2), 1.0)
+
+
+def _incomplete(hk):
+    sectors = eig(hk.h_meas)
+    return SectorDecomposition(sectors.sectors[:1], sectors.cluster_tol, hk.dim,
+                               complete=False)
+
+
+@pytest.mark.parametrize("hk, sectors", [
+    (three_level(1.0, 1.0), None),                  # below the crossover
+    (_system(40, skew=0.1), None),                  # non-Hermitian H
+    (zenosim.cavity(1.0, 1.0, 4).hk, None),         # non-Hermitian coupling
+    (_system(40), _incomplete(_system(40))),        # incomplete decomposition
+])
+def test_other_inputs_keep_zeno_propagator(hk, sectors, monkeypatch):
+    sectors = sectors or zenosim.zeno_sectors(hk)
+    ks = [1.0, 4.0]
+    calls = _spy_blocked(monkeypatch)
+    got = _defect_sweep(hk, 1.5, ks, sectors)
+    assert calls == []
+    assert got == [nonadiabatic_defect(hk.with_coupling(k), 1.5, sectors=sectors)
+                   for k in ks]
+
+
+# --------------------------------------------------------------------------
+# nonselective chain: blockwise against dense
+
+
+@PROPERTY
+@given(st.integers(2, 40), st.integers(1, 20), st.booleans(), st.data())
+def test_blockwise_step_matches_the_dense_step(d, n, project_final, data):
+    sizes = _sizes(data.draw, d)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = _unitary(rng, d)
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    start = float((rho * (label[:, None] == label[None, :])).trace().real)
+    dense = _dense_chain(u, rho, sizes, n, project_final)
+    edges = np.cumsum([0, *sizes])
+    blocks = [rho[a:b, a:b] for a, b in zip(edges[:-1], edges[1:])]
+    blockwise = _blockwise_chain(u, blocks, n, project_final)
+    assert np.max(np.abs(blockwise - dense)) <= 1e-13
+    assert abs(blockwise.trace().real - start) <= 1e-13
+
+
+def _spy_blockwise(monkeypatch):
+    calls = []
+    real = pulsed._blockwise_chain
+    monkeypatch.setattr(pulsed, "_blockwise_chain",
+                        lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("project_final", [True, False])
+def test_large_inputs_take_the_blockwise_step(rng, monkeypatch, project_final):
+    d = 64
+    v = _unitary(rng, d)
+    hm = (v * np.repeat([0.0, 1.0], d // 2)) @ v.conj().T
+    sectors = eig(as_operator((hm + hm.conj().T) / 2))
+    h = random_hermitian(rng, d)
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    rho0 = DensityMatrix.pure(psi)
+    calls = _spy_blockwise(monkeypatch)
+    out = nonselective_evolve(h, sectors, 6, 1.0, rho0, project_final=project_final)
+    assert calls == [1]
+    ps = [s.projector.matrix for s in sectors]
+    u = expm(h, 1.0 / 6).matrix
+    rho = sum(p @ rho0.matrix @ p for p in ps)
+    for k in range(6):
+        rho = u @ rho @ u.conj().T
+        if k < 5 or project_final:
+            rho = sum(p @ rho @ p for p in ps)
+    assert np.max(np.abs(out.matrix - rho)) <= 1e-12
+    assert abs(out.trace - 1.0) <= 1e-12
+
+
+def _measured(d, outcomes):
+    rng = np.random.default_rng(3)
+    v = _unitary(rng, d)
+    hm = (v * np.repeat(np.arange(outcomes, dtype=float), d // outcomes)) @ v.conj().T
+    return CoupledHamiltonian(as_operator(random_hermitian(rng, d)),
+                              as_operator((hm + hm.conj().T) / 2), 2.0)
+
+
+@pytest.mark.parametrize("hk", [three_level(1.0, 2.0),   # small
+                                _measured(32, 2),        # below the dimension floor
+                                _measured(64, 8)])       # 8 dimensions per sector
+def test_other_inputs_stay_on_the_dense_step(hk, monkeypatch):
+    sectors = zenosim.zeno_sectors(hk)
+    calls = _spy_blockwise(monkeypatch)
+    nonselective_evolve(hk.total(), sectors, 8, 1.0, DensityMatrix.pure(np.ones(hk.dim)))
+    assert calls == []
+
+
+# --------------------------------------------------------------------------
+# sector transport: tracking, step ceiling, finite probes
+
+
+def _rotation(i, j, angle):
+    g = np.zeros((3, 3), dtype=complex)
+    g[i, j], g[j, i] = -1j, 1j
+    return expm(g, angle).matrix
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_tracking_matches_the_optimal_assignment(seed, angle):
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(seed)
+    d = 5
+    v = _unitary(rng, d)
+    hm = (v * np.array([0.0, 0.0, 1.0, 2.0, 2.0])) @ v.conj().T
+    g = random_hermitian(rng, d)
+    r = expm(g, angle).matrix
+    prev, current = eig(as_operator(hm)), eig(as_operator(r @ hm @ r.conj().T))
+    perm = rng.permutation(len(current))
+    current = SectorDecomposition(tuple(current.sectors[j] for j in perm),
+                                  current.cluster_tol, d)
+    overlap = np.array([[np.trace(p.matrix @ c.matrix).real / p.rank
+                         for c in current.projectors] for p in prev.projectors])
+    _, cols = linear_sum_assignment(-overlap)
+    if overlap[np.arange(len(cols)), cols].min() < 0.5:
+        with pytest.raises(SectorTrackingError):
+            _tracked_sectors(prev, current)
+        return
+    tracked = _tracked_sectors(prev, current)
+    assert [s.eigenvalue for s in tracked] == [current.sectors[j].eigenvalue for j in cols]
+
+
+def test_tracking_refuses_two_sectors_following_one():
+    eta = np.diag([1.0, 2.0, 3.0])
+    u = _rotation(0, 1, 0.7) @ _rotation(1, 2, 0.7)
+    prev, current = eig(as_operator(eta)), eig(as_operator(u @ eta @ u.conj().T))
+    with pytest.raises(SectorTrackingError, match="follow the same sector"):
+        _tracked_sectors(prev, current)
+
+
+def test_intertwine_needs_no_assignment_solver():
+    src = str(Path(zenosim.__file__).resolve().parents[1])
+    code = ("import sys, zenosim\n"
+            "m = zenosim.three_level(1.0, 10.0)\n"
+            "g = zenosim.rotation_generator(3, 2, 3, 'phase')\n"
+            "b = zenosim.rotating_bundle(m.h.matrix, m.h_meas, g, 0.2, 10.0)\n"
+            "zenosim.intertwining_defect(b, 1.0, [10.0], samples=4)\n"
+            "sys.exit('scipy.optimize' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
+INTERTWINE = """model: {kind: three_level, params: {omega: 1.0, K: 1.0}}
+task: intertwine
+time: {t_max: %s, samples: 2}
+sweep: {K: [%s]}
+rotation: {kind: phase, levels: [2, 3], rate: %s}
+"""
+
+
+def test_unresolvable_coupling_is_refused_before_integrating(tmp_path, capsys):
+    path = tmp_path / "huge.yaml"
+    path.write_text(INTERTWINE % (1.5, "1e12", 0.2))
+    start = time.perf_counter()
+    assert main(["run", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the ceiling of 1000000 steps" in capsys.readouterr().err
+
+
+def test_explicit_step_count_above_the_ceiling_is_refused():
+    m = three_level(1.0, 1.0)
+    bundle = zenosim.constant_bundle(m)
+    start = time.perf_counter()
+    with pytest.raises(StepResolutionError, match="plan of 1000001 steps exceeds"):
+        propagate_td(bundle, 1.0, 10**6 + 1)
+    assert time.perf_counter() - start < 1.0
+    propagate_td(bundle, 1.0, 1000)
+
+
+def _nan_after_half():
+    hm = np.diag([1.0, -1.0, 0.0]).astype(complex)
+    return TimeDependentBundle(h=lambda t: np.zeros((3, 3)),
+                               h_meas=lambda t: hm * (np.nan if t > 0.5 else 1.0),
+                               coupling=2.0)
+
+
+@pytest.mark.parametrize("call", [lambda b: required_steps(b, 1.0),
+                                  lambda b: propagate_td(b, 1.0, 100)])
+def test_non_finite_probe_names_its_time(call):
+    with pytest.raises(ValidationError, match="h_meas has NaN or Inf entries at t = 0.625"):
+        call(_nan_after_half())
+
+
+def test_non_finite_bundle_exits_one(tmp_path, capsys):
+    path = tmp_path / "overflow.yaml"
+    path.write_text(INTERTWINE % (10, "10", "1e308"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", str(path), "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert "h_meas has NaN or Inf entries at t = 2.5" in capsys.readouterr().err
