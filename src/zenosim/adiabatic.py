@@ -101,8 +101,10 @@ def rotating_bundle(h0, h_meas0, generator, rate: float,
     w, v = np.linalg.eigh(gen.matrix)
 
     def h_meas(t):          # t may be an array of times
-        r = (v * np.exp(-1j * (rate * np.asarray(t))[..., None] * w)[..., None, :]) @ v.conj().T
-        return r @ hm0.matrix @ np.swapaxes(r.conj(), -1, -2)
+        # an overflowing rate * t gives NaN entries, which the integrator reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = (v * np.exp(-1j * (rate * np.asarray(t))[..., None] * w)[..., None, :]) @ v.conj().T
+            return r @ hm0.matrix @ np.swapaxes(r.conj(), -1, -2)
 
     return _StackedBundle(h=lambda t: h, h_meas=h_meas, coupling=coupling)
 

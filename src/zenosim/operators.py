@@ -26,13 +26,13 @@ Conventions
   bounds, and a residual bound ``||R|| <= b`` passes outright when
   ``||R||_F <= b``.  Both sides carry a relative slack ``_ROUNDING``
   that covers the rounding of the Frobenius sum and of the SVD.
-* :func:`eig` certifies the idempotency of all Hermitian sector
-  projectors at once from ``e = ||V^dag V - I||_F`` of the ``eigh``
-  eigenvectors: ``||P^2 - P|| <= (1 + e) e`` plus a stated rounding term
-  (:func:`_idempotency_certified`).  Certified projectors keep their
-  ``eigh`` columns as :attr:`Projector.basis`, through which the block
-  diagnostics and the chains work.  When the certificate does not reach
-  ``IDEMPOTENCY_TOL * dim``, every projector is checked in full.
+* The Hermitian sectors of :func:`eig` are held by their ``eigh`` columns
+  (:attr:`Projector.basis`), through which the block diagnostics and the
+  chains work; a sector's ``matrix = fl(Q Q^dag)`` is formed when read.
+  One ``e = ||V^dag V - I||_F`` proves that every such matrix passes the
+  projector checks and that the sectors resolve the identity, which is
+  recorded at construction (:func:`_eigh_certificate`); without that
+  certificate, every projector and the resolution are checked in full.
 * Non-Hermitian sectors, the real-eigenvalue (decoherence-free) ones
   included, come from one eigenvector routine and carry the measured
   condition number of their spectral projector; a cluster whose eigenvector
@@ -229,25 +229,47 @@ def as_operator(a, hermitian: bool | None = None) -> Operator:
 
 @dataclass(frozen=True)
 class Projector:
-    """Orthogonal projector: Hermitian, idempotent, integer trace."""
+    """Orthogonal projector: Hermitian, idempotent, integer trace.  A sector
+    of :func:`eig` is held by its :attr:`basis` and forms its matrix when read."""
 
     matrix: np.ndarray
     rank: int
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _projector_matrix(self.matrix, self.rank))
+        m = np.array(self.matrix, dtype=complex, order="C")
+        _check_finite(m, "projector")
+        n = m.shape[0]
+        if m.ndim != 2 or m.shape[1] != n:
+            raise ValidationError(f"projector must be square, got shape {m.shape}")
+        if not _within_scaled(_hermitian_deviation(m), m,
+                              lambda norm: HERMITIAN_RTOL * max(1.0, norm)):
+            raise ValidationError("projector is not Hermitian")
+        if _norm_exceeds(m @ m - m, IDEMPOTENCY_TOL * n):
+            raise ValidationError("projector is not idempotent")
+        tr = m.trace().real
+        if abs(tr - self.rank) > TRACE_RANK_TOL * max(1, n):
+            raise ValidationError(f"projector trace {tr:.12g} does not match rank {self.rank}")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    def __getattr__(self, name):    # the first read of a basis-held projector's matrix
+        if name != "matrix" or "basis" not in self.__dict__:
+            raise AttributeError(name)
+        m = self.basis @ self.basis.conj().T
+        m.setflags(write=False)
+        self.__dict__["matrix"] = m
+        return m
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.__dict__.get("matrix", self.__dict__.get("basis")).shape[0]
 
     @cached_property
     def basis(self) -> np.ndarray:
-        """Orthonormal ``dim x rank`` basis ``Q`` of the range, ``P = Q Q^dag``
-        (computed once, read-only).  The Hermitian sectors of :func:`eig`
-        carry the ``eigh`` eigenvectors their matrix was built from, so
-        ``P = fl(Q Q^dag)`` bit for bit; any other projector takes the
-        eigenvectors of its matrix with eigenvalue above 1/2."""
+        """Orthonormal ``dim x rank`` basis ``Q`` of the range (read-only):
+        the ``eigh`` columns of a sector of :func:`eig`, whose matrix is
+        ``fl(Q Q^dag)`` bit for bit, else the eigenvectors of the matrix with
+        eigenvalue above 1/2 (computed once)."""
         w, v = np.linalg.eigh(self.matrix)
         cols = v[:, w > 0.5]
         if cols.shape[1] != self.rank:
@@ -265,40 +287,11 @@ class Projector:
         return as_matrix(other) @ self.matrix
 
 
-def _projector_matrix(matrix, rank: int, idempotency_certified: bool = False) -> np.ndarray:
-    """Validated read-only copy of a projector matrix (Hermitian,
-    idempotent unless the caller certified it, trace equal to ``rank``)."""
-    m = np.array(matrix, dtype=complex, order="C")
-    _check_finite(m, "projector")
-    n = m.shape[0]
-    if m.ndim != 2 or m.shape[1] != n:
-        raise ValidationError(f"projector must be square, got shape {m.shape}")
-    if not _within_scaled(_hermitian_deviation(m), m,
-                          lambda norm: HERMITIAN_RTOL * max(1.0, norm)):
-        raise ValidationError("projector is not Hermitian")
-    if not idempotency_certified and _norm_exceeds(m @ m - m, IDEMPOTENCY_TOL * n):
-        raise ValidationError("projector is not idempotent")
-    tr = m.trace().real
-    if abs(tr - rank) > TRACE_RANK_TOL * max(1, n):
-        raise ValidationError(f"projector trace {tr:.12g} does not match rank {rank}")
-    m.setflags(write=False)
-    return m
-
-
-def _eigh_projector(cols: np.ndarray, certified: bool) -> Projector:
-    """Projector ``cols cols^dag`` onto ``eigh`` eigenvectors.  When
-    :func:`eig` has certified their orthonormality in batch, only the
-    Hermiticity and trace checks run and the columns become the
-    :attr:`Projector.basis`; otherwise the projector is checked in full."""
-    m = cols @ cols.conj().T
-    if not certified:
-        return Projector(m, rank=cols.shape[1])
+def _eigh_projector(cols: np.ndarray) -> Projector:
+    """Projector held by ``eigh`` columns that :func:`_eigh_certificate` certified."""
     p = object.__new__(Projector)
-    object.__setattr__(p, "matrix", _projector_matrix(m, cols.shape[1],
-                                                      idempotency_certified=True))
-    object.__setattr__(p, "rank", cols.shape[1])
     cols.setflags(write=False)
-    p.__dict__["basis"] = cols
+    p.__dict__.update(rank=cols.shape[1], basis=cols)
     return p
 
 
@@ -352,16 +345,13 @@ class SectorDecomposition:
     dropped: tuple[tuple[complex, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        for s in self.sectors:
-            if s.projector.dim != self.dim:
-                raise ValidationError("sector projector dimension mismatch")
-        values = [s.eigenvalue for s in self.sectors]
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                if abs(values[i] - values[j]) <= self.cluster_tol:
-                    raise ValidationError(
-                        "sector eigenvalues are not distinct at the cluster tolerance"
-                    )
+        if any(s.projector.dim != self.dim for s in self.sectors):
+            raise ValidationError("sector projector dimension mismatch")
+        values = self.eigenvalues.astype(complex)
+        close = np.abs(values[:, None] - values) <= self.cluster_tol
+        close.flat[::len(values) + 1] = False                  # |a - b| = |b - a|: any pair
+        if close.any():
+            raise ValidationError("sector eigenvalues are not distinct at the cluster tolerance")
 
     def __iter__(self):
         return iter(self.sectors)
@@ -388,17 +378,17 @@ class SectorDecomposition:
     def completeness_defect(self) -> float:
         return snorm(self._identity_residual())
 
+    def _pair_products(self):
+        return (si.projector.matrix @ sj.projector.matrix
+                for i, si in enumerate(self.sectors) for sj in self.sectors[i + 1:])
+
     def orthogonality_defect(self) -> float:
-        worst = 0.0
-        for i, si in enumerate(self.sectors):
-            for sj in self.sectors[i + 1:]:
-                worst = max(worst, snorm(si.projector.matrix @ sj.projector.matrix))
-        return worst
+        return max(map(snorm, self._pair_products()), default=0.0)
 
     def validate_resolution(self) -> None:
         """Assert completeness and mutual orthogonality (Hermitian case).
         The decomposition is immutable, so a passed check is recorded on it
-        and not repeated."""
+        and not repeated; :func:`eig` records a certified one at construction."""
         if self.__dict__.get("_resolved"):
             return
         if not self.complete:
@@ -406,12 +396,9 @@ class SectorDecomposition:
         if _norm_exceeds(self._identity_residual(), COMPLETENESS_TOL * self.dim):
             raise ValidationError(
                 f"projectors do not resolve the identity ({self.completeness_defect():.3e})")
-        for i, si in enumerate(self.sectors):
-            for sj in self.sectors[i + 1:]:
-                if _norm_exceeds(si.projector.matrix @ sj.projector.matrix, ORTHOGONALITY_TOL):
-                    raise ValidationError(
-                        "projectors are not mutually orthogonal "
-                        f"({self.orthogonality_defect():.3e})")
+        if any(_norm_exceeds(pp, ORTHOGONALITY_TOL) for pp in self._pair_products()):
+            raise ValidationError(
+                f"projectors are not mutually orthogonal ({self.orthogonality_defect():.3e})")
         self.__dict__["_resolved"] = True
 
 
@@ -502,7 +489,7 @@ def expm(a, t: float | complex = 1.0) -> Operator:
 
 def default_cluster_tol(a) -> float:
     """Default clustering tolerance, 1e-8 * max(1, ||A||)."""
-    return DEFAULT_CLUSTER_RTOL * max(1.0, snorm(a))
+    return _cluster_tol(lambda: snorm(a), None)
 
 
 def real_eigenvalue_tol(a) -> float:
@@ -529,12 +516,9 @@ def cluster_values(values: np.ndarray, tol: float) -> list[list[int]]:
         return i
 
     dist = np.abs(vals[:, None] - vals[None, :])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i, j] <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    for i, j in np.argwhere(dist <= tol).tolist():     # row-major, as a loop over pairs
+        if i < j:
+            parent[find(i)] = find(j)
 
     groups: dict[int, list[int]] = {}
     for i in range(n):
@@ -556,11 +540,11 @@ def cluster_values(values: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
-def _cluster_tol(op: Operator, cluster_tol) -> float:
-    """The clustering tolerance of a decomposition of ``op``: the default
-    when None, else a finite value >= 0."""
+def _cluster_tol(norm, cluster_tol) -> float:
+    """The clustering tolerance of a decomposition: the default for an
+    operator of spectral norm ``norm()`` when None, else a finite value >= 0."""
     if cluster_tol is None:
-        return default_cluster_tol(op)
+        return DEFAULT_CLUSTER_RTOL * max(1.0, norm())
     tol = float(cluster_tol)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"cluster tolerance must be finite and >= 0, got {tol!r}")
@@ -582,15 +566,17 @@ def eig(a, cluster_tol: float | None = None,
     op = as_operator(a)
     if not op.hermitian:
         return _eigenvector_sectors(op, cluster_tol, max_condition)
-    tol = _cluster_tol(op, cluster_tol)
     w, v = op._eigh
+    tol = _cluster_tol(lambda: float(np.abs(w).max()), cluster_tol)    # ||A|| = max |w|
     clusters = cluster_values(w, tol)
-    certified = _idempotency_certified(v)
-    sectors = []
-    for idx in clusters:
-        sectors.append(Sector(complex(np.mean(w[idx])), _eigh_projector(v[:, idx], certified),
-                              condition=1.0))
-    return SectorDecomposition(tuple(sectors), tol, op.dim, complete=True)
+    held, resolved = _eigh_certificate(v, max(map(len, clusters)))
+    sectors = tuple(
+        Sector(complex(np.mean(w[idx])), _eigh_projector(v[:, idx]) if held
+               else Projector(v[:, idx] @ v[:, idx].conj().T, rank=len(idx)))
+        for idx in clusters)
+    dec = SectorDecomposition(sectors, tol, op.dim, complete=True)
+    dec.__dict__["_resolved"] = resolved
+    return dec
 
 
 def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
@@ -606,7 +592,7 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
     eigenvalues with ``|Im eta| <= real_eigenvalue_tol(op)``, reports their
     real parts and marks the decomposition incomplete.
     """
-    tol = _cluster_tol(op, cluster_tol)
+    tol = _cluster_tol(lambda: snorm(op), cluster_tol)
     w, vr = np.linalg.eig(op.matrix)
     keep = (np.flatnonzero(np.abs(w.imag) <= real_eigenvalue_tol(op)) if real_only
             else np.arange(w.size))
@@ -630,30 +616,45 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
                                dropped=tuple(dropped))
 
 
-def _idempotency_certified(v: np.ndarray) -> bool:
-    """Whether ``e = ||V^dag V - I||_F`` proves that ``M = fl(C C^dag)``
-    passes the projector idempotency check for every column subset ``C``
-    of ``V``.
+def _eigh_certificate(v: np.ndarray, rank: int) -> tuple[bool, bool]:
+    """``(held, resolved)`` from ``e = ||V^dag V - I||_F`` of the ``d x d``
+    ``eigh`` eigenvectors ``V``.  ``held``: ``M = fl(C C^dag)`` passes the
+    :class:`Projector` checks for every set ``C`` of at most ``rank``
+    columns.  ``resolved``: the ``M_n`` of a partition of the columns into
+    such sets pass :meth:`SectorDecomposition.validate_resolution`.
 
-    In exact arithmetic ``(C C^dag)^2 - C C^dag = C G C^dag`` with
-    ``G = C^dag C - I`` a principal submatrix of ``V^dag V - I``, so its
-    norm is at most ``||C||^2 ||G|| <= (1 + e) e``.  The rounding term
-    bounds what floating point adds: ``g = 8 (d + 1) u`` overstates the
-    elementwise error ``sqrt(2) gamma_{d+2}`` of a length-``d`` complex
-    inner product, which enters through the computed ``e``, the product
-    ``C C^dag`` (``eta1``) and ``M @ M`` (``eta2``); the remaining
-    subtraction and the SVD of the exact check fit in ``_ROUNDING``.  The
-    rounding term is about ``32 d^2 u``: 1.4e-10 at d = 200, against the
-    ``IDEMPOTENCY_TOL * d = 2e-8`` it has to stay under.
+    ``g_n = 8 (n + 1) u`` overstates the elementwise error of a length-``n``
+    complex inner product, ``sqrt(2) gamma_{n+2} |a|^T |b|``; ``e`` adds the
+    rounding of ``V^dag V`` to the computed norm.  ``G = C^dag C - I`` is a
+    principal submatrix of ``V^dag V - I``, so for ``r`` columns
+    ``||C||^2 <= 1 + e``, ``||C||_F^2 <= r (1 + e)``, and ``M = C C^dag + D``
+    with ``|D| <= g_r |C| |C|^T`` and ``||D||_F <= delta = g_r r (1 + e)``.
+    Hermitian: ``|M - M^dag| <= 2 g_r |C| |C|^T <= 2 g_r (1 + e)`` entrywise.
+    Trace: ``tr(C C^dag) = r + tr G``, ``|tr G| <= sqrt(r) e``; ``D`` and the
+    sum add ``2 g_d r (1 + e)``.  Idempotency: ``C G C^dag`` has norm at most
+    ``(1 + e) e``, ``D`` adds ``delta (3 + 2 e + delta)`` and ``fl(M @ M)``
+    ``g_d (sqrt(r) (1 + e) + delta)^2``; their sum ``b`` bounds
+    ``fl(M_i @ M_j)`` too, ``C_i^dag C_j`` being a block of ``V^dag V - I``.
+    Completeness: ``sum_n C_n C_n^dag = V V^dag`` is within ``e`` of ``I``,
+    and the ``D_n`` and the sum add ``2 g_d d (1 + e)``.  The subtractions
+    and SVDs of the checks fit in ``_ROUNDING``.  At d = 200 and rank 1,
+    ``b`` is 3.6e-11, mostly the rounding of ``V^dag V``, against
+    ``ORTHOGONALITY_TOL = 1e-10``; from about d = 330 the resolution keeps
+    its exact check.
     """
     d = v.shape[0]
-    g = 8 * (d + 1) * _UNIT_ROUNDOFF
-    e_computed = fnorm(v.conj().T @ v - np.eye(d))
-    e = (e_computed * (1 + _ROUNDING) + g * d) / (1 - g * math.sqrt(d))
-    eta1 = g * d * (1 + e)
-    eta2 = g * (math.sqrt(d) * (1 + e) + eta1) ** 2
-    bound = ((1 + e) * e + eta1 * (3 + 2 * e + eta1) + eta2) * (1 + _ROUNDING) ** 2
-    return bound <= IDEMPOTENCY_TOL * d
+    g, gr = 8 * (d + 1) * _UNIT_ROUNDOFF, 8 * (rank + 1) * _UNIT_ROUNDOFF
+    e = (fnorm(v.conj().T @ v - np.eye(d)) * (1 + _ROUNDING) + g * d) / (1 - g * math.sqrt(d))
+    delta = gr * rank * (1 + e)
+    slack = (1 + _ROUNDING) ** 2
+    b = ((1 + e) * e + delta * (3 + 2 * e + delta)
+         + g * (math.sqrt(rank) * (1 + e) + delta) ** 2) * slack
+    held = (2 * gr * (1 + e) * slack <= HERMITIAN_RTOL
+            and (math.sqrt(rank) * e + 2 * g * rank * (1 + e)) * slack <= TRACE_RANK_TOL * d
+            and b <= IDEMPOTENCY_TOL * d)
+    resolved = (held and b <= ORTHOGONALITY_TOL
+                and (e + 2 * g * d * (1 + e)) * slack <= COMPLETENESS_TOL * d)
+    return held, resolved
 
 
 def _ranks_fill(sectors, dim) -> bool:

@@ -467,7 +467,8 @@ def _sweep_k(s, hk, cluster_tol, md) -> ResultSeries:
 
 def _sweep_n(s, hk, cluster_tol, md) -> ResultSeries:
     sectors = zeno_sectors(hk, cluster_tol=cluster_tol)
-    proj = _sector_projector(sectors, _initial_vector(s, hk.dim))
+    v0 = _initial_vector(s, hk.dim)
+    proj = max(sectors, key=lambda s_: np.linalg.norm(s_.projector.basis.conj().T @ v0)).projector
     ns = [int(n) for n in s.sweep_values]
     rows = list(zip(ns, _pulsed_errors(hk.total(), proj, ns, s.t_max)))
     return _with_slope(("N", "error"), rows, md)
@@ -535,13 +536,6 @@ _TASKS = {
                         models=("three_level", "four_level", "matrix")),
 }
 TASKS = tuple(_TASKS)
-
-
-def _sector_projector(sectors, v0: np.ndarray):
-    """Projector of the sector with the largest overlap with ``v0``."""
-    best = max(sectors, key=lambda s_: float(
-        np.vdot(v0, s_.projector.matrix @ v0).real))
-    return best.projector
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zenosim import (
     SectorTrackingError,
@@ -21,6 +22,7 @@ from zenosim import (
     snorm,
     three_level,
 )
+from zenosim.operators import UNITARITY_TOL
 
 
 def rotating_three_level(omega=1.0, rate=0.2, coupling=1.0, kind="phase"):
@@ -230,6 +232,28 @@ def test_transport_monotone_on_doubling_grid():
         assert bb <= 1.05 * a
     for a, bb in zip(drifts, drifts[1:]):
         assert bb <= 1.05 * a
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 4), st.floats(0.05, 0.5))
+def test_intertwining_on_random_rotating_couplings(seed, dim, rate):
+    rng = np.random.default_rng(seed)
+
+    def hermitian():        # unit spectral norm
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return (a + a.conj().T) / snorm(a + a.conj().T)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    etas = rng.permutation(dim) + rng.uniform(-0.2, 0.2, dim)   # gaps of at least 0.6
+    h_meas = (q * etas) @ q.conj().T
+    b = rotating_bundle(hermitian(), (h_meas + h_meas.conj().T) / 2, hermitian(), rate, 1.0)
+    ks = [10.0, 40.0, 160.0]
+    defects = [r.max_defect for r in intertwining_defect(b, 1.0, ks, samples=20)]
+    assert defects[0] > defects[1] > defects[2]
+    for k in ks:
+        bk = b.with_coupling(k)
+        steps = adiabatic._step_plan(bk, 1.0, None, 20, resolve=True)
+        for u in adiabatic._midpoint_checkpoints(bk, 1.0, steps, 20):
+            assert snorm(u.conj().T @ u - np.eye(dim)) <= UNITARITY_TOL * dim
 
 
 def test_plane_rotation_transport():

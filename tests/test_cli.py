@@ -1,3 +1,6 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -142,3 +145,15 @@ def test_cli_and_scenario_take_the_same_model_decisions(capsys, kind, params, ac
     code = main(["sectors", "--model", kind, "--params", params])
     assert code in (0, 1)
     assert scenario_accepts == (code == 0) == accepted
+
+
+def test_overflowing_rotation_reports_only_the_error(tmp_path, capsys):
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / "intertwine_rotating.yaml"
+    scn = tmp_path / "s.yaml"
+    scn.write_text(shipped.read_text().replace("rate: 0.2", "rate: 1e308")
+                   .replace("t_max: 1.5", "t_max: 10"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(scn), "--out", str(tmp_path / "x.csv")]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == "error: bundle h_meas has NaN or Inf entries at t = 2.5\n"

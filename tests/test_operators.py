@@ -211,6 +211,48 @@ def test_eig_nonhermitian_dissipative_block():
     assert all(s.condition >= 1.0 for s in dec)
 
 
+def all_pairs_clusters(vals, tol):
+    """Connected components of the proximity graph by a union over all
+    n(n-1)/2 pairs, ordered as cluster_values orders them, and whether a
+    component is wider than ``tol``."""
+    n = len(vals)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+    dist = np.abs(vals[:, None] - vals[None, :])
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i, j] <= tol and find(i) != find(j):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    clusters = sorted(groups.values(), key=lambda idx: (vals[idx[0]].real, vals[idx[0]].imag))
+    return clusters, any(len(c) > 1 and dist[np.ix_(c, c)].max() > tol for c in clusters)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans(),
+       st.sampled_from([-1, 0, 1]))
+def test_cluster_values_unions_the_pairs_the_all_pairs_loop_does(seed, n, complex_, ulps):
+    rng = np.random.default_rng(seed)
+    vals = rng.integers(0, n, n) * 0.5 + rng.uniform(0.0, 0.3, n)
+    if complex_:
+        vals = vals + 1j * (rng.integers(0, 2, n) * 0.5 + rng.uniform(0.0, 0.3, n))
+    i, j = rng.integers(0, n, 2)
+    tol = abs(vals[i] - vals[j])       # a gap at tol, or 1 ulp on either side of it
+    tol = float(np.nextafter(tol, math.inf * ulps)) if ulps else float(tol)
+    expected, ambiguous = all_pairs_clusters(vals, tol)
+    if ambiguous:
+        with pytest.raises(AmbiguousSpectrumError):
+            operators.cluster_values(vals, tol)
+    else:
+        assert operators.cluster_values(vals, tol) == expected
+
+
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
 def test_eig_rejects_nonfinite_or_negative_cluster_tol(tol):
     hermitian = np.diag([0.0, 1.0, 1.0])
@@ -625,17 +667,74 @@ def test_certificate_implies_exact_idempotency(seed, dim, log_eps):
     rng = np.random.default_rng(seed)
     v = unitary(rng, dim) + 10.0 ** log_eps * (rng.standard_normal((dim, dim))
                                                + 1j * rng.standard_normal((dim, dim)))
-    if operators._idempotency_certified(v):
-        for k in range(1, dim + 1):
+    rank = int(rng.integers(1, dim + 1))
+    held, resolved = operators._eigh_certificate(v, rank)
+    assert held or not resolved
+    if held:
+        for k in range(1, rank + 1):
             cols = v[:, rng.permutation(dim)[:k]]
             m = cols @ cols.conj().T
             assert svd_norm(m @ m - m) <= 1e-10 * dim
+            assert raised(Projector, m, rank=k) is None
+    if resolved:
+        cuts = np.arange(rank, dim, rank)
+        blocks = np.split(rng.permutation(dim), cuts)
+        projectors = [v[:, b] @ v[:, b].conj().T for b in blocks]
+        assert exact_resolution_error(projectors, dim) is None
 
 
 def test_certificate_accepts_eigh_vectors_and_rejects_skewed_ones(rng):
     _, v = np.linalg.eigh(random_hermitian(rng, 200))
-    assert operators._idempotency_certified(v)
-    assert not operators._idempotency_certified(v * (1 + 1e-6))
+    assert operators._eigh_certificate(v, 1) == (True, True)
+    assert operators._eigh_certificate(v, 200) == (True, False)
+    assert operators._eigh_certificate(v * (1 + 1e-6), 1) == (False, False)
+
+
+def test_certificate_withholds_projectors_whose_trace_would_fail(rng):
+    v = unitary(rng, 9) * (1 + 1e-10)   # ||V^dag V - I||_F = 6e-10, tr(V V^dag) = 9 + 1.8e-9
+    assert "trace" in raised(Projector, v @ v.conj().T, rank=9)
+    assert operators._eigh_certificate(v, 9) == (False, False)
+    assert operators._eigh_certificate(v, 1) == (True, False)
+
+
+@pytest.mark.parametrize("values, tol, distinct", [
+    ([0.0, 1e-9], 1e-9, False), ([0.0, np.nextafter(1e-9, 1)], 1e-9, True),
+    ([1j, 1 + 1j, 0.5 + 1j], 0.5, False), ([0.0, 1.0, 2.0], 0.0, True),
+    ([0.0, 0.0], -1.0, True), ([0.0], 1.0, True),
+])
+def test_decomposition_refuses_sector_eigenvalues_within_the_tolerance(values, tol, distinct):
+    sectors = tuple(Sector(complex(v), basis_projector(len(values), k))
+                    for k, v in enumerate(values))
+    make = lambda: SectorDecomposition(sectors, cluster_tol=tol, dim=len(values))
+    assert (raised(make) is None) == distinct
+
+
+def test_eig_holds_sectors_by_their_basis_in_little_memory(rng):
+    h = as_operator(random_hermitian(rng, 200))
+    tracemalloc.start()
+    try:
+        dec = eig(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dec) == 200
+    assert peak < 16 * 2 ** 20   # 200 dense projectors would take 122 MiB
+    for s in dec:
+        m = s.projector.matrix
+        assert np.array_equal(m, s.projector.basis @ s.projector.basis.conj().T)
+        assert not m.flags.writeable and s.projector.matrix is m
+        assert raised(Projector, m, rank=s.multiplicity) is None
+
+
+def test_certified_resolution_needs_no_svd(rng, monkeypatch):
+    dec = eig(random_hermitian(rng, 100))
+    assert len(dec) == 100
+    calls = []
+    real = operators.snorm
+    monkeypatch.setattr(operators, "snorm", lambda a: calls.append(1) or real(a))
+    dec.validate_resolution()
+    assert calls == []
+    assert all("matrix" not in s.projector.__dict__ for s in dec)
 
 
 def test_eig_uses_one_certificate_instead_of_per_projector_svds(rng, monkeypatch):
@@ -644,8 +743,14 @@ def test_eig_uses_one_certificate_instead_of_per_projector_svds(rng, monkeypatch
     monkeypatch.setattr(operators, "snorm", lambda a: calls.append(1) or real(a))
     dec = eig(random_hermitian(rng, 30))
     assert len(dec) == 30
-    assert len(calls) == 1  # default_cluster_tol; no projector needed an SVD
+    assert calls == []  # the default tolerance from the eigenvalues; no projector SVD
     dec.validate_resolution()
+    ranks = []
+    real_cert = operators._eigh_certificate
+    monkeypatch.setattr(operators, "_eigh_certificate",
+                        lambda v, rank: ranks.append(rank) or real_cert(v, rank))
+    eig(np.diag([0.0, 2.0, 0.0, 1.0, 0.0]))
+    assert ranks == [3]   # certified for the largest sector
 
 
 def test_eig_falls_back_and_rejects_when_eigenvectors_are_not_orthonormal(rng, monkeypatch):
@@ -660,7 +765,21 @@ def test_eig_falls_back_and_rejects_when_eigenvectors_are_not_orthonormal(rng, m
     monkeypatch.setattr(operators, "snorm", lambda a: calls.append(1) or real(a))
     with pytest.raises(ValidationError, match="not idempotent"):
         eig(random_hermitian(rng, 5))
-    assert len(calls) >= 2  # the idempotency residual went to the exact check
+    assert calls  # the idempotency residual went to the exact check (the tolerance needs none)
+
+
+def test_eig_falls_back_and_rejects_a_resolution_of_skewed_eigenvectors(rng, monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def skewed_eigh(a):
+        w, v = real_eigh(a)
+        v = v + 1e-6 * np.roll(v, 1, axis=1)
+        return w, v / np.linalg.norm(v, axis=0)   # unit columns: each projector passes
+    monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+    dec = eig(random_hermitian(rng, 5))
+    assert all("basis" not in s.projector.__dict__ for s in dec)   # built and checked densely
+    with pytest.raises(ValidationError, match="do not resolve the identity"):
+        dec.validate_resolution()
 
 
 def test_import_does_not_load_scipy_linalg():

@@ -129,7 +129,10 @@ def test_passed_resolution_is_recorded_and_a_failed_one_is_not(rng, monkeypatch)
     real = operators._norm_exceeds
     monkeypatch.setattr(operators, "_norm_exceeds",
                         lambda r, b: calls.append(1) or real(r, b))
-    sectors = eig(random_hermitian(rng, 6))
+    certified = eig(random_hermitian(rng, 6))
+    certified.validate_resolution()
+    assert calls == []              # eig recorded its certified resolution
+    sectors = SectorDecomposition(certified.sectors, certified.cluster_tol, 6)
     sectors.validate_resolution()
     assert calls
     calls.clear()
