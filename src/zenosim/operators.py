@@ -494,49 +494,70 @@ def default_cluster_tol(a) -> float:
 
 def real_eigenvalue_tol(a) -> float:
     """Threshold on |Im eta| below which an eigenvalue counts as real."""
-    return REAL_EIGENVALUE_RTOL * max(1.0, snorm(a))
+    return _real_tol(snorm(a))
+
+
+def _real_tol(norm: float) -> float:
+    return REAL_EIGENVALUE_RTOL * max(1.0, norm)
 
 
 def cluster_values(values: np.ndarray, tol: float) -> list[list[int]]:
     """Group indices of ``values`` into clusters of pairwise distance <= tol.
 
-    Clusters are connected components of the proximity graph.  If chaining
-    produces a component whose diameter exceeds ``tol`` the clustering is
-    ambiguous (a different tolerance would split it differently) and an
+    Clusters are connected components of the proximity graph, ordered by
+    value, with their indices ascending.  If chaining produces a component
+    whose diameter exceeds ``tol`` the clustering is ambiguous (a different
+    tolerance would split it differently) and an
     :class:`AmbiguousSpectrumError` carrying the gap histogram is raised.
+
+    For real values the components are the runs of the sorted values whose
+    consecutive gaps are ``<= tol``: rounded subtraction is monotone, so
+    ``a <= b <= c`` gives ``fl(c - a) >= fl(c - b)``, and an edge between
+    two values bounds every gap between them.  Complex values are joined
+    pair by pair.
     """
     vals = np.asarray(values)
     n = len(vals)
-    parent = list(range(n))
+    real = np.isrealobj(vals)
+    if real:
+        order = np.argsort(vals, kind="stable")
+        ascending = vals[order]
+        cuts = (np.flatnonzero(~(ascending[1:] - ascending[:-1] <= tol)) + 1).tolist()
+        bounds = [0, *cuts, n] if n else []
+        order = order.tolist()
+        clusters = [sorted(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    else:
+        parent = list(range(n))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
 
-    dist = np.abs(vals[:, None] - vals[None, :])
-    for i, j in np.argwhere(dist <= tol).tolist():     # row-major, as a loop over pairs
-        if i < j:
-            parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = sorted(groups.values(), key=lambda idx: (vals[idx[0]].real, vals[idx[0]].imag))
+        dist = np.abs(vals[:, None] - vals[None, :])
+        for i, j in np.argwhere(dist <= tol).tolist():     # row-major, as a loop over pairs
+            if i < j:
+                parent[find(i)] = find(j)
+        groups: dict[int, list[int]] = {}
+        for i in range(n):
+            groups.setdefault(find(i), []).append(i)
+        clusters = sorted(groups.values(), key=lambda idx: (vals[idx[0]].real, vals[idx[0]].imag))
 
     for idx in clusters:
-        if len(idx) > 1:
-            diameter = dist[np.ix_(idx, idx)].max()
-            if diameter > tol:
-                gaps = np.sort(dist[np.triu_indices(n, k=1)])
-                histogram = np.histogram(gaps, bins=min(16, max(4, n)))
-                raise AmbiguousSpectrumError(
-                    f"eigenvalue gaps straddle the cluster tolerance {tol:.3e} "
-                    f"(cluster diameter {diameter:.3e}); adjust cluster_tol",
-                    gaps=gaps,
-                    histogram=histogram,
-                )
+        if len(idx) < 2:
+            continue
+        part = vals[idx]
+        diameter = part.max() - part.min() if real else np.abs(part[:, None] - part).max()
+        if diameter > tol:
+            gaps = np.sort(np.abs(vals[:, None] - vals[None, :])[np.triu_indices(n, k=1)])
+            histogram = np.histogram(gaps, bins=min(16, max(4, n)))
+            raise AmbiguousSpectrumError(
+                f"eigenvalue gaps straddle the cluster tolerance {tol:.3e} "
+                f"(cluster diameter {diameter:.3e}); adjust cluster_tol",
+                gaps=gaps,
+                histogram=histogram,
+            )
     return clusters
 
 
@@ -592,9 +613,10 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
     eigenvalues with ``|Im eta| <= real_eigenvalue_tol(op)``, reports their
     real parts and marks the decomposition incomplete.
     """
-    tol = _cluster_tol(lambda: snorm(op), cluster_tol)
+    norm = snorm(op) if real_only or cluster_tol is None else None     # one SVD serves both
+    tol = _cluster_tol(lambda: norm, cluster_tol)
     w, vr = np.linalg.eig(op.matrix)
-    keep = (np.flatnonzero(np.abs(w.imag) <= real_eigenvalue_tol(op)) if real_only
+    keep = (np.flatnonzero(np.abs(w.imag) <= _real_tol(norm)) if real_only
             else np.arange(w.size))
     vr_inv = None
     sectors = []

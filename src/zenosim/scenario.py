@@ -73,28 +73,51 @@ class Scenario:
     defaults_used: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+def _column_array(values, name: str) -> np.ndarray:
+    """``values`` as a read-only ``int64`` (integer input) or ``float64`` copy."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"result column {name!r} is neither integer nor float")
+    a = a.astype(np.int64 if a.dtype.kind in "iu" else np.float64)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)     # arrays have no truth value to compare by
 class ResultSeries:
-    """Rectangular result table plus a metadata block."""
+    """Rectangular result table plus a metadata block.
+
+    The table is held by column: ``values[k]`` is the read-only 1-D array
+    of ``columns[k]``, ``int64`` for integer input (index columns such as
+    ``sector`` or ``N``) and ``float64`` otherwise.  Construction checks
+    the table once per column: equal lengths, then finite floats.
+    """
 
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    values: tuple[np.ndarray, ...]
     metadata: dict
 
     def __post_init__(self):
-        for r in self.rows:
-            if len(r) != len(self.columns):
-                raise ValidationError("result rows are not rectangular")
-            for v in r:
-                if isinstance(v, (int, float)) and not math.isfinite(float(v)):
-                    raise NumericalError("result table contains non-finite values")
+        if len(self.values) != len(self.columns):
+            raise ValidationError("result rows are not rectangular")
+        values = tuple(_column_array(v, c) for v, c in zip(self.values, self.columns))
+        if len({v.size for v in values}) > 1 or any(v.ndim != 1 for v in values):
+            raise ValidationError("result rows are not rectangular")
+        if not all(np.isfinite(v).all() for v in values if v.dtype.kind == "f"):
+            raise NumericalError("result table contains non-finite values")
+        object.__setattr__(self, "values", values)
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The table as row tuples of Python numbers, derived from the columns."""
+        return tuple(zip(*(v.tolist() for v in self.values)))
 
     def column(self, name: str) -> np.ndarray:
         try:
             k = self.columns.index(name)
         except ValueError:
             raise ValidationError(f"no column named {name!r}") from None
-        return np.array([r[k] for r in self.rows])
+        return self.values[k]
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +439,13 @@ def run(s: Scenario, cluster_tol: float | None = None) -> ResultSeries:
     return _TASKS[s.task].runner(s, hk, cluster_tol, md)
 
 
-def _with_slope(columns, rows, md) -> ResultSeries:
+def _with_slope(columns, values, md) -> ResultSeries:
     """The table, with the log-log slope of its second column against its
     first in ``md`` when there are two or more rows, all positive."""
-    xs = [r[0] for r in rows]
-    ys = [r[1] for r in rows]
-    if len(rows) >= 2 and all(v > 0 for v in xs + ys):
+    xs, ys = values[0], values[1]
+    if len(xs) >= 2 and all(v > 0 for v in [*xs, *ys]):
         md["slope"] = loglog_slope(xs, ys)
-    return ResultSeries(columns, tuple(rows), md)
+    return ResultSeries(columns, values, md)
 
 
 def _survival(s, hk, cluster_tol, md) -> ResultSeries:
@@ -432,12 +454,12 @@ def _survival(s, hk, cluster_tol, md) -> ResultSeries:
     rho0 = DensityMatrix.pure(v0)
     proj = projector_from_columns(v0.reshape(-1, 1))
     columns = ("t", "p0")
-    series = [ts.tolist(), _survival_grid(hk.total(), ts, rho0, proj)]
+    values = [ts, _survival_grid(hk.total(), ts, rho0, proj)]
     if s.model_kind == "three_level" and s.initial_state is None:
         columns += ("p0_analytic",)
-        series.append(three_level_survival(s.model_params["omega"],
-                                           s.model_params["K"], ts).tolist())
-    return ResultSeries(columns, tuple(zip(*series)), md)
+        values.append(three_level_survival(s.model_params["omega"],
+                                           s.model_params["K"], ts))
+    return ResultSeries(columns, tuple(values), md)
 
 
 def _certified(dec):
@@ -451,27 +473,29 @@ def _certified(dec):
 
 def _sectors(s, hk, cluster_tol, md) -> ResultSeries:
     dec = _certified(zeno_sectors(hk, cluster_tol=cluster_tol))
-    rows = tuple(
-        (n, s_.eigenvalue.real, s_.eigenvalue.imag, s_.multiplicity, s_.condition)
-        for n, s_ in enumerate(dec))
+    etas = dec.eigenvalues.astype(complex)
     md["complete"] = int(dec.complete)
-    return ResultSeries(("sector", "eta_re", "eta_im", "rank", "condition"), rows, md)
+    return ResultSeries(
+        ("sector", "eta_re", "eta_im", "rank", "condition"),
+        (np.arange(len(dec)), etas.real, etas.imag,
+         np.array([s_.multiplicity for s_ in dec], dtype=np.int64),
+         [s_.condition for s_ in dec]), md)
 
 
 def _sweep_k(s, hk, cluster_tol, md) -> ResultSeries:
     sectors = zeno_sectors(hk, cluster_tol=cluster_tol)
     ks = [float(k) for k in s.sweep_values]
-    rows = list(zip(ks, _defect_sweep(hk, s.t_max, ks, sectors)))
-    return _with_slope(("K", "defect"), rows, md)
+    return _with_slope(("K", "defect"), (ks, _defect_sweep(hk, s.t_max, ks, sectors)), md)
 
 
 def _sweep_n(s, hk, cluster_tol, md) -> ResultSeries:
     sectors = zeno_sectors(hk, cluster_tol=cluster_tol)
+    if len(sectors) == 0:
+        raise ValidationError("the coupling has no real eigenvalue: no sector to measure")
     v0 = _initial_vector(s, hk.dim)
     proj = max(sectors, key=lambda s_: np.linalg.norm(s_.projector.basis.conj().T @ v0)).projector
     ns = [int(n) for n in s.sweep_values]
-    rows = list(zip(ns, _pulsed_errors(hk.total(), proj, ns, s.t_max)))
-    return _with_slope(("N", "error"), rows, md)
+    return _with_slope(("N", "error"), (ns, _pulsed_errors(hk.total(), proj, ns, s.t_max)), md)
 
 
 def _limit_compare(s, hk, cluster_tol, md) -> ResultSeries:
@@ -484,27 +508,30 @@ def _nonselective(s, hk, cluster_tol, md) -> ResultSeries:
     v0 = _initial_vector(s, hk.dim, uniform=True)
     rho0 = DensityMatrix.pure(v0)
     h = hk.total()
-    rows = []
-    for n in s.sweep_values:
-        rho = nonselective_evolve(h, sectors, int(n), s.t_max, rho0, project_final=False)
-        rows.append((int(n), offblock_norm(rho, sectors), rho.trace))
-    return _with_slope(("N", "offblock_norm", "trace"), rows, md)
+    ns = [int(n) for n in s.sweep_values]
+    norms, traces = [], []
+    for n in ns:
+        rho = nonselective_evolve(h, sectors, n, s.t_max, rho0, project_final=False)
+        norms.append(offblock_norm(rho, sectors))
+        traces.append(rho.trace)
+    return _with_slope(("N", "offblock_norm", "trace"), (ns, norms, traces), md)
 
 
 def _dfs(s, hk, cluster_tol, md) -> ResultSeries:
     dec = _certified(dfs_extract(hk, cluster_tol=cluster_tol))
     md["dfs_dimension"] = dec.total_rank()
-    rows = []
-    for n, sec in enumerate(dec):
-        basis = sec.projector.basis
-        for j in range(basis.shape[1]):
-            for comp in range(dec.dim):
-                amp = basis[comp, j]
-                rows.append((n, sec.eigenvalue.real, sec.eigenvalue.imag,
-                             j, comp, amp.real, amp.imag))
+    d = dec.dim
+    ranks = np.array([sec.multiplicity for sec in dec], dtype=np.int64)
+    owner = np.repeat(np.arange(len(dec)), ranks)             # sector of each vector
+    vector = np.arange(owner.size) - np.repeat(np.cumsum(ranks) - ranks, ranks)
+    etas = dec.eigenvalues.astype(complex)[owner]
+    # one row per (vector, component): column j of a basis is rows j*d ... j*d + d - 1
+    amps = np.concatenate([sec.projector.basis.T.ravel() for sec in dec] or [np.empty(0)])
     return ResultSeries(
         ("sector", "eta_re", "eta_im", "vector", "component", "re", "im"),
-        tuple(rows), md)
+        (np.repeat(owner, d), np.repeat(etas.real, d), np.repeat(etas.imag, d),
+         np.repeat(vector, d), np.tile(np.arange(d), owner.size), amps.real, amps.imag),
+        md)
 
 
 def _intertwine(s, hk, cluster_tol, md) -> ResultSeries:
@@ -512,8 +539,9 @@ def _intertwine(s, hk, cluster_tol, md) -> ResultSeries:
     gen = rotation_generator(hk.dim, rot["levels"][0], rot["levels"][1], rot["kind"])
     bundle = rotating_bundle(hk.h.matrix, hk.h_meas, gen, rot["rate"], hk.coupling)
     reports = intertwining_defect(bundle, s.t_max, list(s.sweep_values))
-    rows = tuple((float(r.coupling), r.max_defect, r.max_drift) for r in reports)
-    return ResultSeries(("K", "defect", "drift"), rows, md)
+    return ResultSeries(("K", "defect", "drift"),
+                        ([float(r.coupling) for r in reports], [r.max_defect for r in reports],
+                         [r.max_drift for r in reports]), md)
 
 
 class _Task(NamedTuple):
@@ -548,11 +576,26 @@ def _format_value(v) -> str:
     return format(float(v), ".17g")
 
 
+def _format_column(values: np.ndarray) -> list[str]:
+    """``_format_value`` of every entry of an ``int64`` or ``float64`` column.
+
+    Each distinct value is formatted once, keyed on the ``int64`` view (so
+    ``-0.0`` and ``0.0`` stay apart): integers through ``str``, floats with
+    17 significant digits.
+    """
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = (list(map(str, keys.tolist())) if values.dtype.kind == "i"
+             else [format(x, ".17g") for x in keys.view(np.float64).tolist()])
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
 def export_csv(series: ResultSeries, path, reproducible: bool = False) -> None:
     """Write the series as CSV with '#'-prefixed metadata lines.
 
-    Floats carry 17 significant digits, so re-parsing reproduces them
-    bit-exactly.  A timestamp line is included unless ``reproducible``.
+    The table is formatted column by column: integers as decimal integers,
+    floats with 17 significant digits (each distinct value formatted once),
+    so re-parsing reproduces them bit-exactly; the rows are joined at the
+    end.  A timestamp line is included unless ``reproducible``.
     """
     lines = []
     for k, v in series.metadata.items():
@@ -560,14 +603,26 @@ def export_csv(series: ResultSeries, path, reproducible: bool = False) -> None:
     if not reproducible:
         lines.append(f"# timestamp: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}")
     lines.append(",".join(series.columns))
-    for row in series.rows:
-        lines.append(",".join(_format_value(v) for v in row))
+    lines.extend(map(",".join, zip(*map(_format_column, series.values))))
     text = "\n".join(lines) + "\n"
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from None
+
+
+def _parse_column(cells) -> np.ndarray:
+    """The column of CSV ``cells``: ``int64`` when every cell is an integer
+    as ``str`` writes it (so ``-0`` stays the float ``-0.0``), else
+    ``float64``."""
+    try:
+        ints = [int(c) for c in cells]
+        if all(str(i) == c for i, c in zip(ints, cells)):
+            return np.array(ints, dtype=np.int64)
+    except (ValueError, OverflowError):
+        pass
+    return np.array([float(c) for c in cells], dtype=np.float64)
 
 
 def read_result_csv(path) -> ResultSeries:
@@ -588,14 +643,8 @@ def read_result_csv(path) -> ResultSeries:
     if not body:
         raise ValidationError(f"{path}: no header row")
     columns = tuple(body[0].split(","))
-    rows = []
-    for ln in body[1:]:
-        cells = ln.split(",")
-        parsed = []
-        for c in cells:
-            try:
-                parsed.append(int(c))
-            except ValueError:
-                parsed.append(float(c))
-        rows.append(tuple(parsed))
-    return ResultSeries(columns, tuple(rows), metadata)
+    rows = [ln.split(",") for ln in body[1:]]
+    if any(len(r) != len(columns) for r in rows):
+        raise ValidationError("result rows are not rectangular")
+    cells = zip(*rows) if rows else [()] * len(columns)
+    return ResultSeries(columns, tuple(map(_parse_column, cells)), metadata)

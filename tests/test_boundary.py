@@ -97,6 +97,36 @@ def test_sweep_k_grid_with_zero_runs_without_slope(tmp_path):
     assert "slope" not in series.metadata
 
 
+@pytest.mark.parametrize("task,message", [
+    ("sweep-N", "no real eigenvalue"), ("limit-compare", "no real eigenvalue"),
+    ("nonselective", "decomposition is marked incomplete"),
+])
+def test_n_grids_on_a_coupling_without_real_sectors_exit_one(tmp_path, capsys, task, message):
+    save_matrix(tmp_path / "hm.txt", np.diag([-1j, -1j]))
+    scn = tmp_path / "s.yaml"
+    scn.write_text(f"model: {{kind: matrix, hmeas_file: hm.txt}}\ntask: {task}\n"
+                   "sweep: {N: [4, 8]}\ntime: {t_max: 1.0}\n")
+    out = tmp_path / "out.csv"
+    assert main(["run", str(scn), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task,columns", [
+    ("sectors", "sector,eta_re,eta_im,rank,condition"),
+    ("dfs", "sector,eta_re,eta_im,vector,component,re,im"),
+])
+def test_coupling_without_real_sectors_gives_an_empty_table(tmp_path, task, columns):
+    save_matrix(tmp_path / "hm.txt", np.diag([-1j, -1j]))
+    scn = tmp_path / "s.yaml"
+    scn.write_text(f"model: {{kind: matrix, hmeas_file: hm.txt}}\ntask: {task}\n")
+    out = tmp_path / "out.csv"
+    assert main(["run", str(scn), "--out", str(out), "--reproducible"]) == 0
+    assert out.read_text().splitlines()[-1] == columns
+    assert len(read_result_csv(out).rows) == 0
+
+
 @pytest.mark.parametrize("coupling", [JORDAN, NILPOTENT], ids=["jordan", "nilpotent"])
 def test_defective_couplings_exit_two(tmp_path, capsys, coupling):
     save_matrix(tmp_path / "hm.txt", coupling)

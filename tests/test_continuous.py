@@ -21,6 +21,7 @@ from zenosim import (
     zeno_sectors,
 )
 
+from zenosim import operators
 from zenosim.continuous import real_sectors
 
 from conftest import random_hermitian
@@ -65,6 +66,21 @@ def test_real_sector_of_normal_coupling_reports_measured_condition(rng):
     # non-normal: the eta = 0 spectral projector is (A + i)/i, of norm sqrt(2)
     a = np.array([[0, 1], [0, -1j]])
     assert real_sectors(a).sectors[0].condition == pytest.approx(math.sqrt(2), rel=1e-12)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6])
+def test_real_sectors_take_one_norm_of_a_dissipative_coupling(monkeypatch, tol):
+    hm = cavity(1.0, 1.0, 3).hk.h_meas
+    expected = real_sectors(hm, cluster_tol=tol)
+    calls = []
+    real = operators.snorm
+    monkeypatch.setattr(operators, "snorm", lambda a: calls.append(a) or real(a))
+    dec = real_sectors(hm, cluster_tol=tol)
+    assert sum(a is hm for a in calls) == 1         # both thresholds from one SVD
+    assert len(calls) == 1 + len(dec)              # and one condition per sector
+    assert dec.cluster_tol == (operators.default_cluster_tol(hm) if tol is None else tol)
+    assert [(s.eigenvalue, s.multiplicity, s.condition) for s in dec] == \
+        [(s.eigenvalue, s.multiplicity, s.condition) for s in expected]
 
 
 def test_coupled_hamiltonian_validation():

@@ -213,8 +213,8 @@ def test_eig_nonhermitian_dissipative_block():
 
 def all_pairs_clusters(vals, tol):
     """Connected components of the proximity graph by a union over all
-    n(n-1)/2 pairs, ordered as cluster_values orders them, and whether a
-    component is wider than ``tol``."""
+    n(n-1)/2 pairs, ordered as cluster_values orders them, and the diameter
+    of the first component wider than ``tol`` (None if there is none)."""
     n = len(vals)
     parent = list(range(n))
 
@@ -231,24 +231,36 @@ def all_pairs_clusters(vals, tol):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     clusters = sorted(groups.values(), key=lambda idx: (vals[idx[0]].real, vals[idx[0]].imag))
-    return clusters, any(len(c) > 1 and dist[np.ix_(c, c)].max() > tol for c in clusters)
+    wide = [dist[np.ix_(c, c)].max() for c in clusters
+            if len(c) > 1 and dist[np.ix_(c, c)].max() > tol]
+    return clusters, wide[0] if wide else None
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.booleans(),
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.sampled_from(["real", "ties", "complex"]),
        st.sampled_from([-1, 0, 1]))
-def test_cluster_values_unions_the_pairs_the_all_pairs_loop_does(seed, n, complex_, ulps):
+def test_cluster_values_unions_the_pairs_the_all_pairs_loop_does(seed, n, kind, ulps):
+    # real values take the sorted-gap path, complex ones the pairwise union
     rng = np.random.default_rng(seed)
-    vals = rng.integers(0, n, n) * 0.5 + rng.uniform(0.0, 0.3, n)
-    if complex_:
+    vals = rng.integers(0, max(n, 1), n) * 0.5 + rng.uniform(0.0, 0.3, n)
+    if kind == "ties":           # repeated values, signed zeros, negative values
+        vals = np.round(vals, 1) - np.round(n / 4, 1)
+        vals[vals == 0] = rng.choice([0.0, -0.0], int(np.sum(vals == 0)))
+    if kind == "complex":
         vals = vals + 1j * (rng.integers(0, 2, n) * 0.5 + rng.uniform(0.0, 0.3, n))
-    i, j = rng.integers(0, n, 2)
-    tol = abs(vals[i] - vals[j])       # a gap at tol, or 1 ulp on either side of it
-    tol = float(np.nextafter(tol, math.inf * ulps)) if ulps else float(tol)
-    expected, ambiguous = all_pairs_clusters(vals, tol)
-    if ambiguous:
-        with pytest.raises(AmbiguousSpectrumError):
+    if n:
+        i, j = rng.integers(0, n, 2)
+        tol = abs(vals[i] - vals[j])   # a gap at tol, or 1 ulp on either side of it
+        tol = float(np.nextafter(tol, math.inf * ulps)) if ulps else float(tol)
+    else:
+        tol = 0.1
+    expected, diameter = all_pairs_clusters(vals, tol)
+    if diameter is not None:
+        with pytest.raises(AmbiguousSpectrumError) as err:
             operators.cluster_values(vals, tol)
+        assert f"(cluster diameter {diameter:.3e})" in str(err.value)
+        dist = np.abs(vals[:, None] - vals[None, :])
+        assert np.array_equal(err.value.gaps, np.sort(dist[np.triu_indices(n, k=1)]))
     else:
         assert operators.cluster_values(vals, tol) == expected
 

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zenosim import (
     NumericalError,
@@ -10,6 +13,8 @@ from zenosim import (
 )
 from zenosim.scenario import (
     ResultSeries,
+    _format_column,
+    _format_value,
     export_csv,
     load_scenario,
     parse_scenario,
@@ -211,7 +216,7 @@ def test_csv_roundtrip_bit_exact(tmp_path):
 
 
 def test_csv_empty_rows_header_only(tmp_path):
-    series = ResultSeries(("a", "b"), (), {"note": "empty"})
+    series = ResultSeries(("a", "b"), ([], []), {"note": "empty"})
     path = tmp_path / "empty.csv"
     export_csv(series, path, reproducible=True)
     lines = path.read_text().splitlines()
@@ -234,10 +239,99 @@ def test_csv_timestamp_present_by_default(tmp_path):
 
 
 def test_result_series_validation():
-    with pytest.raises(ValidationError):
-        ResultSeries(("a",), ((1.0, 2.0),), {})
-    with pytest.raises(NumericalError):
-        ResultSeries(("a",), ((float("nan"),),), {})
+    with pytest.raises(ValidationError, match="not rectangular"):
+        ResultSeries(("a",), ([1.0], [2.0]), {})
+    with pytest.raises(NumericalError, match="non-finite"):
+        ResultSeries(("a",), ([float("nan")],), {})
+
+
+def test_result_series_refuses_ragged_or_non_numeric_columns(tmp_path):
+    for values in (([1.0, 2.0], [1.0]), ([1, 2], []), ([[1.0], [2.0]], [1.0, 2.0])):
+        with pytest.raises(ValidationError, match="result rows are not rectangular"):
+            ResultSeries(("a", "b"), values, {})
+    with pytest.raises(ValidationError, match="'b' is neither integer nor float"):
+        ResultSeries(("a", "b"), ([1.0], [1j]), {})
+    path = tmp_path / "ragged.csv"
+    path.write_text("a,b\n1,2\n3\n")
+    with pytest.raises(ValidationError, match="result rows are not rectangular"):
+        read_result_csv(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_result_series_refuses_non_finite_values(tmp_path, bad):
+    with pytest.raises(NumericalError, match="result table contains non-finite values"):
+        ResultSeries(("N", "x"), ([1, 2, 3], [0.5, bad, 1.5]), {})
+    path = tmp_path / "bad.csv"
+    path.write_text(f"N,x\n1,{bad}\n")
+    with pytest.raises(NumericalError, match="non-finite"):
+        read_result_csv(path)
+
+
+def test_result_series_holds_read_only_columns_with_a_row_view():
+    n = np.array([1, 2, 3])
+    series = ResultSeries(("N", "x"), (n, [0.5, -0.0, 2.0]), {})
+    assert series.column("N").dtype == np.int64 and series.column("x").dtype == np.float64
+    assert not series.column("x").flags.writeable
+    n[0] = 7                                    # the table keeps its own copy
+    assert len(series.rows) == 3
+    assert list(series.rows) == [(1, 0.5), (2, -0.0), (3, 2.0)]
+    assert series.rows[-1] == (3, 2.0) and type(series.rows[0][0]) is int
+    assert math.copysign(1.0, series.rows[1][1]) == -1.0
+    empty = ResultSeries(("a",), ([],), {})
+    assert len(empty.rows) == 0 and list(empty.rows) == []
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                  1e308, -1e308, 1.7976931348623157e308, 1.0, 1e16, 1e17, 0.1, 1 / 3]
+SPECIAL_INTS = [0, -1, 1, 2**53 + 1, 2**63 - 1, -2**63, 10**17]
+
+
+@st.composite
+def column_tables(draw):
+    rows = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            pool = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(SPECIAL_INTS))
+            dtype = np.int64
+        else:
+            pool = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                             st.sampled_from(SPECIAL_FLOATS))
+            dtype = np.float64
+        values = draw(st.lists(pool, min_size=1, max_size=4))       # repeated values
+        columns.append(np.array(draw(st.lists(st.sampled_from(values), min_size=rows,
+                                              max_size=rows)), dtype=dtype))
+    return columns
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(column_tables())
+@example([np.array([-0.0, 0.0, 1.0, 1e16]), np.array([0, -1, 2**63 - 1, -2**63])])
+@example([np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.0])])
+def test_csv_round_trip_of_column_tables_is_byte_and_bit_exact(tmp_path_factory, columns):
+    names = tuple(f"c{k}" for k in range(len(columns)))
+    tmp = tmp_path_factory.mktemp("csv")
+    series = ResultSeries(names, columns, {"note": "round trip", "n": 3})
+    export_csv(series, tmp / "a.csv", reproducible=True)
+    back = read_result_csv(tmp / "a.csv")
+    export_csv(back, tmp / "b.csv", reproducible=True)
+    assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
+    assert back.columns == names and len(back.rows) == len(series.rows)
+    for name, col in zip(names, columns):
+        got = back.column(name)
+        if col.dtype == np.int64:
+            assert got.dtype == np.int64 and np.array_equal(got, col)
+        else:       # integral floats may read back as int64 columns, exactly
+            assert np.array_equal(got.astype(np.float64).view(np.int64), col.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(column_tables())
+@example([np.array([0.0, -0.0, 0.0, -0.0, 5e-324, -5e-324, 1e308, 0.1, 0.1])])
+def test_column_formatter_is_format_value_cell_by_cell(columns):
+    for col in columns:
+        assert _format_column(col) == [_format_value(v) for v in col]
+        assert _format_column(col) == [_format_value(v) for v in col.tolist()]
 
 
 def test_exponent_numbers_without_dot_are_numbers():
