@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -313,19 +314,24 @@ def intertwining_defect(bundle: TimeDependentBundle, t: float, k_grid,
         fresh = eig(as_operator(np.asarray(bundle.h_meas(tk), dtype=complex)))
         sector_path.append(_tracked_sectors(sector_path[-1], fresh) if sector_path else fresh)
 
-    # each checkpoint against all sectors at once, stacked (sector, d, d)
+    # the checkpoint projectors stacked once per path, (checkpoint, sector, d, d),
+    # in chunks of at most _STACK_BYTES (37 checkpoints at d = 3 with three sectors)
     sectors0 = sector_path[0]
     p0 = np.array([p.matrix for p in sectors0.projectors])
     rho0 = np.array([p.matrix / p.rank for p in sectors0.projectors])
+    per = max(1, _STACK_BYTES // p0.nbytes)
+    path = [np.array([[p.matrix for p in here.projectors] for here in sector_path[i:i + per]])
+            for i in range(1, samples + 1, per)]
     reports = []
     for k, nsteps in plans:
         defect = drift = np.zeros(len(sectors0))
         checkpoints = _midpoint_checkpoints(bundle.with_coupling(k), t, nsteps, samples)
-        for here, u in zip(sector_path[1:], checkpoints):
-            pt = np.array([p.matrix for p in here.projectors])
-            defect = np.maximum(defect, np.linalg.norm(u @ p0 - pt @ u, 2, axis=(1, 2)))
-            pop = np.trace(pt @ u @ rho0 @ u.conj().T, axis1=1, axis2=2).real
-            drift = np.maximum(drift, np.abs(pop - 1.0))
+        for pt in path:
+            u = np.array(list(islice(checkpoints, len(pt))))[:, None]      # (checkpoint, 1, d, d)
+            norms = np.linalg.norm(u @ p0 - pt @ u, 2, axis=(2, 3))
+            pop = np.trace(pt @ u @ rho0 @ u.conj().swapaxes(2, 3), axis1=2, axis2=3).real
+            defect = np.maximum(defect, norms.max(axis=0))
+            drift = np.maximum(drift, np.abs(pop - 1.0).max(axis=0))
         reports.append(TransportReport(k, tuple(map(
             SectorTransport, [s.eigenvalue for s in sectors0], defect.tolist(), drift.tolist()))))
     return reports

@@ -15,7 +15,7 @@ import yaml
 
 from .continuous import zeno_sectors
 from .errors import NumericalError, ValidationError
-from .scenario import _MODELS, _certified, _fields, export_csv, load_scenario, run
+from .scenario import _MODELS, _certified, _fields, _yaml_load, export_csv, load_scenario, run
 
 
 def _params(text: str) -> dict:
@@ -27,7 +27,7 @@ def _params(text: str) -> dict:
         if not sep or not key:
             raise ValidationError(f"--params: expected k=v, got {item!r}")
         try:
-            out[key] = yaml.safe_load(value)
+            out[key] = _yaml_load(value)
         except yaml.YAMLError:
             raise ValidationError(f"--params: {key}: unreadable value {value!r}") from None
     return out

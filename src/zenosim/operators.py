@@ -413,7 +413,13 @@ class DensityMatrix:
     _TRACE_TOL = 1e-10
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex, order="C")
+        object.__setattr__(self, "matrix", self._checked(self.matrix, psd=True))
+
+    @classmethod
+    def _checked(cls, matrix, psd: bool) -> np.ndarray:
+        """Read-only copy of ``matrix`` after the finiteness, shape,
+        Hermiticity and trace checks, and with ``psd`` the positivity test."""
+        m = np.array(matrix, dtype=complex, order="C")
         _check_finite(m, "density matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got {m.shape}")
@@ -421,26 +427,38 @@ class DensityMatrix:
         if not _within_scaled(_hermitian_deviation(m), m,
                               lambda norm: HERMITIAN_RTOL * max(1.0, norm) * n):
             raise ValidationError("density matrix is not Hermitian")
-        evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if not _within_scaled(-evals.min(), m, lambda norm: self._PSD_TOL * max(1.0, norm)):
-            raise ValidationError(
-                f"density matrix has negative eigenvalue {evals.min():.3e}"
-            )
+        if psd:
+            evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
+            if not _within_scaled(-evals.min(), m, lambda norm: cls._PSD_TOL * max(1.0, norm)):
+                raise ValidationError(
+                    f"density matrix has negative eigenvalue {evals.min():.3e}"
+                )
         tr = m.trace().real
-        if tr > 1.0 + self._TRACE_TOL:
+        if tr > 1.0 + cls._TRACE_TOL:
             raise ValidationError(f"density matrix trace {tr:.12g} exceeds one")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        return m
 
     @classmethod
     def pure(cls, state: np.ndarray) -> "DensityMatrix":
-        """Rank-one density matrix of a normalized state vector."""
+        """Rank-one density matrix of a normalized state vector.
+
+        The positivity test is skipped, since it cannot fail here: the
+        computed outer product is ``fl(v v^dag) = v v^dag + E`` with
+        ``|E_ij| <= sqrt(2) gamma_2 |v_i| |v_j|`` (``gamma_2 = 2u / (1 -
+        2u)``, u the unit roundoff), so ``||E||_F <= 3u ||v||^2`` and by
+        Weyl's inequality ``lambda_min(fl(v v^dag)) >= -||E||_F``, a few
+        ulp, far below ``_PSD_TOL``.  The other checks run as for every
+        density matrix.
+        """
         v = np.asarray(state, dtype=complex).reshape(-1)
         nrm = np.linalg.norm(v)
         if nrm == 0:
             raise ValidationError("cannot normalize the zero vector")
         v = v / nrm
-        return cls(np.outer(v, v.conj()))
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", cls._checked(np.outer(v, v.conj()), psd=False))
+        return rho
 
     @property
     def dim(self) -> int:

@@ -312,9 +312,13 @@ def nonselective_evolve(h, sectors: SectorDecomposition, n: int, t: float,
     The chain runs in the sector basis ``W = [Q_1 ... Q_m]`` (``P_n =
     Q_n Q_n^dag``): ``U`` and ``rho0`` are rotated once, the sandwich map
     ``rho -> sum_n P_n rho P_n`` keeps the diagonal blocks, and the final
-    state is rotated back.  Small inputs apply it as an elementwise mask
-    to dense products; from ``_BLOCKWISE_MIN_DIM`` on, with few enough
-    sectors, only the blocks are multiplied (:func:`_blockwise_chain`).
+    state is rotated back.  When the blocks hold at most ``2 d`` entries
+    (small sectors, such as rank-1 ones whose blocks are the populations)
+    the chain iterates one ``s x s`` matrix on those entries and checks
+    the traces a chunk of steps at a time (:func:`_kept_chain`).
+    Otherwise small inputs apply the map as an elementwise mask to dense
+    products; from ``_BLOCKWISE_MIN_DIM`` on, with few enough sectors,
+    only the blocks are multiplied (:func:`_blockwise_chain`).
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError("measurement count must be an integer >= 1")
@@ -325,30 +329,40 @@ def nonselective_evolve(h, sectors: SectorDecomposition, n: int, t: float,
     sectors.validate_resolution()
 
     bases = [s.projector.basis for s in sectors]
+    sizes = [q.shape[1] for q in bases]
     w = np.hstack(bases)
     u = w.conj().T @ expm(h, t / n).matrix @ w
-    if sectors.dim >= _BLOCKWISE_MIN_DIM and len(bases) * _BLOCKWISE_MIN_RANK <= sectors.dim:
+    if sum(r * r for r in sizes) <= 2 * sectors.dim:
+        rho = _kept_chain(u, w.conj().T @ rho0.matrix @ w, sizes, n, project_final)
+    elif sectors.dim >= _BLOCKWISE_MIN_DIM and len(bases) * _BLOCKWISE_MIN_RANK <= sectors.dim:
         rho = _blockwise_chain(u, [q.conj().T @ rho0.matrix @ q for q in bases],
                                n, project_final)
     else:
-        rho = _dense_chain(u, w.conj().T @ rho0.matrix @ w,
-                           [q.shape[1] for q in bases], n, project_final)
+        rho = _dense_chain(u, w.conj().T @ rho0.matrix @ w, sizes, n, project_final)
     rho = w @ rho @ w.conj().T
     return DensityMatrix((rho + rho.conj().T) / 2)
 
 
 # The blockwise step takes 2 d sum_c r_c^2 complex multiply-adds instead of
 # the 4 d^3 of the two dense products, but pays Python overhead per sector.
-# Measured per step (with its trace check) on one BLAS thread of a 2-core
-# Xeon VM (OpenBLAS 0.3.31), dense against blockwise in microseconds:
-# d = 3, 3 sectors 12 / 27; d = 32, 2 sectors 32 / 38; d = 48, 2 sectors
-# 67 / 61, 4 sectors 66 / 72; d = 64, 4 sectors 135 / 101, 8 sectors
-# 128 / 155, 16 sectors 132 / 219; d = 100, 4 sectors 418 / 205, 25 sectors
-# 420 / 383; d = 200, 4 sectors 3029 / 979, 200 sectors 3052 / 1690.
-# Hence blockwise from d = 64 with at least 16 dimensions per sector on
-# average.
+# The kept step takes s^2 for the s = sum_c r_c^2 kept entries, in one
+# matrix-vector product.  Measured per step (with its trace check, the
+# kept step's batched) on one BLAS thread of a 2-core Xeon VM (OpenBLAS
+# 0.3.31), dense / blockwise / kept in microseconds, kept where s <= 4d:
+# d = 3, 3 sectors 8.0 / 14 / 1.2, 2 sectors 6.9 / 14 / 1.3; d = 32,
+# 2 sectors 19 / 24, 32 sectors 18 / 123 / 1.7; d = 48, 2 sectors
+# 39 / 35, 4 sectors 39 / 44; d = 64, 4 sectors 77 / 57, 8 sectors 79 / 82,
+# 16 sectors (s = 4d) 78 / 144 / 47, 32 sectors 80 / 223 / 9.8, 64 sectors
+# 80 / 272 / 4.4; d = 100, 4 sectors 243 / 147, 25 sectors (s = 4d)
+# 249 / 244 / 256, 50 sectors 254 / 453 / 30, 100 sectors 352 / 543 / 20;
+# d = 200, 4 sectors 1836 / 601, 100 sectors 1850 / 853 / 240, 200 sectors
+# 1837 / 1436 / 64.  Hence the kept step while s <= 2d (M then holds at
+# most 4 d^2 entries), else blockwise from d = 64 with at least 16
+# dimensions per sector on average, else dense.
 _BLOCKWISE_MIN_DIM = 64
 _BLOCKWISE_MIN_RANK = 16
+# Bytes of kept-entry iterates held at once: 1365 steps at d = 3, 20 at d = 200.
+_KEPT_CHUNK_BYTES = 1 << 16
 
 
 def _check_trace_step(k: int, tr: float, prev: float) -> float:
@@ -401,6 +415,54 @@ def _blockwise_chain(u, rhos, n: int, project_final: bool) -> np.ndarray:
     for b, r in zip(blocks, rhos):
         rho[b, b] = r
     return rho
+
+
+def _check_traces(first: int, traces: np.ndarray) -> None:
+    """:func:`_check_trace_step` for the steps ``first, first + 1, ...``
+    at once: ``traces[j + 1]`` is the trace after step ``first + j`` and
+    ``traces[0]`` the one before ``first``.  The first offending step
+    raises, with the message of the per-step check."""
+    prev, delta = traces[:-1], np.abs(np.diff(traces))
+    bad = np.flatnonzero(delta > 1e-12 * np.maximum(1.0, np.abs(prev)))
+    if bad.size:
+        raise NumericalError(f"step {first + bad[0]} changed the trace by {delta[bad[0]]:.3e}")
+
+
+def _kept_chain(u, rho, sizes, n: int, project_final: bool) -> np.ndarray:
+    """The chain in the sector basis on the ``s = sum_c r_c^2`` entries the
+    mask keeps.
+
+    On the kept entries ``(a, b)`` the step ``X -> U X U^dag`` is the
+    ``s x s`` matrix ``M[(a, b), (i, j)] = U_ai conj(U_bj)`` (for rank-1
+    sectors the classical map ``p -> |U_ab|^2 p`` on the populations).
+    The iterates ``v <- M v`` fill a chunk of ``_KEPT_CHUNK_BYTES`` at a
+    time, whose traces are then checked in one pass.  An unprojected final
+    step keeps the full product ``U X U^dag``.
+    """
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    ia, ib = np.nonzero(label[:, None] == label[None, :])
+    diag = np.flatnonzero(ia == ib)
+    m = u[ia[:, None], ia] * u.conj()[ib[:, None], ib]
+    steps = n if project_final else n - 1
+    vs = np.empty((max(1, min(steps, _KEPT_CHUNK_BYTES // (16 * ia.size))) + 1, ia.size),
+                  dtype=complex)
+    vs[0] = rho[ia, ib]
+    prev = float(vs[0, diag].real.sum())
+    for first in range(0, steps, len(vs) - 1):
+        count = min(len(vs) - 1, steps - first)
+        for j in range(count):
+            np.matmul(m, vs[j], out=vs[j + 1])
+        traces = vs[:count + 1, diag].real.sum(axis=1)
+        traces[0] = prev
+        _check_traces(first, traces)
+        prev = float(traces[-1])
+        vs[0] = vs[count]
+    x = np.zeros_like(u)
+    x[ia, ib] = vs[0]
+    if not project_final:
+        x = u @ x @ u.conj().T
+        _check_trace_step(n - 1, float(x.trace().real), prev)
+    return x
 
 
 def nonselective_limit(h, sectors: SectorDecomposition, t: float,

@@ -327,6 +327,21 @@ def _model(obj, path: str, base_dir) -> tuple[str, dict]:
     return kind, params
 
 
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _yaml_load(text: str):
+    """``yaml.safe_load(text)``, parsed by libyaml when PyYAML has it.  A
+    document libyaml refuses (a ``YAMLError``, or a ``ValueError`` such as
+    its ``UnicodeEncodeError`` on a lone surrogate) is parsed again by
+    ``yaml.safe_load``, so every error, with its message and line number,
+    is the pure-Python loader's."""
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except (yaml.YAMLError, ValueError):
+        return yaml.safe_load(text)
+
+
 def parse_scenario(data, base_dir: str | Path = ".") -> Scenario:
     """Parse and validate scenario text (str or bytes).
 
@@ -336,7 +351,7 @@ def parse_scenario(data, base_dir: str | Path = ".") -> Scenario:
     except the documented time grid, which is echoed in the metadata.
     """
     try:
-        doc = yaml.safe_load(data.decode("utf-8") if isinstance(data, bytes) else data)
+        doc = _yaml_load(data.decode("utf-8") if isinstance(data, bytes) else data)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"scenario: not UTF-8 text ({exc})") from None
     except yaml.YAMLError as exc:
@@ -615,7 +630,7 @@ def export_csv(series: ResultSeries, path, reproducible: bool = False) -> None:
 def _parse_column(cells) -> np.ndarray:
     """The column of CSV ``cells``: ``int64`` when every cell is an integer
     as ``str`` writes it (so ``-0`` stays the float ``-0.0``), else
-    ``float64``."""
+    ``float64``.  A cell that is neither raises ``ValueError``."""
     try:
         ints = [int(c) for c in cells]
         if all(str(i) == c for i, c in zip(ints, cells)):
@@ -626,25 +641,46 @@ def _parse_column(cells) -> np.ndarray:
 
 
 def read_result_csv(path) -> ResultSeries:
-    """Re-parse a CSV produced by :func:`export_csv` (bit-exact floats)."""
+    """Re-parse a CSV produced by :func:`export_csv` (bit-exact floats).
+
+    A ragged row or a cell that is not a number raises a
+    :class:`ValidationError` naming the file and the line (and the column).
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     metadata: dict = {}
-    body = []
-    for ln in lines:
+    body = []                           # (line number, cells)
+    for number, ln in enumerate(lines, 1):
         if ln.startswith("#"):
             key, _, value = ln[1:].partition(":")
             metadata[key.strip()] = value.strip()
         elif ln:
-            body.append(ln)
+            body.append((number, ln.split(",")))
     if not body:
         raise ValidationError(f"{path}: no header row")
-    columns = tuple(body[0].split(","))
-    rows = [ln.split(",") for ln in body[1:]]
-    if any(len(r) != len(columns) for r in rows):
-        raise ValidationError("result rows are not rectangular")
-    cells = zip(*rows) if rows else [()] * len(columns)
-    return ResultSeries(columns, tuple(map(_parse_column, cells)), metadata)
+    columns = tuple(body[0][1])
+    numbers, rows = zip(*body[1:]) if len(body) > 1 else ((), ())
+    for number, r in zip(numbers, rows):
+        if len(r) != len(columns):
+            raise ValidationError(f"{path}: line {number}: result rows are not rectangular "
+                                  f"({len(r)} cells, {len(columns)} columns)")
+    values = []
+    for name, cells in zip(columns, zip(*rows) if rows else [()] * len(columns)):
+        try:
+            values.append(_parse_column(cells))
+        except ValueError:
+            row = next(i for i, c in enumerate(cells) if not _is_float(c))
+            raise ValidationError(f"{path}: line {numbers[row]}, column {name!r}: "
+                                  f"{cells[row]!r} is not a number") from None
+    return ResultSeries(columns, tuple(values), metadata)
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True

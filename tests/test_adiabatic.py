@@ -12,6 +12,7 @@ from zenosim import (
     adiabatic,
     as_operator,
     constant_bundle,
+    eig,
     exact_propagator,
     expm,
     intertwining_defect,
@@ -183,6 +184,39 @@ def test_intertwining_defect_exponentiates_independently_of_the_step_count(monke
         intertwining_defect(b, 1.5, ks, samples=10, steps=steps)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= len(ks)
+
+
+def per_checkpoint_reports(bundle, t, ks, samples):
+    """The loop the chunked checkpoints reproduce bit for bit: each
+    checkpoint ``U`` against its own stacked (sector, d, d) projectors."""
+    path = [eig(as_operator(bundle.h_meas(0.0)))]
+    for tk in np.linspace(0.0, t, samples + 1)[1:]:
+        path.append(adiabatic._tracked_sectors(path[-1], eig(as_operator(bundle.h_meas(tk)))))
+    p0 = np.array([p.matrix for p in path[0].projectors])
+    rho0 = np.array([p.matrix / p.rank for p in path[0].projectors])
+    out = []
+    for k in ks:
+        bk = bundle.with_coupling(k)
+        steps = adiabatic._step_plan(bk, t, None, samples, resolve=True)
+        defect = drift = np.zeros(len(p0))
+        for here, u in zip(path[1:], adiabatic._midpoint_checkpoints(bk, t, steps, samples)):
+            pt = np.array([p.matrix for p in here.projectors])
+            defect = np.maximum(defect, np.linalg.norm(u @ p0 - pt @ u, 2, axis=(1, 2)))
+            pop = np.trace(pt @ u @ rho0 @ u.conj().T, axis1=1, axis2=2).real
+            drift = np.maximum(drift, np.abs(pop - 1.0))
+        out.append((k, defect.tolist(), drift.tolist()))
+    return out
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 16 * 3 * 3 * 3, adiabatic._STACK_BYTES])
+def test_chunked_checkpoints_give_the_per_checkpoint_reports(monkeypatch, budget):
+    # one, three (a ragged last chunk of one) and 37 checkpoints of three sectors per chunk
+    monkeypatch.setattr(adiabatic, "_STACK_BYTES", budget)
+    b = rotating_three_level(rate=0.3)
+    reports = intertwining_defect(b, 1.5, [10.0, 40.0], samples=10)
+    got = [(r.coupling, [s.defect for s in r.sectors], [s.drift for s in r.sectors])
+           for r in reports]
+    assert got == per_checkpoint_reports(b, 1.5, [10.0, 40.0], 10)
 
 
 # --------------------------------------------------------------------------

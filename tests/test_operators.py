@@ -142,6 +142,19 @@ def test_density_matrix_validation():
     rho = DensityMatrix.pure([3, 4j])
     assert abs(rho.trace - 1) < 1e-14
     assert abs(rho.matrix[0, 0] - 0.36) < 1e-14
+    with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="NaN or Inf"):
+        DensityMatrix.pure([1.0, np.nan])
+
+
+@pytest.mark.parametrize("dim", [1, 3, 200])
+def test_pure_state_passes_the_skipped_positivity_test(rng, dim):
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    rho = DensityMatrix.pure(v)
+    u = v / np.linalg.norm(v)
+    assert np.array_equal(rho.matrix, DensityMatrix(np.outer(u, u.conj())).matrix)
+    assert not rho.matrix.flags.writeable
+    # a few ulp below zero at worst, against the 1e-10 allowance
+    assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-14
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from zenosim import (
@@ -15,6 +17,7 @@ from zenosim.scenario import (
     ResultSeries,
     _format_column,
     _format_value,
+    _yaml_load,
     export_csv,
     load_scenario,
     parse_scenario,
@@ -22,6 +25,7 @@ from zenosim.scenario import (
     run,
 )
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 MINIMAL = """
 model:
   kind: three_level
@@ -32,6 +36,12 @@ task: survival
 
 # --------------------------------------------------------------------------
 # parsing
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_libyaml_and_pure_loaders_read_equal_documents(path):
+    text = path.read_text()
+    assert _yaml_load(text) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def test_minimal_scenario_gets_documented_defaults():
@@ -243,6 +253,16 @@ def test_result_series_validation():
         ResultSeries(("a",), ([1.0], [2.0]), {})
     with pytest.raises(NumericalError, match="non-finite"):
         ResultSeries(("a",), ([float("nan")],), {})
+
+
+def test_non_numeric_or_ragged_csv_names_file_line_and_column(tmp_path):
+    path = tmp_path / "cells.csv"
+    path.write_text("# task: x\n\na,b\n1,2.5\n3,abc\n")
+    with pytest.raises(ValidationError, match=r"cells\.csv: line 5, column 'b': 'abc' is not a number"):
+        read_result_csv(path)
+    path.write_text("a,b\n1,2\n\n3\n")
+    with pytest.raises(ValidationError, match=r"cells\.csv: line 4: result rows are not rectangular"):
+        read_result_csv(path)
 
 
 def test_result_series_refuses_ragged_or_non_numeric_columns(tmp_path):

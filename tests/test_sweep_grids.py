@@ -5,15 +5,17 @@ sector basis that decomposition gives.  Each sector-basis form is checked
 here against the dense computation it replaces, on random Hermitian and
 near-degenerate couplings: the block diagnostics, the grid-shared
 exponentials, the sweep-N error on the rank x rank core, the sweep-K limit
-propagators and the blockwise nonselective step, with the size rules
-that choose between the blocked and the dense forms.  The sector-transport
-guards (overlap tracking without an assignment solver, the step ceiling
+propagators and the blockwise and kept-entry nonselective steps, with the
+size rules that choose between the blocked, kept and dense forms.  The
+sector-transport guards (overlap tracking without an assignment solver, the step ceiling
 and the finiteness of the probes) close the file.
 """
 
+import math
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ import zenosim
 from zenosim import (
     CoupledHamiltonian,
     DensityMatrix,
+    NumericalError,
     Operator,
     SectorDecomposition,
     SectorTrackingError,
@@ -52,7 +55,7 @@ from zenosim.cli import main
 from zenosim import continuous
 from zenosim.continuous import _blocked_limits, _defect_sweep
 from zenosim.operators import Sector, block_diagonal_part, fnorm
-from zenosim.pulsed import _blockwise_chain, _dense_chain, _pulsed_errors
+from zenosim.pulsed import _blockwise_chain, _dense_chain, _kept_chain, _pulsed_errors
 
 from conftest import random_hermitian
 
@@ -318,11 +321,10 @@ def test_blockwise_step_matches_the_dense_step(d, n, project_final, data):
     assert abs(blockwise.trace().real - start) <= 1e-13
 
 
-def _spy_blockwise(monkeypatch):
+def _spy_chain(monkeypatch, name="_blockwise_chain"):
     calls = []
-    real = pulsed._blockwise_chain
-    monkeypatch.setattr(pulsed, "_blockwise_chain",
-                        lambda *a: calls.append(1) or real(*a))
+    real = getattr(pulsed, name)
+    monkeypatch.setattr(pulsed, name, lambda *a: calls.append(1) or real(*a))
     return calls
 
 
@@ -335,7 +337,7 @@ def test_large_inputs_take_the_blockwise_step(rng, monkeypatch, project_final):
     h = random_hermitian(rng, d)
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     rho0 = DensityMatrix.pure(psi)
-    calls = _spy_blockwise(monkeypatch)
+    calls = _spy_chain(monkeypatch)
     out = nonselective_evolve(h, sectors, 6, 1.0, rho0, project_final=project_final)
     assert calls == [1]
     ps = [s.projector.matrix for s in sectors]
@@ -357,14 +359,87 @@ def _measured(d, outcomes):
                               as_operator((hm + hm.conj().T) / 2), 2.0)
 
 
-@pytest.mark.parametrize("hk", [three_level(1.0, 2.0),   # small
+@pytest.mark.parametrize("hk", [_measured(4, 1),         # small, one sector
                                 _measured(32, 2),        # below the dimension floor
                                 _measured(64, 8)])       # 8 dimensions per sector
 def test_other_inputs_stay_on_the_dense_step(hk, monkeypatch):
     sectors = zenosim.zeno_sectors(hk)
-    calls = _spy_blockwise(monkeypatch)
+    calls = _spy_chain(monkeypatch)
+    dense = _spy_chain(monkeypatch, "_dense_chain")
     nonselective_evolve(hk.total(), sectors, 8, 1.0, DensityMatrix.pure(np.ones(hk.dim)))
-    assert calls == []
+    assert calls == [] and dense == [1]
+
+
+# --------------------------------------------------------------------------
+# nonselective chain: kept entries against dense
+
+
+@PROPERTY
+@given(st.integers(2, 12), st.integers(1, 40), st.booleans(),
+       st.sampled_from([1, 1000, pulsed._KEPT_CHUNK_BYTES]), st.data())
+def test_kept_chain_matches_the_dense_chain(d, n, project_final, chunk_bytes, data):
+    sizes = _sizes(data.draw, d)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = _unitary(rng, d)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    dense = _dense_chain(u, rho, sizes, n, project_final)
+    with pytest.MonkeyPatch.context() as mp:        # from one step per chunk up
+        mp.setattr(pulsed, "_KEPT_CHUNK_BYTES", chunk_bytes)
+        kept = _kept_chain(u, rho, sizes, n, project_final)
+    assert np.max(np.abs(kept - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("sizes", [[1, 1, 1], [2, 1], [1, 2, 1, 1]])
+@pytest.mark.parametrize("project_final", [True, False])
+def test_kept_chain_reports_the_dense_chains_trace_error(sizes, project_final):
+    d = sum(sizes)
+    u = np.eye(d) + 0j
+    u[[0, -1], [0, -1]] = np.cos(0.01)
+    u[0, -1], u[-1, 0] = -np.sin(0.01), np.sin(0.01)
+    u[-1] *= math.sqrt(1 + 2e-11)                  # a gain on the last level
+    rho = np.zeros((d, d), dtype=complex)
+    rho[0, 0] = 1.0
+    # the gain shows after a few hundred steps; a larger one in the first step,
+    # which with one measurement and no final projection is the full product
+    for u, n, first in ((u, 3000, False), (1.001 * u, 1, True)):
+        steps = []
+        for chain in (_dense_chain, _kept_chain):
+            with pytest.raises(NumericalError, match=r"^step \d+ changed the trace by ") as info:
+                chain(u, rho, sizes, n, project_final)
+            steps.append(int(str(info.value).split()[1]))
+        assert steps[0] == steps[1] and (steps[0] == 0) == first
+
+
+def test_long_kept_chain_holds_bounded_memory():
+    u = _unitary(np.random.default_rng(5), 3)
+    rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    tracemalloc.start()
+    try:
+        out = _kept_chain(u, rho, [1, 1, 1], 10 ** 5, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(out.trace().real - 1.0) <= 1e-9
+    assert peak <= 4 * pulsed._KEPT_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("d, outcomes", [(3, 3), (64, 64), (64, 32)])
+def test_few_kept_entries_take_the_kept_step(d, outcomes, monkeypatch):
+    hk = three_level(1.0, 2.0) if d == 3 else _measured(d, outcomes)
+    sectors = zenosim.zeno_sectors(hk)
+    kept = _spy_chain(monkeypatch, "_kept_chain")
+    rho0 = DensityMatrix.pure(np.ones(hk.dim))
+    out = nonselective_evolve(hk.total(), sectors, 8, 1.0, rho0, project_final=False)
+    assert kept == [1]
+    ps = [s.projector.matrix for s in sectors]
+    u = expm(hk.total(), 1.0 / 8).matrix
+    rho = sum(p @ rho0.matrix @ p for p in ps)
+    for k in range(8):
+        rho = u @ rho @ u.conj().T
+        if k < 7:
+            rho = sum(p @ rho @ p for p in ps)
+    assert np.max(np.abs(out.matrix - rho)) <= 1e-12
 
 
 # --------------------------------------------------------------------------
