@@ -42,7 +42,7 @@ def _cmd_run(args) -> int:
     export_csv(series, out, reproducible=args.reproducible)
     slope = series.metadata.get("slope")
     extra = f", slope {slope:.4f}" if isinstance(slope, float) else ""
-    print(f"{scenario.task}: {len(series.rows)} rows -> {out}{extra}")
+    print(f"{scenario.task}: {series.values[0].size} rows -> {out}{extra}")
     return 0
 
 

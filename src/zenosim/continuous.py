@@ -23,6 +23,9 @@ from .operators import (
     Projector,
     SectorDecomposition,
     _eigenvector_sectors,
+    _hermitian_slices,
+    _rank_groups,
+    _sector_basis,
     as_operator,
     block_diagonal_part,
     cluster_values,
@@ -142,23 +145,13 @@ def nonadiabatic_defect(hk: CoupledHamiltonian, t: float,
     return snorm(exact.matrix - limit.matrix)
 
 
-# Measured on one BLAS thread (2-core Xeon VM), a five-point K grid with
-# 4 sectors: blocked limits against per-K zeno_propagator, 1.31 / 1.20 ms
-# at d = 3 (3 sectors), 2.03 / 1.70 at d = 16, 3.63 / 3.58 at d = 24,
-# 4.35 / 5.39 at d = 32, 14.7 / 18.3 at d = 64; below d = 32 the Python
-# cost of the block exponentials outweighs the smaller eigh.
-_BLOCKED_LIMIT_MIN_DIM = 32
-
-
 def _defect_sweep(hk: CoupledHamiltonian, t: float, couplings,
                   sectors: SectorDecomposition) -> list[float]:
     """:func:`nonadiabatic_defect` of ``hk`` at each coupling K in
-    ``couplings``.  From ``_BLOCKED_LIMIT_MIN_DIM`` on, Hermitian ``H`` and
-    ``H_meas`` with a complete decomposition take the limit propagators
-    from :func:`_blocked_limits`; other inputs call
-    :func:`zeno_propagator` per K."""
-    if (sectors.dim >= _BLOCKED_LIMIT_MIN_DIM and sectors.complete
-            and hk.h.hermitian and hk.h_meas.hermitian):
+    ``couplings``.  What :func:`_blocked_limits` needs, Hermitian ``H`` and
+    ``H_meas`` and a complete decomposition, picks it (the shipped d = 3 and
+    the d = 200 sweeps); other inputs call :func:`zeno_propagator` per K."""
+    if sectors.complete and hk.h.hermitian and hk.h_meas.hermitian:
         limits = _blocked_limits(hk, t, couplings, sectors)
     else:
         limits = (zeno_propagator(hk.with_coupling(k), t, sectors=sectors).matrix
@@ -174,20 +167,33 @@ def _blocked_limits(hk: CoupledHamiltonian, t: float, couplings,
 
     For Hermitian ``H`` and ``H_meas`` and a complete decomposition, as
     :func:`eig` gives, the limit generator ``H^diag + K H_meas`` is block
-    diagonal in the sector basis ``W = [Q_1 ... Q_m]``, with blocks
-    ``G_n = Q_n^dag H Q_n + K Q_n^dag H_meas Q_n``.  The two terms are
-    formed once for the grid, each K costs one exponential per ``rank x
-    rank`` block, and the limit is ``sum_n Q_n exp(-i G_n t) Q_n^dag``.
-    Keeping the within-sector part of ``H_meas``, rather than ``K eta_n``,
-    keeps clusters spread within the cluster tolerance exact.
+    diagonal in the sector basis ``W = [Q_1 ... Q_m]`` of
+    :func:`_sector_basis`, with blocks ``G_n = Q_n^dag H Q_n + K Q_n^dag
+    H_meas Q_n``; the two terms are formed once for the grid.  Per K, each
+    group of equal-rank blocks is checked as a Hermitian :class:`Operator`
+    (finite and Hermitian, with its messages), diagonalized by one batched
+    ``eigh`` and exponentiated as :func:`expm` does, into the columns
+    ``X[:, n] = Q_n exp(-i G_n t)``; the limit is ``X W^dag``.  Keeping the
+    within-sector part of ``H_meas``, rather than ``K eta_n``, keeps
+    clusters spread within the cluster tolerance exact.
     """
-    bases = [s.projector.basis for s in sectors]
-    blocks = [(q, q.conj().T @ hk.h.matrix @ q, q.conj().T @ hk.h_meas.matrix @ q)
-              for q in bases]
-    wdag = np.hstack(bases).conj().T
+    w, sizes = _sector_basis(sectors)
+    wdag, d, groups = w.conj().T, sectors.dim, []
+    x = np.empty((d, d), dtype=complex)
+    for cols, rank, count in _rank_groups(sizes):
+        q = w[:, cols].reshape(d, count, rank).transpose(1, 0, 2)
+        groups.append((q, (wdag[cols] @ hk.h.matrix).reshape(count, rank, d) @ q,
+                       (wdag[cols] @ hk.h_meas.matrix).reshape(count, rank, d) @ q,
+                       x[:, cols].reshape(d, count, rank).transpose(1, 0, 2)))
     for k in couplings:
-        x = np.hstack([q @ expm(as_operator(hb + k * hmb, hermitian=True), t).matrix
-                       for q, hb, hmb in blocks])
+        for q, hb, hmb, x_cols in groups:
+            g = hb + k * hmb
+            ok = _hermitian_slices(g)
+            if not ok.all():
+                Operator(g[np.argmin(ok)], hermitian=True)     # raises its error
+            e, v = np.linalg.eigh(g)
+            np.matmul(q, (v * np.exp(-1j * t * e)[:, None]) @ v.conj().transpose(0, 2, 1),
+                      out=x_cols)
         yield x @ wdag
 
 

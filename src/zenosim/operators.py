@@ -701,6 +701,21 @@ def _ranks_fill(sectors, dim) -> bool:
     return sum(s.multiplicity for s in sectors) == dim
 
 
+def _sector_basis(sectors: SectorDecomposition) -> tuple[np.ndarray, list[int]]:
+    """``W = [Q_1 ... Q_m]`` and its ranks, stably sorted by rank so that
+    equal-rank blocks batch together (:func:`_rank_groups`)."""
+    bases = sorted((s.projector.basis for s in sectors), key=lambda q: q.shape[1])
+    return np.hstack(bases), [q.shape[1] for q in bases]
+
+
+def _rank_groups(sizes) -> list[tuple[slice, int, int]]:
+    """``(cols, rank, count)`` of each run of equal ``sizes``: ``count``
+    blocks of ``rank x rank`` on the basis columns ``cols``."""
+    starts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
+    cols = np.cumsum([0, *sizes]).tolist()
+    return [(slice(cols[a], cols[b]), sizes[a], b - a) for a, b in zip(starts, starts[1:])]
+
+
 def offblock_norm(a, sectors: SectorDecomposition) -> float:
     """Frobenius norm of the part of ``a`` outside the sector blocks,
     ``||A - sum_n P_n A P_n||_F``.  Zero iff ``a`` is block diagonal."""

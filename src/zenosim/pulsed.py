@@ -13,7 +13,8 @@ Chains run where that motion lives.  A selective chain multiplies
 (:attr:`Projector.basis`); a nonselective chain runs in the basis made of
 all sector bases, where the sandwich map keeps the diagonal blocks.  ``U``
 is rotated into the small basis once per chain and the result rotated
-back once.
+back once.  One rule on the sector ranks picks the nonselective step,
+and each side has a workload (see :func:`nonselective_evolve`).
 
 Units have hbar = 1 throughout; rates and frequencies are inverse time.
 """
@@ -35,6 +36,8 @@ from .operators import (
     Projector,
     SectorDecomposition,
     _norm_exceeds,
+    _rank_groups,
+    _sector_basis,
     as_matrix,
     as_operator,
     expm,
@@ -310,15 +313,14 @@ def nonselective_evolve(h, sectors: SectorDecomposition, n: int, t: float,
     step.
 
     The chain runs in the sector basis ``W = [Q_1 ... Q_m]`` (``P_n =
-    Q_n Q_n^dag``): ``U`` and ``rho0`` are rotated once, the sandwich map
-    ``rho -> sum_n P_n rho P_n`` keeps the diagonal blocks, and the final
-    state is rotated back.  When the blocks hold at most ``2 d`` entries
-    (small sectors, such as rank-1 ones whose blocks are the populations)
-    the chain iterates one ``s x s`` matrix on those entries and checks
-    the traces a chunk of steps at a time (:func:`_kept_chain`).
-    Otherwise small inputs apply the map as an elementwise mask to dense
-    products; from ``_BLOCKWISE_MIN_DIM`` on, with few enough sectors,
-    only the blocks are multiplied (:func:`_blockwise_chain`).
+    Q_n Q_n^dag``, sectors sorted by rank): ``U`` and ``rho0`` are rotated
+    once, the sandwich map ``rho -> sum_n P_n rho P_n`` keeps the ``s =
+    sum_n r_n^2`` entries of the diagonal blocks, and the final state is
+    rotated back.  While ``s <= 2 d`` (small sectors; rank-1 blocks are the
+    populations) the chain iterates one ``s x s`` matrix on those entries
+    (:func:`_kept_chain`, run by the shipped d = 3 scenario), otherwise it
+    multiplies the blocks alone (:func:`_block_chain`, run by four rank-50
+    sectors at d = 200).
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError("measurement count must be an integer >= 1")
@@ -328,39 +330,14 @@ def nonselective_evolve(h, sectors: SectorDecomposition, n: int, t: float,
         raise ValidationError("state dimension does not match sectors")
     sectors.validate_resolution()
 
-    bases = [s.projector.basis for s in sectors]
-    sizes = [q.shape[1] for q in bases]
-    w = np.hstack(bases)
+    w, sizes = _sector_basis(sectors)
     u = w.conj().T @ expm(h, t / n).matrix @ w
-    if sum(r * r for r in sizes) <= 2 * sectors.dim:
-        rho = _kept_chain(u, w.conj().T @ rho0.matrix @ w, sizes, n, project_final)
-    elif sectors.dim >= _BLOCKWISE_MIN_DIM and len(bases) * _BLOCKWISE_MIN_RANK <= sectors.dim:
-        rho = _blockwise_chain(u, [q.conj().T @ rho0.matrix @ q for q in bases],
-                               n, project_final)
-    else:
-        rho = _dense_chain(u, w.conj().T @ rho0.matrix @ w, sizes, n, project_final)
+    chain = _kept_chain if sum(r * r for r in sizes) <= 2 * sectors.dim else _block_chain
+    rho = chain(u, w.conj().T @ rho0.matrix @ w, sizes, n, project_final)
     rho = w @ rho @ w.conj().T
     return DensityMatrix((rho + rho.conj().T) / 2)
 
 
-# The blockwise step takes 2 d sum_c r_c^2 complex multiply-adds instead of
-# the 4 d^3 of the two dense products, but pays Python overhead per sector.
-# The kept step takes s^2 for the s = sum_c r_c^2 kept entries, in one
-# matrix-vector product.  Measured per step (with its trace check, the
-# kept step's batched) on one BLAS thread of a 2-core Xeon VM (OpenBLAS
-# 0.3.31), dense / blockwise / kept in microseconds, kept where s <= 4d:
-# d = 3, 3 sectors 8.0 / 14 / 1.2, 2 sectors 6.9 / 14 / 1.3; d = 32,
-# 2 sectors 19 / 24, 32 sectors 18 / 123 / 1.7; d = 48, 2 sectors
-# 39 / 35, 4 sectors 39 / 44; d = 64, 4 sectors 77 / 57, 8 sectors 79 / 82,
-# 16 sectors (s = 4d) 78 / 144 / 47, 32 sectors 80 / 223 / 9.8, 64 sectors
-# 80 / 272 / 4.4; d = 100, 4 sectors 243 / 147, 25 sectors (s = 4d)
-# 249 / 244 / 256, 50 sectors 254 / 453 / 30, 100 sectors 352 / 543 / 20;
-# d = 200, 4 sectors 1836 / 601, 100 sectors 1850 / 853 / 240, 200 sectors
-# 1837 / 1436 / 64.  Hence the kept step while s <= 2d (M then holds at
-# most 4 d^2 entries), else blockwise from d = 64 with at least 16
-# dimensions per sector on average, else dense.
-_BLOCKWISE_MIN_DIM = 64
-_BLOCKWISE_MIN_RANK = 16
 # Bytes of kept-entry iterates held at once: 1365 steps at d = 3, 20 at d = 200.
 _KEPT_CHUNK_BYTES = 1 << 16
 
@@ -369,52 +346,6 @@ def _check_trace_step(k: int, tr: float, prev: float) -> float:
     if abs(tr - prev) > 1e-12 * max(1.0, abs(prev)):
         raise NumericalError(f"step {k} changed the trace by {abs(tr - prev):.3e}")
     return tr
-
-
-def _dense_chain(u, rho, sizes, n: int, project_final: bool) -> np.ndarray:
-    """The chain in the sector basis with the sandwich map as a mask."""
-    label = np.repeat(np.arange(len(sizes)), sizes)
-    mask = label[:, None] == label[None, :]
-    udag = u.conj().T
-    rho = rho * mask
-    prev = float(rho.trace().real)
-    for k in range(n):
-        rho = u @ rho @ udag
-        if k < n - 1 or project_final:
-            rho = rho * mask
-        prev = _check_trace_step(k, float(rho.trace().real), prev)
-    return rho
-
-
-def _blockwise_chain(u, rhos, n: int, project_final: bool) -> np.ndarray:
-    """The chain in the sector basis on the diagonal blocks ``rhos`` alone.
-
-    A step maps the blocks ``rho_c`` to ``rho_b = sum_c U_bc rho_c
-    U_bc^dag``, formed as ``X[:, c] = U[:, c] rho_c`` and then ``rho_b =
-    X[b, :] (U[b, :])^dag``; the off-block products the mask would discard
-    are never formed.  An unprojected final step keeps the full product
-    ``X U^dag``.
-    """
-    edges = np.cumsum([0, *(r.shape[0] for r in rhos)])
-    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    udag = u.conj().T
-    cols = [np.ascontiguousarray(u[:, b]) for b in blocks]         # U[:, b]
-    rows = [np.ascontiguousarray(udag[:, b]) for b in blocks]      # (U[b, :])^dag
-    x = np.empty_like(u)
-    prev = sum(float(r.trace().real) for r in rhos)
-    for k in range(n):
-        for b, c, r in zip(blocks, cols, rhos):
-            np.matmul(c, r, out=x[:, b])
-        if k == n - 1 and not project_final:
-            rho = x @ udag
-            _check_trace_step(k, float(rho.trace().real), prev)
-            return rho
-        rhos = [x[b, :] @ row for b, row in zip(blocks, rows)]
-        prev = _check_trace_step(k, sum(float(r.trace().real) for r in rhos), prev)
-    rho = np.zeros_like(u)
-    for b, r in zip(blocks, rhos):
-        rho[b, b] = r
-    return rho
 
 
 def _check_traces(first: int, traces: np.ndarray) -> None:
@@ -428,9 +359,17 @@ def _check_traces(first: int, traces: np.ndarray) -> None:
         raise NumericalError(f"step {first + bad[0]} changed the trace by {delta[bad[0]]:.3e}")
 
 
+def _kept_entries(sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``ia`` and columns ``ib`` of the diagonal blocks' entries in
+    row-major order (each block one run), and where the diagonal lies."""
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    ia, ib = np.nonzero(label[:, None] == label[None, :])
+    return ia, ib, np.flatnonzero(ia == ib)
+
+
 def _kept_chain(u, rho, sizes, n: int, project_final: bool) -> np.ndarray:
     """The chain in the sector basis on the ``s = sum_c r_c^2`` entries the
-    mask keeps.
+    sandwich map keeps.
 
     On the kept entries ``(a, b)`` the step ``X -> U X U^dag`` is the
     ``s x s`` matrix ``M[(a, b), (i, j)] = U_ai conj(U_bj)`` (for rank-1
@@ -439,9 +378,7 @@ def _kept_chain(u, rho, sizes, n: int, project_final: bool) -> np.ndarray:
     time, whose traces are then checked in one pass.  An unprojected final
     step keeps the full product ``U X U^dag``.
     """
-    label = np.repeat(np.arange(len(sizes)), sizes)
-    ia, ib = np.nonzero(label[:, None] == label[None, :])
-    diag = np.flatnonzero(ia == ib)
+    ia, ib, diag = _kept_entries(sizes)
     m = u[ia[:, None], ia] * u.conj()[ib[:, None], ib]
     steps = n if project_final else n - 1
     vs = np.empty((max(1, min(steps, _KEPT_CHUNK_BYTES // (16 * ia.size))) + 1, ia.size),
@@ -457,8 +394,45 @@ def _kept_chain(u, rho, sizes, n: int, project_final: bool) -> np.ndarray:
         _check_traces(first, traces)
         prev = float(traces[-1])
         vs[0] = vs[count]
+    return _finish(u, vs[0], ia, ib, n, prev, project_final)
+
+
+def _block_chain(u, rho, sizes, n: int, project_final: bool) -> np.ndarray:
+    """The chain in the sector basis on the diagonal blocks alone.
+
+    A step maps the blocks ``rho_c`` to ``rho_b = sum_c U_bc rho_c
+    U_bc^dag`` in two halves, the rows ``Z[c, :] = rho_c U[:, c]^dag`` of a
+    ``d x d`` buffer and then ``rho_b = U[b, :] Z[:, b]``, each one batched
+    product per group of equal-rank sectors (:func:`_rank_groups`).  The
+    blocks live in one vector laid out as the kept entries of
+    :func:`_kept_chain`; the factors are formed once, ``Z[:, b]`` as a
+    strided view, so a step copies nothing.  An unprojected final step
+    keeps the full product.
+    """
+    d, (ia, ib, diag) = u.shape[0], _kept_entries(sizes)
+    udag, v, z = u.conj().T, rho[ia, ib], np.empty_like(u)
+    groups, offset = [], 0
+    for rows, rank, count in _rank_groups(sizes):
+        stack = (count, rank, d)
+        groups.append((v[offset:offset + count * rank * rank].reshape(count, rank, rank),
+                       udag[rows].reshape(stack), z[rows].reshape(stack), u[rows].reshape(stack),
+                       z[:, rows].reshape(d, count, rank).transpose(1, 0, 2)))
+        offset += count * rank * rank
+    prev = float(v[diag].real.sum())
+    for k in range(n if project_final else n - 1):
+        for blocks, udag_rows, z_rows, _, _ in groups:
+            np.matmul(blocks, udag_rows, out=z_rows)
+        for blocks, _, _, u_rows, z_cols in groups:
+            np.matmul(u_rows, z_cols, out=blocks)
+        prev = _check_trace_step(k, float(v[diag].real.sum()), prev)
+    return _finish(u, v, ia, ib, n, prev, project_final)
+
+
+def _finish(u, v, ia, ib, n: int, prev: float, project_final: bool) -> np.ndarray:
+    """The kept entries ``v`` as the block-diagonal ``X``, or without the
+    final projection the last step's full product ``U X U^dag``."""
     x = np.zeros_like(u)
-    x[ia, ib] = vs[0]
+    x[ia, ib] = v
     if not project_final:
         x = u @ x @ u.conj().T
         _check_trace_step(n - 1, float(x.trace().real), prev)

@@ -339,7 +339,10 @@ def _yaml_load(text: str):
     try:
         return yaml.load(text, Loader=_YAML_LOADER)
     except (yaml.YAMLError, ValueError):
-        return yaml.safe_load(text)
+        try:
+            return yaml.safe_load(text)
+        except ValueError as exc:       # a value its tag cannot build, as the date 2001-13-45
+            raise yaml.YAMLError(f"unreadable value: {exc}") from None
 
 
 def parse_scenario(data, base_dir: str | Path = ".") -> Scenario:

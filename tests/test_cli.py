@@ -89,6 +89,19 @@ def test_sectors_bad_params_exit_one(capsys):
                  "--params", "omega=1,K=1,zeta=2"]) == 1
 
 
+def test_impossible_yaml_dates_exit_one(tmp_path, capsys):
+    # PyYAML's timestamp constructor raises a bare ValueError for these
+    scn = tmp_path / "s.yaml"
+    scn.write_text(SURVIVAL + "note: 2001-13-45\n")
+    assert main(["run", str(scn), "--out", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: scenario document: invalid YAML (unreadable value: " \
+                  "month must be in 1..12)\n"
+    assert main(["sectors", "--model", "three_level",
+                 "--params", "omega=2001-13-45,K=1"]) == 1
+    assert capsys.readouterr().err == "error: --params: omega: unreadable value '2001-13-45'\n"
+
+
 def test_linalg_failure_exits_two_without_traceback(monkeypatch, capsys):
     def failing_eigh(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -5,9 +5,10 @@ sector basis that decomposition gives.  Each sector-basis form is checked
 here against the dense computation it replaces, on random Hermitian and
 near-degenerate couplings: the block diagnostics, the grid-shared
 exponentials, the sweep-N error on the rank x rank core, the sweep-K limit
-propagators and the blockwise and kept-entry nonselective steps, with the
-size rules that choose between the blocked, kept and dense forms.  The
-sector-transport guards (overlap tracking without an assignment solver, the step ceiling
+propagators and the kept-entry and block nonselective chains (against a
+plain masked chain kept here as the reference), with the rules that choose
+between the kept and block chains and between the blocked and per-K
+limits.  The sector-transport guards (overlap tracking without an assignment solver, the step ceiling
 and the finiteness of the probes) close the file.
 """
 
@@ -55,7 +56,7 @@ from zenosim.cli import main
 from zenosim import continuous
 from zenosim.continuous import _blocked_limits, _defect_sweep
 from zenosim.operators import Sector, block_diagonal_part, fnorm
-from zenosim.pulsed import _blockwise_chain, _dense_chain, _kept_chain, _pulsed_errors
+from zenosim.pulsed import _block_chain, _kept_chain, _pulsed_errors
 
 from conftest import random_hermitian
 
@@ -246,6 +247,17 @@ def test_blocked_limits_match_zeno_propagator(problem, ks, t):
         assert np.max(np.abs(limit - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("h, k, message", [
+    (np.diag([1.0, 1e-13j]), 0.0,                   # Hermitian, but not its second block
+     r"^matrix flagged Hermitian deviates by 2\.000e-13 \(allowed 1\.000e-25\)$"),
+    (np.diag([1.0, 0.0]), 1e308, r"^operator contains NaN or Inf entries$"),
+])
+def test_blocked_limits_check_each_block_as_an_operator(h, k, message):
+    hk = CoupledHamiltonian(as_operator(h, hermitian=True), as_operator(np.diag([0.0, 2.0])), 1.0)
+    with pytest.raises(ValidationError, match=message), np.errstate(over="ignore"):
+        list(_blocked_limits(hk, 1.0, [k], zenosim.zeno_sectors(hk)))
+
+
 def _spy_blocked(monkeypatch):
     calls = []
     real = continuous._blocked_limits
@@ -284,7 +296,7 @@ def _incomplete(hk):
 
 
 @pytest.mark.parametrize("hk, sectors", [
-    (three_level(1.0, 1.0), None),                  # below the crossover
+    (decay_model(1.0, 1.0, 2.0), None),             # non-Hermitian H at d = 3
     (_system(40, skew=0.1), None),                  # non-Hermitian H
     (zenosim.cavity(1.0, 1.0, 4).hk, None),         # non-Hermitian coupling
     (_system(40), _incomplete(_system(40))),        # incomplete decomposition
@@ -299,90 +311,66 @@ def test_other_inputs_keep_zeno_propagator(hk, sectors, monkeypatch):
                    for k in ks]
 
 
+@pytest.mark.parametrize("hk", [three_level(1.0, 1.0),                   # three rank-1
+                                zenosim.four_level(1.0, 2.0, 0.5).inner_regime()])  # ranks 1, 2, 1
+def test_desk_sweeps_take_the_blocked_limits(hk, monkeypatch):
+    sectors = zenosim.zeno_sectors(hk)
+    ks = [1.0, 4.0, 16.0]
+    calls = _spy_blocked(monkeypatch)
+    got = _defect_sweep(hk, 1.5, ks, sectors)
+    assert calls == [1]
+    want = [nonadiabatic_defect(hk.with_coupling(k), 1.5, sectors=sectors) for k in ks]
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
 # --------------------------------------------------------------------------
-# nonselective chain: blockwise against dense
+# nonselective chains against the dense masked chain
+
+
+def _dense_chain(u, rho, sizes, n, project_final):
+    """The nonselective chain in the sector basis with the sandwich map as a
+    mask and the per-step trace rule: the reference for both chains."""
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    mask = label[:, None] == label[None, :]
+    rho = rho * mask
+    prev = rho.trace().real
+    for k in range(n):
+        rho = u @ rho @ u.conj().T
+        if k < n - 1 or project_final:
+            rho = rho * mask
+        tr = rho.trace().real
+        if abs(tr - prev) > 1e-12 * max(1.0, abs(prev)):
+            raise NumericalError(f"step {k} changed the trace by {abs(tr - prev):.3e}")
+        prev = tr
+    return rho
+
+
+def _chain_input(data, d):
+    """Sector ranks in the order ``_sizes`` draws them (unequal and unsorted
+    in general), a random unitary and a random full-rank state."""
+    sizes = _sizes(data.draw, d)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return sizes, _unitary(rng, d), a @ a.conj().T / np.trace(a @ a.conj().T).real
 
 
 @PROPERTY
 @given(st.integers(2, 40), st.integers(1, 20), st.booleans(), st.data())
 def test_blockwise_step_matches_the_dense_step(d, n, project_final, data):
-    sizes = _sizes(data.draw, d)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    u = _unitary(rng, d)
-    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    sizes, u, rho = _chain_input(data, d)
+    dense = _dense_chain(u, rho, sizes, n, project_final)
+    block = _block_chain(u, rho, sizes, n, project_final)
     label = np.repeat(np.arange(len(sizes)), sizes)
     start = float((rho * (label[:, None] == label[None, :])).trace().real)
-    dense = _dense_chain(u, rho, sizes, n, project_final)
-    edges = np.cumsum([0, *sizes])
-    blocks = [rho[a:b, a:b] for a, b in zip(edges[:-1], edges[1:])]
-    blockwise = _blockwise_chain(u, blocks, n, project_final)
-    assert np.max(np.abs(blockwise - dense)) <= 1e-13
-    assert abs(blockwise.trace().real - start) <= 1e-13
-
-
-def _spy_chain(monkeypatch, name="_blockwise_chain"):
-    calls = []
-    real = getattr(pulsed, name)
-    monkeypatch.setattr(pulsed, name, lambda *a: calls.append(1) or real(*a))
-    return calls
-
-
-@pytest.mark.parametrize("project_final", [True, False])
-def test_large_inputs_take_the_blockwise_step(rng, monkeypatch, project_final):
-    d = 64
-    v = _unitary(rng, d)
-    hm = (v * np.repeat([0.0, 1.0], d // 2)) @ v.conj().T
-    sectors = eig(as_operator((hm + hm.conj().T) / 2))
-    h = random_hermitian(rng, d)
-    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    rho0 = DensityMatrix.pure(psi)
-    calls = _spy_chain(monkeypatch)
-    out = nonselective_evolve(h, sectors, 6, 1.0, rho0, project_final=project_final)
-    assert calls == [1]
-    ps = [s.projector.matrix for s in sectors]
-    u = expm(h, 1.0 / 6).matrix
-    rho = sum(p @ rho0.matrix @ p for p in ps)
-    for k in range(6):
-        rho = u @ rho @ u.conj().T
-        if k < 5 or project_final:
-            rho = sum(p @ rho @ p for p in ps)
-    assert np.max(np.abs(out.matrix - rho)) <= 1e-12
-    assert abs(out.trace - 1.0) <= 1e-12
-
-
-def _measured(d, outcomes):
-    rng = np.random.default_rng(3)
-    v = _unitary(rng, d)
-    hm = (v * np.repeat(np.arange(outcomes, dtype=float), d // outcomes)) @ v.conj().T
-    return CoupledHamiltonian(as_operator(random_hermitian(rng, d)),
-                              as_operator((hm + hm.conj().T) / 2), 2.0)
-
-
-@pytest.mark.parametrize("hk", [_measured(4, 1),         # small, one sector
-                                _measured(32, 2),        # below the dimension floor
-                                _measured(64, 8)])       # 8 dimensions per sector
-def test_other_inputs_stay_on_the_dense_step(hk, monkeypatch):
-    sectors = zenosim.zeno_sectors(hk)
-    calls = _spy_chain(monkeypatch)
-    dense = _spy_chain(monkeypatch, "_dense_chain")
-    nonselective_evolve(hk.total(), sectors, 8, 1.0, DensityMatrix.pure(np.ones(hk.dim)))
-    assert calls == [] and dense == [1]
-
-
-# --------------------------------------------------------------------------
-# nonselective chain: kept entries against dense
+    assert np.max(np.abs(block - dense)) <= 1e-13
+    assert abs(block.trace().real - start) <= 1e-13
 
 
 @PROPERTY
-@given(st.integers(2, 12), st.integers(1, 40), st.booleans(),
+@given(st.integers(2, 40), st.integers(1, 40), st.booleans(),
        st.sampled_from([1, 1000, pulsed._KEPT_CHUNK_BYTES]), st.data())
 def test_kept_chain_matches_the_dense_chain(d, n, project_final, chunk_bytes, data):
-    sizes = _sizes(data.draw, d)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    u = _unitary(rng, d)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    sizes, u, rho = _chain_input(data, d)
     dense = _dense_chain(u, rho, sizes, n, project_final)
     with pytest.MonkeyPatch.context() as mp:        # from one step per chunk up
         mp.setattr(pulsed, "_KEPT_CHUNK_BYTES", chunk_bytes)
@@ -404,11 +392,11 @@ def test_kept_chain_reports_the_dense_chains_trace_error(sizes, project_final):
     # which with one measurement and no final projection is the full product
     for u, n, first in ((u, 3000, False), (1.001 * u, 1, True)):
         steps = []
-        for chain in (_dense_chain, _kept_chain):
+        for chain in (_dense_chain, _kept_chain, _block_chain):
             with pytest.raises(NumericalError, match=r"^step \d+ changed the trace by ") as info:
                 chain(u, rho, sizes, n, project_final)
             steps.append(int(str(info.value).split()[1]))
-        assert steps[0] == steps[1] and (steps[0] == 0) == first
+        assert steps[0] == steps[1] == steps[2] and (steps[0] == 0) == first
 
 
 def test_long_kept_chain_holds_bounded_memory():
@@ -424,22 +412,63 @@ def test_long_kept_chain_holds_bounded_memory():
     assert peak <= 4 * pulsed._KEPT_CHUNK_BYTES
 
 
-@pytest.mark.parametrize("d, outcomes", [(3, 3), (64, 64), (64, 32)])
-def test_few_kept_entries_take_the_kept_step(d, outcomes, monkeypatch):
-    hk = three_level(1.0, 2.0) if d == 3 else _measured(d, outcomes)
+# --------------------------------------------------------------------------
+# nonselective_evolve: the kept chain while s = sum r_c^2 <= 2d, else the block chain
+
+
+def _spy_chain(monkeypatch, name):
+    calls = []
+    real = getattr(pulsed, name)
+    monkeypatch.setattr(pulsed, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def _measured(d, outcomes):
+    rng = np.random.default_rng(3)
+    v = _unitary(rng, d)
+    hm = (v * np.repeat(np.arange(outcomes, dtype=float), d // outcomes)) @ v.conj().T
+    return CoupledHamiltonian(as_operator(random_hermitian(rng, d)),
+                              as_operator((hm + hm.conj().T) / 2), 2.0)
+
+
+def _takes(chain, hk, monkeypatch, project_final):
+    """Run an 8-step ``nonselective_evolve`` of ``hk``, assert that it took
+    ``chain`` and not the other one, and compare it with the dense chain."""
     sectors = zenosim.zeno_sectors(hk)
-    kept = _spy_chain(monkeypatch, "_kept_chain")
+    other = "_block_chain" if chain == "_kept_chain" else "_kept_chain"
+    calls, other_calls = _spy_chain(monkeypatch, chain), _spy_chain(monkeypatch, other)
     rho0 = DensityMatrix.pure(np.ones(hk.dim))
-    out = nonselective_evolve(hk.total(), sectors, 8, 1.0, rho0, project_final=False)
-    assert kept == [1]
+    out = nonselective_evolve(hk.total(), sectors, 8, 1.0, rho0, project_final=project_final)
+    assert calls == [1] and other_calls == []
     ps = [s.projector.matrix for s in sectors]
     u = expm(hk.total(), 1.0 / 8).matrix
     rho = sum(p @ rho0.matrix @ p for p in ps)
     for k in range(8):
         rho = u @ rho @ u.conj().T
-        if k < 7:
+        if k < 7 or project_final:
             rho = sum(p @ rho @ p for p in ps)
     assert np.max(np.abs(out.matrix - rho)) <= 1e-12
+    assert abs(out.trace - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("project_final", [True, False])
+def test_large_inputs_take_the_blockwise_step(monkeypatch, project_final):
+    _takes("_block_chain", _measured(64, 2), monkeypatch, project_final)
+
+
+@pytest.mark.parametrize("hk", [_measured(4, 1),         # one sector
+                                _measured(32, 2),
+                                _measured(64, 8),
+                                _measured(3, 1),         # one rank-3 sector, s = 9 > 2d = 6
+                                _measured(64, 16)])      # 16 sectors of rank 4
+def test_other_inputs_take_the_block_chain(hk, monkeypatch):
+    _takes("_block_chain", hk, monkeypatch, True)
+
+
+@pytest.mark.parametrize("d, outcomes", [(3, 3), (64, 64), (64, 32)])
+def test_few_kept_entries_take_the_kept_step(d, outcomes, monkeypatch):
+    hk = three_level(1.0, 2.0) if d == 3 else _measured(d, outcomes)
+    _takes("_kept_chain", hk, monkeypatch, False)
 
 
 # --------------------------------------------------------------------------
