@@ -14,6 +14,14 @@ generators (a rotating bundle evaluates all its times at once), checks
 them in one pass, diagonalizes them by one batched ``eigh`` and multiplies
 the step propagators into ``U`` one by one in time order, so ``U`` equals
 the product of per-step :func:`expm` calls bit for bit.
+
+Work that does not depend on the coupling K is done once per path: the
+step plans of a K grid share one set of probe norms (one batched norm per
+part for a rotating bundle), and the sectors of ``H_meas`` at all
+checkpoints come from one batched decomposition, with the tracking
+overlaps of consecutive checkpoints in batched products; each
+decomposition and tracking decision is the one :func:`eig` and
+:func:`_tracked_sectors` make checkpoint by checkpoint, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,10 +38,11 @@ from .errors import SectorTrackingError, StepResolutionError, ValidationError
 from .operators import (
     Operator,
     SectorDecomposition,
+    _eigh_sectors,
     _hermitian_slices,
+    as_matrix,
     as_operator,
     eig,
-    snorm,
 )
 
 # Fraction of the fastest period a single step may cover.
@@ -114,7 +123,8 @@ def required_steps(bundle: TimeDependentBundle, t: float) -> int:
     """Smallest step count resolving both the system and the (K-scaled)
     measurement timescale at a tenth of a period over the horizon ``t``
     (finite and >= 0)."""
-    return _step_plan(bundle, t, None, resolve=True)
+    [n] = _step_plan(bundle, t, [bundle.coupling], None, resolve=True)
+    return n
 
 
 def _count(n, what: str) -> int:
@@ -123,43 +133,46 @@ def _count(n, what: str) -> int:
     return int(n)
 
 
-def _step_plan(bundle: TimeDependentBundle, t: float, steps, checkpoints: int = 1,
-               resolve: bool = False) -> int:
-    """Validated step count for integrating ``bundle`` over ``[0, t]``:
-    ``steps`` (or, with ``resolve`` and ``steps=None``, the fewest that
-    resolve both timescales) raised to a multiple of ``checkpoints``.  The
-    horizon must be finite and >= 0, the counts integers >= 1, and
-    ``bundle.h`` and ``bundle.h_meas`` finite at the nine probe times.  A
-    step above a tenth of either period raises :class:`StepResolutionError`
+def _step_plan(bundle: TimeDependentBundle, t: float, ks, steps, checkpoints: int = 1,
+               resolve: bool = False) -> list[int]:
+    """Validated step count for integrating ``bundle`` over ``[0, t]`` at
+    each coupling in ``ks``: ``steps`` (or, with ``resolve`` and
+    ``steps=None``, the fewest that resolve both timescales) raised to a
+    multiple of ``checkpoints``.  The horizon must be finite and >= 0, the
+    counts integers >= 1, and ``bundle.h`` and ``bundle.h_meas`` finite at
+    the nine probe times.  K only scales the measurement rate, so the probe
+    norms are taken once for the whole grid (:func:`_probe_norms`).  A step
+    above a tenth of either period raises :class:`StepResolutionError`
     naming the tighter of the violated timescales, and so does a plan
-    above ``_MAX_STEPS`` steps, before any step is taken."""
+    above ``_MAX_STEPS`` steps, before any step is taken; the first such K
+    of the grid raises."""
     if not (math.isfinite(t) and t >= 0):
         raise ValidationError("horizon must be finite and non-negative")
     if not (resolve and steps is None):
         steps = _count(steps, "step count")
     checkpoints = _count(checkpoints, "checkpoint count")
-    # the largest norms over nine probe times
-    probes = np.linspace(0.0, t, 9) if t > 0 else [0.0]
-    hn = max(_probe_norm(bundle.h, s, "h") for s in probes)
-    mn = max(_probe_norm(bundle.h_meas, s, "h_meas") for s in probes)
-    rates = (("system", hn), ("measurement", bundle.coupling * mn))
-    binding, fastest = max(rates, key=lambda kv: kv[1])
-    need = t * fastest / _STEP_FRACTION         # inf when a norm overflows
-    if not need <= _MAX_STEPS:
-        raise _ceiling_error(f"resolving the {binding} timescale over t = {t:.6g}", binding)
-    need = max(1, math.ceil(need))
-    n = max(need if steps is None else steps, checkpoints)
-    n += (-n) % checkpoints             # integer steps per checkpoint
-    if n > _MAX_STEPS:
-        raise _ceiling_error(f"a plan of {n} steps", binding)
-    dt = t / n
-    for name, rate in sorted(rates, key=lambda kv: -kv[1]):
-        if rate > 0 and dt > _STEP_FRACTION / rate:
-            raise StepResolutionError(
-                f"step {dt:.3e} does not resolve the {name} timescale "
-                f"{_STEP_FRACTION / rate:.3e}; need >= {need} steps",
-                timescale=name)
-    return n
+    hn, mn = _probe_norms(bundle, t)
+    plans = []
+    for k in ks:
+        rates = (("system", hn), ("measurement", k * mn))
+        binding, fastest = max(rates, key=lambda kv: kv[1])
+        need = t * fastest / _STEP_FRACTION         # inf when a norm overflows
+        if not need <= _MAX_STEPS:
+            raise _ceiling_error(f"resolving the {binding} timescale over t = {t:.6g}", binding)
+        need = max(1, math.ceil(need))
+        n = max(need if steps is None else steps, checkpoints)
+        n += (-n) % checkpoints             # integer steps per checkpoint
+        if n > _MAX_STEPS:
+            raise _ceiling_error(f"a plan of {n} steps", binding)
+        dt = t / n
+        for name, rate in sorted(rates, key=lambda kv: -kv[1]):
+            if rate > 0 and dt > _STEP_FRACTION / rate:
+                raise StepResolutionError(
+                    f"step {dt:.3e} does not resolve the {name} timescale "
+                    f"{_STEP_FRACTION / rate:.3e}; need >= {need} steps",
+                    timescale=name)
+        plans.append(n)
+    return plans
 
 
 def _ceiling_error(what: str, timescale: str) -> StepResolutionError:
@@ -167,12 +180,30 @@ def _ceiling_error(what: str, timescale: str) -> StepResolutionError:
                                timescale=timescale)
 
 
-def _probe_norm(part: Callable[[float], np.ndarray], s: float, name: str) -> float:
-    """Spectral norm of ``part(s)``, which must be finite."""
-    m = np.asarray(part(s), dtype=complex)
-    if not np.isfinite(m).all():
-        raise ValidationError(f"bundle {name} has NaN or Inf entries at t = {s:.6g}")
-    return snorm(m)
+def _sampled(bundle: TimeDependentBundle, part: str, times: np.ndarray) -> np.ndarray:
+    """``bundle.h`` or ``bundle.h_meas`` (``part``) at ``times``: one call
+    for a stacked bundle (whose constant ``h`` may come back as one
+    matrix), else the square matrices of per-time calls, stacked."""
+    f = getattr(bundle, part)
+    if isinstance(bundle, _StackedBundle):
+        return np.asarray(f(times), dtype=complex)
+    return np.stack([as_matrix(f(s)) for s in times])
+
+
+def _probe_norms(bundle: TimeDependentBundle, t: float) -> tuple[float, float]:
+    """Largest spectral norms of ``bundle.h`` and ``bundle.h_meas`` over
+    nine probe times spanning ``[0, t]`` (one at t = 0), one batched norm
+    each; the first probe time with NaN or Inf entries raises."""
+    probes = np.linspace(0.0, t, 9 if t > 0 else 1)
+    norms = []
+    for part in ("h", "h_meas"):
+        m = _sampled(bundle, part, probes)
+        bad = np.flatnonzero(~np.isfinite(m).all(axis=(-2, -1)))
+        if bad.size:
+            raise ValidationError(
+                f"bundle {part} has NaN or Inf entries at t = {probes[bad[0]]:.6g}")
+        norms.append(float(np.linalg.norm(m, 2, axis=(-2, -1)).max()))
+    return norms[0], norms[1]
 
 
 def _midpoint_checkpoints(bundle: TimeDependentBundle, t: float, steps: int,
@@ -213,7 +244,7 @@ def propagate_td(bundle: TimeDependentBundle, t: float, steps: int) -> Operator:
     resolve both timescales (a tenth of the fastest period), otherwise a
     resolution error names the binding one.
     """
-    steps = _step_plan(bundle, t, steps)
+    [steps] = _step_plan(bundle, t, [bundle.coupling], steps)
     if t == 0:
         return Operator(np.eye(np.asarray(bundle.h(0.0)).shape[0], dtype=complex))
     [u] = _midpoint_checkpoints(bundle, t, steps)
@@ -251,15 +282,16 @@ class TransportReport:
         return max((s.drift for s in self.sectors), default=0.0)
 
 
-def _tracked_sectors(prev: SectorDecomposition,
-                     current: SectorDecomposition) -> SectorDecomposition:
+def _tracked_sectors(prev: SectorDecomposition, current: SectorDecomposition,
+                     overlap: np.ndarray | None = None) -> SectorDecomposition:
     """Reorder ``current`` to follow ``prev`` by maximal projector overlap.
 
-    Overlap is ``Tr[P_prev P_new] / rank``; each previous sector follows the
-    current sector of its largest overlap.  When these row-wise maxima
-    pick every current sector once, the matching maximizes the summed
-    overlap, since the sum of the row maxima bounds that of every
-    assignment.  Any matched pair below 0.5 is treated as an eigenvalue
+    Overlap is ``Tr[P_prev P_new] / rank``, from :func:`_overlaps` unless
+    the caller passes those rows as ``overlap``; each previous sector
+    follows the current sector of its largest overlap.  When these
+    row-wise maxima pick every current sector once, the matching maximizes
+    the summed overlap, since the sum of the row maxima bounds that of
+    every assignment.  Any matched pair below 0.5 is treated as an eigenvalue
     crossing and refused, and so is a matching that picks some sector
     twice: for complete Hermitian decompositions each row of overlaps sums
     to 1, so at most one entry per row exceeds 0.5, and the best assignment
@@ -269,9 +301,9 @@ def _tracked_sectors(prev: SectorDecomposition,
     if len(prev) != len(current):
         raise SectorTrackingError(
             f"sector count changed along the path ({len(prev)} -> {len(current)})")
-    pp, pc = (np.array([p.matrix for p in dec.projectors]) for dec in (prev, current))
-    ranks = np.array([p.rank for p in prev.projectors])
-    overlap = np.trace(pp[:, None] @ pc, axis1=2, axis2=3).real / ranks[:, None]
+    if overlap is None:
+        (pp, ranks), (pc, _) = _projector_stack([prev]), _projector_stack([current])
+        overlap = _overlaps(pp, pc, ranks)[0]
     cols = np.argmax(overlap, axis=1)
     if len(set(cols.tolist())) < len(cols):
         raise SectorTrackingError(
@@ -284,6 +316,50 @@ def _tracked_sectors(prev: SectorDecomposition,
     return SectorDecomposition(tuple(current.sectors[j] for j in cols),
                                current.cluster_tol, current.dim,
                                complete=current.complete)
+
+
+def _projector_stack(decs) -> tuple[np.ndarray, np.ndarray]:
+    """The projector matrices ``(checkpoint, sector, d, d)`` and ranks
+    ``(checkpoint, sector)`` of decompositions with equal sector counts."""
+    return (np.array([[p.matrix for p in dec.projectors] for dec in decs]),
+            np.array([[p.rank for p in dec.projectors] for dec in decs]))
+
+
+def _overlaps(pp: np.ndarray, pc: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """``Tr[P_i Q_j] / rank(P_i)`` ``(pair, i, j)`` for each pair of
+    projector stacks ``pp`` and ``pc`` with the ranks of ``pp``."""
+    return np.trace(pp[:, :, None] @ pc[:, None], axis1=3, axis2=4).real / ranks[:, :, None]
+
+
+def _sector_path(bundle: TimeDependentBundle, times: np.ndarray) -> list[SectorDecomposition]:
+    """Sectors of ``bundle.h_meas`` at ``times``, each following the one
+    before (:func:`_tracked_sectors`).
+
+    ``h_meas`` is sampled as one stack, checked by one
+    :func:`_hermitian_slices` and diagonalized by one batched ``eigh``;
+    each Hermitian slice's sectors come from the Hermitian branch of
+    :func:`eig` (:func:`_eigh_sectors`), any other slice goes through
+    :func:`eig` itself.  The overlaps of consecutive checkpoints are one
+    batched product per chunk of at most ``_STACK_BYTES`` of products.
+    """
+    stack = _sampled(bundle, "h_meas", times)
+    hermitian = _hermitian_slices(stack)
+    eighs = zip(*np.linalg.eigh(stack[hermitian]))
+    fresh = [_eigh_sectors(*next(eighs), None) if ok else eig(h)
+             for h, ok in zip(stack, hermitian)]
+    m, d = len(fresh[0]), stack.shape[-1]
+    same = next((k for k, dec in enumerate(fresh) if len(dec) != m), len(fresh))
+    per = max(1, _STACK_BYTES // (16 * max(1, m * m * d * d)))      # pairs per product
+    path, order = fresh[:1], np.arange(m)
+    for first in range(0, same - 1, per):
+        mats, ranks = _projector_stack(fresh[first:min(first + per, same - 1) + 1])
+        for rows, here in zip(_overlaps(mats[:-1], mats[1:], ranks[:-1]), fresh[first + 1:]):
+            rows = rows[order]                  # the previous sectors in tracked order
+            path.append(_tracked_sectors(path[-1], here, rows))
+            order = rows.argmax(axis=1)         # the current sectors they followed
+    if same < len(fresh):
+        _tracked_sectors(path[-1], fresh[same])     # refuses the changed sector count
+    return path
 
 
 def intertwining_defect(bundle: TimeDependentBundle, t: float, k_grid,
@@ -299,20 +375,19 @@ def intertwining_defect(bundle: TimeDependentBundle, t: float, k_grid,
     worst intertwining defect and population drift.  Both shrink as K
     grows.  The horizon ``t`` must be finite and >= 0; the step count is
     raised to a multiple of ``samples``.
+
+    The work shared by the couplings is done once per path: the probe
+    norms of the step plans, and one batched decomposition of ``H_meas``
+    at all checkpoints (:func:`_sector_path`).
     """
     ks = [float(k) for k in k_grid]
     if not ks:
         raise ValidationError("coupling grid must not be empty")
     if any(k < 0 for k in ks):
         raise ValidationError("coupling strengths must be >= 0")
-    plans = [(k, _step_plan(bundle.with_coupling(k), t, steps, samples, resolve=True))
-             for k in ks]
-
-    # sector path is coupling-independent: track it once
-    sector_path = []
-    for tk in np.linspace(0.0, t, samples + 1):
-        fresh = eig(as_operator(np.asarray(bundle.h_meas(tk), dtype=complex)))
-        sector_path.append(_tracked_sectors(sector_path[-1], fresh) if sector_path else fresh)
+    bundles = [bundle.with_coupling(k) for k in ks]       # refuses a NaN or Inf K first
+    plans = _step_plan(bundle, t, ks, steps, samples, resolve=True)
+    sector_path = _sector_path(bundle, np.linspace(0.0, t, samples + 1))
 
     # the checkpoint projectors stacked once per path, (checkpoint, sector, d, d),
     # in chunks of at most _STACK_BYTES (37 checkpoints at d = 3 with three sectors)
@@ -323,15 +398,15 @@ def intertwining_defect(bundle: TimeDependentBundle, t: float, k_grid,
     path = [np.array([[p.matrix for p in here.projectors] for here in sector_path[i:i + per]])
             for i in range(1, samples + 1, per)]
     reports = []
-    for k, nsteps in plans:
+    for bk, nsteps in zip(bundles, plans):
         defect = drift = np.zeros(len(sectors0))
-        checkpoints = _midpoint_checkpoints(bundle.with_coupling(k), t, nsteps, samples)
+        checkpoints = _midpoint_checkpoints(bk, t, nsteps, samples)
         for pt in path:
             u = np.array(list(islice(checkpoints, len(pt))))[:, None]      # (checkpoint, 1, d, d)
             norms = np.linalg.norm(u @ p0 - pt @ u, 2, axis=(2, 3))
             pop = np.trace(pt @ u @ rho0 @ u.conj().swapaxes(2, 3), axis1=2, axis2=3).real
             defect = np.maximum(defect, norms.max(axis=0))
             drift = np.maximum(drift, np.abs(pop - 1.0).max(axis=0))
-        reports.append(TransportReport(k, tuple(map(
+        reports.append(TransportReport(bk.coupling, tuple(map(
             SectorTransport, [s.eigenvalue for s in sectors0], defect.tolist(), drift.tolist()))))
     return reports

@@ -605,7 +605,14 @@ def eig(a, cluster_tol: float | None = None,
     op = as_operator(a)
     if not op.hermitian:
         return _eigenvector_sectors(op, cluster_tol, max_condition)
-    w, v = op._eigh
+    return _eigh_sectors(*op._eigh, cluster_tol)
+
+
+def _eigh_sectors(w: np.ndarray, v: np.ndarray,
+                  cluster_tol: float | None) -> SectorDecomposition:
+    """The Hermitian branch of :func:`eig`, from the ``eigh`` eigenvalues
+    ``w`` and eigenvectors ``V`` of the operator, so that one batched
+    ``eigh`` can serve a stack of operators (``adiabatic`` does)."""
     tol = _cluster_tol(lambda: float(np.abs(w).max()), cluster_tol)    # ||A|| = max |w|
     clusters = cluster_values(w, tol)
     held, resolved = _eigh_certificate(v, max(map(len, clusters)))
@@ -613,7 +620,7 @@ def eig(a, cluster_tol: float | None = None,
         Sector(complex(np.mean(w[idx])), _eigh_projector(v[:, idx]) if held
                else Projector(v[:, idx] @ v[:, idx].conj().T, rank=len(idx)))
         for idx in clusters)
-    dec = SectorDecomposition(sectors, tol, op.dim, complete=True)
+    dec = SectorDecomposition(sectors, tol, v.shape[0], complete=True)
     dec.__dict__["_resolved"] = resolved
     return dec
 

@@ -11,10 +11,13 @@ independent block evolutions with exactly conserved per-sector weights.
 Chains run where that motion lives.  A selective chain multiplies
 ``rank x rank`` matrices in an orthonormal basis of ``Ran P``
 (:attr:`Projector.basis`); a nonselective chain runs in the basis made of
-all sector bases, where the sandwich map keeps the diagonal blocks.  ``U``
-is rotated into the small basis once per chain and the result rotated
-back once.  One rule on the sector ranks picks the nonselective step,
-and each side has a workload (see :func:`nonselective_evolve`).
+all sector bases, where the sandwich map keeps the diagonal blocks.  The
+step of a Hermitian ``H = V diag(w) V^dag`` is formed in that basis from
+the eigenbasis rotated into it once per N grid, ``(B e^{-i w t/N})
+B^dag`` with ``B = Q^dag V`` (the initial state of a nonselective grid
+is rotated once too), and the result is rotated back once per chain.
+One rule on the sector ranks picks the nonselective step, and each side
+has a workload (see :func:`nonselective_evolve`).
 
 Units have hbar = 1 throughout; rates and frequencies are inverse time.
 """
@@ -84,37 +87,40 @@ def pulsed_propagator(h, p: Projector, n: int, t: float) -> Operator:
     The chain runs inside ``Ran P``: with the orthonormal basis ``Q`` of
     the range (``P = Q Q^dag``) the power is ``Q [Q^dag U Q]^N Q^dag``, so
     each step multiplies ``rank x rank`` matrices instead of ``dim x dim``
-    ones.  The power is accumulated by repeated multiplication (so that an
-    N-sweep reuses the same error-accumulation order) and monitored against
-    the contraction bound ``||V|| <= 1``, which the isometry ``Q`` leaves
+    ones.  The step is formed from the eigenbasis of ``H = V diag(w)
+    V^dag`` as ``(B e^{-i w t/N}) B^dag`` with ``B = Q^dag V``.  The power
+    is accumulated by repeated multiplication (so that an N-sweep reuses
+    the same error-accumulation order) and monitored against the
+    contraction bound ``||V|| <= 1``, which the isometry ``Q`` leaves
     unchanged; norm overshoot within roundoff is renormalized away,
     anything larger raises.
     """
-    v = _selective_core(h, p, n, t)
+    [v] = _selective_cores(h, p, [n], t)
     q = p.basis
     return Operator(q @ v @ q.conj().T)
 
 
-def _selective_core(h, p: Projector, n: int, t: float) -> np.ndarray:
-    """The ``rank x rank`` core ``[Q^dag U(t/N) Q]^N`` of
-    :func:`pulsed_propagator` in the basis ``Q`` of ``Ran P``."""
+def _selective_cores(h, p: Projector, ns, t: float):
+    """The ``rank x rank`` cores ``[Q^dag U(t/N) Q]^N`` of
+    :func:`pulsed_propagator` in the basis ``Q`` of ``Ran P``, one per N
+    in ``ns``, from one ``B = Q^dag V`` for the whole grid."""
     hop = as_operator(h)
     if not hop.hermitian:
         raise ValidationError("pulsed propagation requires a Hermitian Hamiltonian")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError("pulse count must be an integer >= 1")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValidationError("horizon must be finite and non-negative")
-
-    u = expm(hop, t / n).matrix
-    q = p.basis
-    step = q.conj().T @ u @ q
-    v = step.copy()
-    for k in range(1, n):
-        v = step @ v
-        if k % _MONITOR_STRIDE == 0:
-            v = _enforce_contraction(v, p.dim)
-    return _enforce_contraction(v, p.dim)
+    w, vecs = hop._eigh
+    b = p.basis.conj().T @ vecs
+    for n in ns:
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValidationError("pulse count must be an integer >= 1")
+        if not (math.isfinite(t) and t >= 0):
+            raise ValidationError("horizon must be finite and non-negative")
+        step = (b * np.exp(-1j * (t / n) * w)) @ b.conj().T
+        v = step.copy()
+        for k in range(1, n):
+            v = step @ v
+            if k % _MONITOR_STRIDE == 0:
+                v = _enforce_contraction(v, p.dim)
+        yield _enforce_contraction(v, p.dim)
 
 
 def _pulsed_errors(h, p: Projector, ns, t: float) -> list[float]:
@@ -124,11 +130,11 @@ def _pulsed_errors(h, p: Projector, ns, t: float) -> list[float]:
     With ``V_N = Q v_N Q^dag`` and the limit ``P exp(-i P H P t) = Q l
     Q^dag``, ``l = exp(-i (Q^dag H Q) t)``, the isometry ``Q`` leaves the
     spectral norm unchanged: ``||V_N - lim|| = ||v_N - l||``.  ``h`` is
-    diagonalized once for the whole grid (see :func:`expm`).
+    diagonalized once for the whole grid.
     """
     hop = as_operator(h)
     q = p.basis
-    cores = [_selective_core(hop, p, n, t) for n in ns]
+    cores = list(_selective_cores(hop, p, ns, t))
     limit = expm(Operator(q.conj().T @ hop.matrix @ q, hermitian=True), t).matrix
     return [snorm(v - limit) for v in cores]
 
@@ -313,29 +319,55 @@ def nonselective_evolve(h, sectors: SectorDecomposition, n: int, t: float,
     step.
 
     The chain runs in the sector basis ``W = [Q_1 ... Q_m]`` (``P_n =
-    Q_n Q_n^dag``, sectors sorted by rank): ``U`` and ``rho0`` are rotated
-    once, the sandwich map ``rho -> sum_n P_n rho P_n`` keeps the ``s =
-    sum_n r_n^2`` entries of the diagonal blocks, and the final state is
-    rotated back.  While ``s <= 2 d`` (small sectors; rank-1 blocks are the
-    populations) the chain iterates one ``s x s`` matrix on those entries
+    Q_n Q_n^dag``, sectors sorted by rank): ``rho0`` is rotated once, the
+    step is formed there from the eigenbasis of a Hermitian ``H = V
+    diag(w) V^dag`` as ``u = (A e^{-i w t/n}) A^dag`` with ``A = W^dag V``
+    (else ``u = W^dag exp(-i H t/n) W``), the sandwich map ``rho -> sum_n
+    P_n rho P_n`` keeps the ``s = sum_n r_n^2`` entries of the diagonal
+    blocks, and the final state is rotated back.  An N grid shares the
+    rotation of ``rho0`` and ``A`` (:func:`_nonselective_grid`).  While
+    ``s <= 2 d`` (small sectors; rank-1 blocks are the populations) the
+    chain iterates one ``s x s`` matrix on those entries
     (:func:`_kept_chain`, run by the shipped d = 3 scenario), otherwise it
     multiplies the blocks alone (:func:`_block_chain`, run by four rank-50
     sectors at d = 200).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError("measurement count must be an integer >= 1")
+    [rho] = _nonselective_grid(h, sectors, [n], t, rho0, project_final)
+    return rho
+
+
+def _nonselective_grid(h, sectors: SectorDecomposition, ns, t: float,
+                       rho0: DensityMatrix, project_final: bool = True):
+    """:func:`nonselective_evolve` for each measurement count in ``ns``, as
+    an iterator, with the rotation of ``rho0`` and ``A = W^dag V`` formed
+    once for the grid."""
+    for n in ns:
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValidationError("measurement count must be an integer >= 1")
     if not (math.isfinite(t) and t >= 0):
         raise ValidationError("horizon must be finite and non-negative")
     if rho0.dim != sectors.dim:
         raise ValidationError("state dimension does not match sectors")
     sectors.validate_resolution()
 
+    hop = as_operator(h)
     w, sizes = _sector_basis(sectors)
-    u = w.conj().T @ expm(h, t / n).matrix @ w
     chain = _kept_chain if sum(r * r for r in sizes) <= 2 * sectors.dim else _block_chain
-    rho = chain(u, w.conj().T @ rho0.matrix @ w, sizes, n, project_final)
-    rho = w @ rho @ w.conj().T
-    return DensityMatrix((rho + rho.conj().T) / 2)
+    start = w.conj().T @ rho0.matrix @ w
+    if hop.hermitian:
+        energies, vecs = hop._eigh
+        a = w.conj().T @ vecs
+
+    def step(n):
+        if hop.hermitian:
+            return (a * np.exp(-1j * (t / n) * energies)) @ a.conj().T
+        return w.conj().T @ expm(hop, t / n).matrix @ w
+
+    def evolve(n):         # returns, so no step or chain array outlives its N
+        rho = w @ chain(step(n), start, sizes, n, project_final) @ w.conj().T
+        return DensityMatrix((rho + rho.conj().T) / 2)
+
+    return map(evolve, ns)
 
 
 # Bytes of kept-entry iterates held at once: 1365 steps at d = 3, 20 at d = 200.

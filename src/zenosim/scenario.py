@@ -47,9 +47,9 @@ from .operators import (
     projector_from_columns,
 )
 from .pulsed import (
+    _nonselective_grid,
     _pulsed_errors,
     _survival_grid,
-    nonselective_evolve,
 )
 
 _DEFAULT_T_MAX = 10.0
@@ -528,8 +528,7 @@ def _nonselective(s, hk, cluster_tol, md) -> ResultSeries:
     h = hk.total()
     ns = [int(n) for n in s.sweep_values]
     norms, traces = [], []
-    for n in ns:
-        rho = nonselective_evolve(h, sectors, n, s.t_max, rho0, project_final=False)
+    for rho in _nonselective_grid(h, sectors, ns, s.t_max, rho0, project_final=False):
         norms.append(offblock_norm(rho, sectors))
         traces.append(rho.trace)
     return _with_slope(("N", "offblock_norm", "trace"), (ns, norms, traces), md)

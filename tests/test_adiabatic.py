@@ -16,6 +16,7 @@ from zenosim import (
     exact_propagator,
     expm,
     intertwining_defect,
+    operators,
     propagate_td,
     required_steps,
     rotating_bundle,
@@ -186,18 +187,37 @@ def test_intertwining_defect_exponentiates_independently_of_the_step_count(monke
     assert counts[0] == counts[1] <= len(ks)
 
 
+def per_time_path(bundle, t, samples):
+    """The sector path one checkpoint at a time: ``eig`` of ``h_meas`` at
+    each checkpoint, followed by :func:`_tracked_sectors` pair by pair."""
+    path = []
+    for tk in np.linspace(0.0, t, samples + 1):
+        fresh = eig(as_operator(np.asarray(bundle.h_meas(tk), dtype=complex)))
+        path.append(adiabatic._tracked_sectors(path[-1], fresh) if path else fresh)
+    return path
+
+
+def assert_same_path(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.cluster_tol, g.dim, g.complete) == (w.cluster_tol, w.dim, w.complete)
+        assert [s.eigenvalue for s in g] == [s.eigenvalue for s in w]
+        assert [s.condition for s in g] == [s.condition for s in w]
+        assert all(a.rank == b.rank and np.array_equal(a.matrix, b.matrix)
+                   for a, b in zip(g.projectors, w.projectors))
+
+
 def per_checkpoint_reports(bundle, t, ks, samples):
-    """The loop the chunked checkpoints reproduce bit for bit: each
+    """The loop the batched path and the chunked checkpoints reproduce bit
+    for bit: the per-time sector path, a step plan per K, and each
     checkpoint ``U`` against its own stacked (sector, d, d) projectors."""
-    path = [eig(as_operator(bundle.h_meas(0.0)))]
-    for tk in np.linspace(0.0, t, samples + 1)[1:]:
-        path.append(adiabatic._tracked_sectors(path[-1], eig(as_operator(bundle.h_meas(tk)))))
+    path = per_time_path(bundle, t, samples)
     p0 = np.array([p.matrix for p in path[0].projectors])
     rho0 = np.array([p.matrix / p.rank for p in path[0].projectors])
     out = []
     for k in ks:
         bk = bundle.with_coupling(k)
-        steps = adiabatic._step_plan(bk, t, None, samples, resolve=True)
+        [steps] = adiabatic._step_plan(bk, t, [k], None, samples, resolve=True)
         defect = drift = np.zeros(len(p0))
         for here, u in zip(path[1:], adiabatic._midpoint_checkpoints(bk, t, steps, samples)):
             pt = np.array([p.matrix for p in here.projectors])
@@ -208,15 +228,77 @@ def per_checkpoint_reports(bundle, t, ks, samples):
     return out
 
 
+def report_values(reports):
+    return [(r.coupling, [s.defect for s in r.sectors], [s.drift for s in r.sectors])
+            for r in reports]
+
+
 @pytest.mark.parametrize("budget", [1, 3 * 16 * 3 * 3 * 3, adiabatic._STACK_BYTES])
 def test_chunked_checkpoints_give_the_per_checkpoint_reports(monkeypatch, budget):
-    # one, three (a ragged last chunk of one) and 37 checkpoints of three sectors per chunk
+    # one, three (a ragged last chunk of one) and 37 checkpoints of three sectors per chunk;
+    # the tracking overlaps of one, one and 12 pairs of checkpoints per product
     monkeypatch.setattr(adiabatic, "_STACK_BYTES", budget)
     b = rotating_three_level(rate=0.3)
     reports = intertwining_defect(b, 1.5, [10.0, 40.0], samples=10)
-    got = [(r.coupling, [s.defect for s in r.sectors], [s.drift for s in r.sectors])
-           for r in reports]
-    assert got == per_checkpoint_reports(b, 1.5, [10.0, 40.0], 10)
+    assert report_values(reports) == per_checkpoint_reports(b, 1.5, [10.0, 40.0], 10)
+
+
+def random_rotating(seed, dim=4, rate=0.3):
+    """Rotating bundle of a random coupling with gaps of at least 0.6
+    between its ``dim`` eigenvalues, a random system part and generator."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian():        # unit spectral norm
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return (a + a.conj().T) / snorm(a + a.conj().T)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    etas = rng.permutation(dim) + rng.uniform(-0.2, 0.2, dim)
+    h_meas = (q * etas) @ q.conj().T
+    return rotating_bundle(hermitian(), (h_meas + h_meas.conj().T) / 2, hermitian(), rate, 1.0)
+
+
+PATHS = {
+    "phase": lambda: rotating_three_level(rate=0.3),
+    "plane": lambda: rotating_three_level(rate=0.15, kind="plane"),
+    "unstacked": lambda: time_by_time(rotating_three_level(rate=0.3)),
+    "constant": lambda: constant_bundle(three_level(1.0, 1.0)),
+    **{f"random d = 4 #{seed}": (lambda seed=seed: random_rotating(seed)) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", PATHS)
+def test_batched_sector_path_is_the_per_time_route(name):
+    b = PATHS[name]()
+    got = adiabatic._sector_path(b, np.linspace(0.0, 1.5, 11))
+    assert_same_path(got, per_time_path(b, 1.5, 10))
+    reports = intertwining_defect(b, 1.5, [10.0, 40.0], samples=10)
+    assert report_values(reports) == per_checkpoint_reports(b, 1.5, [10.0, 40.0], 10)
+
+
+def test_non_hermitian_checkpoint_takes_the_eigenvector_route(monkeypatch):
+    b = rotating_three_level(rate=0.3)
+    times = np.linspace(0.0, 1.5, 11)
+    leak = np.zeros((3, 3), dtype=complex)
+    leak[0, 2] = 1e-3
+    bad = time_by_time(b, lambda t: b.h_meas(t) + (leak if t == times[5] else 0))
+    seen, real = [], operators._eigenvector_sectors
+    monkeypatch.setattr(operators, "_eigenvector_sectors",
+                        lambda op, *a: seen.append(op.matrix) or real(op, *a))
+    got = adiabatic._sector_path(bad, times)
+    assert len(seen) == 1 and np.array_equal(seen[0], bad.h_meas(times[5]))
+    assert_same_path(got, per_time_path(bad, 1.5, 10))
+
+
+def test_two_sectors_following_one_keep_the_message():
+    eta = np.diag([1.0, 2.0, 3.0])
+    g01, g12 = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+    g01[0, 1], g01[1, 0], g12[1, 2], g12[2, 1] = -1j, 1j, -1j, 1j
+    u = expm(g01, 0.7).matrix @ expm(g12, 0.7).matrix
+    jump = TimeDependentBundle(h=lambda t: np.zeros((3, 3)), coupling=1.0,
+                               h_meas=lambda t: eta if t < 0.5 else u @ eta @ u.conj().T)
+    with pytest.raises(SectorTrackingError, match="^two sectors follow the same sector; "
+                                                  "the path crosses eigenvalues$"):
+        intertwining_defect(jump, 1.0, [10.0], samples=10)
 
 
 # --------------------------------------------------------------------------
@@ -271,21 +353,13 @@ def test_transport_monotone_on_doubling_grid():
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(3, 4), st.floats(0.05, 0.5))
 def test_intertwining_on_random_rotating_couplings(seed, dim, rate):
-    rng = np.random.default_rng(seed)
-
-    def hermitian():        # unit spectral norm
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        return (a + a.conj().T) / snorm(a + a.conj().T)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    etas = rng.permutation(dim) + rng.uniform(-0.2, 0.2, dim)   # gaps of at least 0.6
-    h_meas = (q * etas) @ q.conj().T
-    b = rotating_bundle(hermitian(), (h_meas + h_meas.conj().T) / 2, hermitian(), rate, 1.0)
+    b = random_rotating(seed, dim, rate)
     ks = [10.0, 40.0, 160.0]
     defects = [r.max_defect for r in intertwining_defect(b, 1.0, ks, samples=20)]
     assert defects[0] > defects[1] > defects[2]
     for k in ks:
         bk = b.with_coupling(k)
-        steps = adiabatic._step_plan(bk, 1.0, None, 20, resolve=True)
+        [steps] = adiabatic._step_plan(bk, 1.0, [k], None, 20, resolve=True)
         for u in adiabatic._midpoint_checkpoints(bk, 1.0, steps, 20):
             assert snorm(u.conj().T @ u - np.eye(dim)) <= UNITARITY_TOL * dim
 
@@ -303,7 +377,8 @@ def test_eigenvalue_crossing_refused():
         return (1.0 - 2.0 * t) * hm0
 
     b = TimeDependentBundle(h=lambda t: np.zeros((3, 3)), h_meas=h_meas, coupling=10.0)
-    with pytest.raises(SectorTrackingError):
+    with pytest.raises(SectorTrackingError,
+                       match=r"^sector count changed along the path \(3 -> 1\)$"):
         intertwining_defect(b, 1.0, [10.0], samples=10)
 
 

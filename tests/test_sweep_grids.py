@@ -50,7 +50,7 @@ from zenosim import (
     three_level,
     zeno_propagator,
 )
-from zenosim import operators, pulsed
+from zenosim import operators, pulsed, scenario
 from zenosim.adiabatic import _tracked_sectors
 from zenosim.cli import main
 from zenosim import continuous
@@ -469,6 +469,86 @@ def test_other_inputs_take_the_block_chain(hk, monkeypatch):
 def test_few_kept_entries_take_the_kept_step(d, outcomes, monkeypatch):
     hk = three_level(1.0, 2.0) if d == 3 else _measured(d, outcomes)
     _takes("_kept_chain", hk, monkeypatch, False)
+
+
+# --------------------------------------------------------------------------
+# chain steps formed from the generator's eigenbasis, once per grid
+
+
+def _rotated_selective(h, p, n, t):
+    """The selective chain with its step rotated from the full exponential,
+    ``Q^dag expm(H, t/N) Q``."""
+    q = p.basis
+    step = q.conj().T @ expm(h, t / n).matrix @ q
+    v = step.copy()
+    for k in range(1, n):
+        v = step @ v
+        if k % pulsed._MONITOR_STRIDE == 0:
+            v = pulsed._enforce_contraction(v, p.dim)
+    return q @ pulsed._enforce_contraction(v, p.dim) @ q.conj().T
+
+
+def _rotated_nonselective(h, sectors, n, t, rho0, project_final):
+    """The nonselective chain with its step rotated from the full
+    exponential, ``W^dag expm(H, t/n) W``, and ``rho0`` rotated per call."""
+    w, sizes = operators._sector_basis(sectors)
+    u = w.conj().T @ expm(h, t / n).matrix @ w
+    chain = _kept_chain if sum(r * r for r in sizes) <= 2 * sectors.dim else _block_chain
+    rho = chain(u, w.conj().T @ rho0.matrix @ w, sizes, n, project_final)
+    rho = w @ rho @ w.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(couplings(max_dim=40), st.integers(1, 40), st.floats(0.0, 3.0), st.booleans(),
+       st.data())
+def test_eigenbasis_steps_match_the_rotated_exponential(problem, n, t, project_final, data):
+    h, hm, _ = problem
+    hk = as_operator(h.matrix + hm.matrix)
+    sectors = eig(hm)
+    p = sectors.sectors[data.draw(st.integers(0, len(sectors) - 1))].projector
+    got = pulsed_propagator(hk, p, n, t).matrix
+    assert np.max(np.abs(got - _rotated_selective(hk, p, n, t))) <= 1e-13
+    rho0 = DensityMatrix.pure(np.ones(hk.dim))
+    out = nonselective_evolve(hk, sectors, n, t, rho0, project_final=project_final).matrix
+    want = _rotated_nonselective(hk, sectors, n, t, rho0, project_final)
+    assert np.max(np.abs(out - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("d, outcomes", [(3, 3), (8, 2)])    # kept chain, block chain
+@pytest.mark.parametrize("project_final", [True, False])
+def test_non_hermitian_nonselective_step_is_the_rotated_exponential(d, outcomes, project_final):
+    hk = _measured(d, outcomes)
+    leak = np.zeros((d, d))
+    leak[0, 1] = 3e-12 * snorm(hk.total())       # above the Hermiticity tolerance
+    h = as_operator(hk.total().matrix + leak)
+    assert not h.hermitian
+    sectors, rho0 = zenosim.zeno_sectors(hk), DensityMatrix.pure(np.ones(d))
+    out = nonselective_evolve(h, sectors, 4, 0.1, rho0, project_final=project_final)
+    want = _rotated_nonselective(h, sectors, 4, 0.1, rho0, project_final)
+    assert np.array_equal(out.matrix, want)
+
+
+@pytest.mark.parametrize("d, outcomes", [(3, 3), (8, 2)])
+def test_nonselective_runner_grid_is_the_per_n_calls(tmp_path, monkeypatch, d, outcomes):
+    hk = _measured(d, outcomes)
+    zenosim.save_matrix(tmp_path / "h.txt", hk.h)
+    zenosim.save_matrix(tmp_path / "hm.txt", hk.h_meas)
+    path = tmp_path / "scn.yaml"
+    path.write_text("model: {kind: matrix, h_file: h.txt, hmeas_file: hm.txt, K: 2.0}\n"
+                    "task: nonselective\ntime: {t_max: 3.0, samples: 2}\n"
+                    "sweep: {N: [4, 16, 64, 256]}\n")
+    shipped = Path(zenosim.__file__).resolve().parents[2] / "scenarios"
+    for scn in (scenario.load_scenario(path),
+                scenario.load_scenario(shipped / "nonselective_three_level.yaml")):
+        grid = scenario.run(scn).values
+        monkeypatch.setattr(scenario, "_nonselective_grid",
+                            lambda h, sectors, ns, t, rho0, project_final: [
+                                nonselective_evolve(h, sectors, n, t, rho0, project_final)
+                                for n in ns])
+        per_n = scenario.run(scn).values
+        monkeypatch.undo()
+        assert all(np.array_equal(a, b) for a, b in zip(grid, per_n))
 
 
 # --------------------------------------------------------------------------
