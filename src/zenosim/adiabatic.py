@@ -19,9 +19,10 @@ Work that does not depend on the coupling K is done once per path: the
 step plans of a K grid share one set of probe norms (one batched norm per
 part for a rotating bundle), and the sectors of ``H_meas`` at all
 checkpoints come from one batched decomposition, with the tracking
-overlaps of consecutive checkpoints in batched products; each
-decomposition and tracking decision is the one :func:`eig` and
-:func:`_tracked_sectors` make checkpoint by checkpoint, bit for bit.
+overlaps of consecutive checkpoints from their sector bases in batched
+products; each decomposition and tracking decision is the one
+:func:`eig` and :func:`_tracked_sectors` make checkpoint by checkpoint,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -286,24 +287,23 @@ def _tracked_sectors(prev: SectorDecomposition, current: SectorDecomposition,
                      overlap: np.ndarray | None = None) -> SectorDecomposition:
     """Reorder ``current`` to follow ``prev`` by maximal projector overlap.
 
-    Overlap is ``Tr[P_prev P_new] / rank``, from :func:`_overlaps` unless
-    the caller passes those rows as ``overlap``; each previous sector
-    follows the current sector of its largest overlap.  When these
-    row-wise maxima pick every current sector once, the matching maximizes
-    the summed overlap, since the sum of the row maxima bounds that of
-    every assignment.  Any matched pair below 0.5 is treated as an eigenvalue
-    crossing and refused, and so is a matching that picks some sector
-    twice: for complete Hermitian decompositions each row of overlaps sums
-    to 1, so at most one entry per row exceeds 0.5, and the best assignment
-    would then have matched some pair at or below 0.5 as well (below it,
-    except at exact ties).
+    Overlap is ``Tr[P_prev P_new] / rank``, from the sector bases
+    (:func:`_overlaps`) unless the caller passes those rows as
+    ``overlap``; each previous sector follows the current sector of its
+    largest overlap.  When these row-wise maxima pick every current sector
+    once, the matching maximizes the summed overlap, since the sum of the
+    row maxima bounds that of every assignment.  Any matched pair below
+    0.5 is treated as an eigenvalue crossing and refused, and so is a
+    matching that picks some sector twice: for complete Hermitian
+    decompositions each row of overlaps sums to 1, so at most one entry
+    per row exceeds 0.5, and the best assignment would then have matched
+    some pair at or below 0.5 as well (below it, except at exact ties).
     """
     if len(prev) != len(current):
         raise SectorTrackingError(
             f"sector count changed along the path ({len(prev)} -> {len(current)})")
     if overlap is None:
-        (pp, ranks), (pc, _) = _projector_stack([prev]), _projector_stack([current])
-        overlap = _overlaps(pp, pc, ranks)[0]
+        overlap = _overlaps(_basis_stack([prev]), _basis_stack([current]))[0]
     cols = np.argmax(overlap, axis=1)
     if len(set(cols.tolist())) < len(cols):
         raise SectorTrackingError(
@@ -318,17 +318,31 @@ def _tracked_sectors(prev: SectorDecomposition, current: SectorDecomposition,
                                complete=current.complete)
 
 
-def _projector_stack(decs) -> tuple[np.ndarray, np.ndarray]:
-    """The projector matrices ``(checkpoint, sector, d, d)`` and ranks
-    ``(checkpoint, sector)`` of decompositions with equal sector counts."""
-    return (np.array([[p.matrix for p in dec.projectors] for dec in decs]),
-            np.array([[p.rank for p in dec.projectors] for dec in decs]))
+def _basis_stack(decs) -> tuple[np.ndarray, np.ndarray]:
+    """The sector bases of decompositions with equal sector counts side by
+    side, ``W`` of shape ``(checkpoint, d, d)`` with zero columns past the
+    total rank, and the ``(checkpoint, sector, d)`` indicator of each
+    sector's columns."""
+    d, m = decs[0].dim, len(decs[0])
+    bases = np.zeros((len(decs), d, d), dtype=complex)
+    labels = np.full((len(decs), d), -1)
+    for k, dec in enumerate(decs):
+        ranks = [p.rank for p in dec.projectors]
+        cols = sum(ranks)
+        bases[k, :, :cols] = np.hstack([p.basis for p in dec.projectors])
+        labels[k, :cols] = np.repeat(np.arange(m), ranks)
+    return bases, (labels[:, None, :] == np.arange(m)[:, None]).astype(float)
 
 
-def _overlaps(pp: np.ndarray, pc: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+def _overlaps(prev, current) -> np.ndarray:
     """``Tr[P_i Q_j] / rank(P_i)`` ``(pair, i, j)`` for each pair of
-    projector stacks ``pp`` and ``pc`` with the ranks of ``pp``."""
-    return np.trace(pp[:, :, None] @ pc[:, None], axis1=3, axis2=4).real / ranks[:, :, None]
+    :func:`_basis_stack` entries.  With ``P_i = B_i B_i^dag`` and ``Q_j =
+    C_j C_j^dag`` the trace is ``||B_i^dag C_j||_F^2``, the sum of the
+    block ``(i, j)`` of ``|W_prev^dag W_cur|^2``: ``O(d^3)`` per pair, no
+    ``d x d`` projector formed."""
+    (wp, mp), (wc, mc) = prev, current
+    g = np.abs(wp.conj().swapaxes(1, 2) @ wc) ** 2
+    return mp @ g @ mc.swapaxes(1, 2) / mp.sum(axis=2)[:, :, None]
 
 
 def _sector_path(bundle: TimeDependentBundle, times: np.ndarray) -> list[SectorDecomposition]:
@@ -339,8 +353,9 @@ def _sector_path(bundle: TimeDependentBundle, times: np.ndarray) -> list[SectorD
     :func:`_hermitian_slices` and diagonalized by one batched ``eigh``;
     each Hermitian slice's sectors come from the Hermitian branch of
     :func:`eig` (:func:`_eigh_sectors`), any other slice goes through
-    :func:`eig` itself.  The overlaps of consecutive checkpoints are one
-    batched product per chunk of at most ``_STACK_BYTES`` of products.
+    :func:`eig` itself.  The overlaps of consecutive checkpoints come
+    from their sector bases (:func:`_overlaps`), one batched product per
+    chunk of at most ``_STACK_BYTES`` of ``d x d`` products.
     """
     stack = _sampled(bundle, "h_meas", times)
     hermitian = _hermitian_slices(stack)
@@ -349,11 +364,12 @@ def _sector_path(bundle: TimeDependentBundle, times: np.ndarray) -> list[SectorD
              for h, ok in zip(stack, hermitian)]
     m, d = len(fresh[0]), stack.shape[-1]
     same = next((k for k, dec in enumerate(fresh) if len(dec) != m), len(fresh))
-    per = max(1, _STACK_BYTES // (16 * max(1, m * m * d * d)))      # pairs per product
+    per = max(1, _STACK_BYTES // (16 * d * d))      # pairs per product
     path, order = fresh[:1], np.arange(m)
     for first in range(0, same - 1, per):
-        mats, ranks = _projector_stack(fresh[first:min(first + per, same - 1) + 1])
-        for rows, here in zip(_overlaps(mats[:-1], mats[1:], ranks[:-1]), fresh[first + 1:]):
+        bases, member = _basis_stack(fresh[first:min(first + per, same - 1) + 1])
+        overlaps = _overlaps((bases[:-1], member[:-1]), (bases[1:], member[1:]))
+        for rows, here in zip(overlaps, fresh[first + 1:]):
             rows = rows[order]                  # the previous sectors in tracked order
             path.append(_tracked_sectors(path[-1], here, rows))
             order = rows.argmax(axis=1)         # the current sectors they followed

@@ -327,20 +327,38 @@ def _model(obj, path: str, base_dir) -> tuple[str, dict]:
     return kind, params
 
 
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# The YAML 1.1 int and float patterns of PyYAML without their base-60
+# spellings, which would read 1:30 as 90: such a value stays a string,
+# which every number field refuses.
+_NUMBER_PATTERNS = {
+    "tag:yaml.org,2002:int": re.compile(r"""^(?:[-+]?0b[0-1_]+
+        |[-+]?0[0-7_]+
+        |[-+]?(?:0|[1-9][0-9_]*)
+        |[-+]?0x[0-9a-fA-F_]+)$""", re.X),
+    "tag:yaml.org,2002:float": re.compile(r"""^(?:[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+][0-9]+)?
+        |\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?
+        |[-+]?\.(?:inf|Inf|INF)
+        |\.(?:nan|NaN|NAN))$""", re.X),
+}
+_RESOLVERS = {first: [(tag, _NUMBER_PATTERNS.get(tag, pattern)) for tag, pattern in rules]
+              for first, rules in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+_YAML_LOADER = type("_YamlLoader", (getattr(yaml, "CSafeLoader", yaml.SafeLoader),),
+                    {"yaml_implicit_resolvers": _RESOLVERS})
+_PURE_YAML_LOADER = type("_PureYamlLoader", (yaml.SafeLoader,),
+                         {"yaml_implicit_resolvers": _RESOLVERS})
 
 
 def _yaml_load(text: str):
-    """``yaml.safe_load(text)``, parsed by libyaml when PyYAML has it.  A
-    document libyaml refuses (a ``YAMLError``, or a ``ValueError`` such as
-    its ``UnicodeEncodeError`` on a lone surrogate) is parsed again by
-    ``yaml.safe_load``, so every error, with its message and line number,
-    is the pure-Python loader's."""
+    """``yaml.safe_load(text)`` without base-60 numbers, parsed by libyaml
+    when PyYAML has it.  A document libyaml refuses (a ``YAMLError``, or a
+    ``ValueError`` such as its ``UnicodeEncodeError`` on a lone surrogate)
+    is parsed again by the pure-Python loader with the same resolvers, so
+    every error, with its message and line number, is that loader's."""
     try:
         return yaml.load(text, Loader=_YAML_LOADER)
     except (yaml.YAMLError, ValueError):
         try:
-            return yaml.safe_load(text)
+            return yaml.load(text, Loader=_PURE_YAML_LOADER)
         except ValueError as exc:       # a value its tag cannot build, as the date 2001-13-45
             raise yaml.YAMLError(f"unreadable value: {exc}") from None
 

@@ -102,6 +102,24 @@ def test_impossible_yaml_dates_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --params: omega: unreadable value '2001-13-45'\n"
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("omega: 1.0", "omega: 1:30", "model.params.omega: expected a number, got '1:30'"),
+    ("t_max: 5.0", "t_max: 1:30.5", "time.t_max: expected a number, got '1:30.5'"),
+    ("samples: 101", "samples: 1:40", "time.samples: expected an integer, got '1:40'"),
+])
+def test_base_60_numbers_exit_one(tmp_path, capsys, old, new, message):
+    # YAML 1.1 would read 1:30 as the base-60 integer 90
+    scn = tmp_path / "s.yaml"
+    scn.write_text(SURVIVAL.replace(old, new))
+    assert main(["run", str(scn), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_base_60_params_exit_one(capsys):
+    assert main(["sectors", "--model", "three_level", "--params", "omega=1:30,K=1"]) == 1
+    assert capsys.readouterr().err == "error: --params: omega: expected a number, got '1:30'\n"
+
+
 def test_linalg_failure_exits_two_without_traceback(monkeypatch, capsys):
     def failing_eigh(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

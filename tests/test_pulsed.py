@@ -8,6 +8,7 @@ from zenosim import (
     CoupledHamiltonian,
     DensityMatrix,
     NumericalError,
+    Operator,
     ValidationError,
     as_operator,
     basis_projector,
@@ -31,7 +32,7 @@ from zenosim import (
     zeno_time,
     zeno_time_fitted,
 )
-from zenosim.pulsed import _survival_grid
+from zenosim.pulsed import _probability, _survival_grid
 
 from conftest import random_hermitian
 
@@ -506,3 +507,21 @@ def test_survival_grid_rejects_unsupported_state():
         survival_probability(rho0, exact_propagator(hk, 0.5), p)
     with pytest.raises(ValidationError, match=message):
         _survival_grid(hk.total(), np.linspace(0.0, 1.0, 5), rho0, p)
+
+
+def test_survival_grid_names_the_first_sample_outside_the_range():
+    # exp(-i H t) with H = 0.5i amplifies: the survival is exp(t)
+    h, rho0, p = Operator(np.array([[0.5j]])), DensityMatrix.pure([1.0]), basis_projector(1, 0)
+    ts = np.array([0.0, 1e-13, 1e-9, 2e-9])
+    with pytest.raises(NumericalError, match=r"^survival probability 1\.000000001 outside \[0, 1\]$"):
+        _survival_grid(h, ts, rho0, p)
+    assert _survival_grid(h, ts[:2], rho0, p) == [1.0, 1.0]
+
+
+def test_range_check_names_the_first_nan_and_clips_roundoff():
+    with pytest.raises(NumericalError, match=r"^survival probability nan outside \[0, 1\]$"):
+        _probability(np.array([0.5, np.nan, 1 + 1e-9]))
+    with pytest.raises(NumericalError, match=r"^survival probability 1\.000000001 outside "):
+        _probability(np.array([0.5, 1 + 1e-9, np.nan]))
+    clipped = _probability(np.array([-1e-13, -0.0, 0.25, 1 + 1e-13])).tolist()
+    assert clipped == [0.0, 0.0, 0.25, 1.0] and math.copysign(1.0, clipped[1]) == 1.0

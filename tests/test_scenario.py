@@ -15,6 +15,7 @@ from zenosim import (
 )
 from zenosim.scenario import (
     ResultSeries,
+    _PURE_YAML_LOADER,
     _format_column,
     _format_value,
     _yaml_load,
@@ -41,7 +42,8 @@ task: survival
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
 def test_libyaml_and_pure_loaders_read_equal_documents(path):
     text = path.read_text()
-    assert _yaml_load(text) == yaml.load(text, Loader=yaml.SafeLoader)
+    doc = yaml.load(text, Loader=yaml.SafeLoader)
+    assert _yaml_load(text) == yaml.load(text, Loader=_PURE_YAML_LOADER) == doc
 
 
 def test_minimal_scenario_gets_documented_defaults():

@@ -17,11 +17,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import zenosim
 from zenosim import (
@@ -51,12 +52,12 @@ from zenosim import (
     zeno_propagator,
 )
 from zenosim import operators, pulsed, scenario
-from zenosim.adiabatic import _tracked_sectors
+from zenosim.adiabatic import _basis_stack, _overlaps, _sector_path, _tracked_sectors
 from zenosim.cli import main
 from zenosim import continuous
 from zenosim.continuous import _blocked_limits, _defect_sweep
 from zenosim.operators import Sector, block_diagonal_part, fnorm
-from zenosim.pulsed import _block_chain, _kept_chain, _pulsed_errors
+from zenosim.pulsed import _block_chain, _chain_power, _kept_chain, _pulsed_errors, _selective_cores
 
 from conftest import random_hermitian
 
@@ -224,6 +225,63 @@ def test_selective_chain_contracts(problem, n, t, data):
     assert snorm(v - p.matrix @ v @ p.matrix) <= 1e-12
 
 
+def _stepwise_core(h, p, n, t):
+    """``[Q^dag U(t/N) Q]^N`` by N - 1 multiplications of the step: the
+    reference for the power blocks."""
+    q = p.basis
+    step = q.conj().T @ expm(h, t / n).matrix @ q
+    v = step
+    for _ in range(n - 1):
+        v = step @ v
+    return v
+
+
+@PROPERTY
+@given(st.integers(1, 12), st.integers(0, 3), st.integers(1, 300), st.floats(0.0, 3.0),
+       st.integers(0, 2**32 - 1))
+@example(2, 1, 63, 1.0, 0)
+@example(2, 1, 64, 1.0, 0)
+@example(5, 0, 65, 2.0, 1)
+@example(12, 3, 128, 3.0, 2)
+@example(1, 2, 129, 0.5, 3)
+def test_selective_power_blocks_match_the_stepwise_chain(rank, extra, n, t, seed):
+    rng = np.random.default_rng(seed)
+    d = rank + extra
+    h = as_operator(random_hermitian(rng, d))
+    p = projector_from_columns(_unitary(rng, d)[:, :rank])
+    [core] = _selective_cores(h, p, [n], t)
+    assert np.max(np.abs(core - _stepwise_core(h, p, n, t))) <= 1e-12
+
+
+def _spy_contraction(monkeypatch):
+    calls, enforce = [], pulsed._enforce_contraction
+
+    def spy(v, dim):
+        calls.append(snorm(v))
+        return enforce(v, dim)
+    monkeypatch.setattr(pulsed, "_enforce_contraction", spy)
+    return calls
+
+
+def test_power_blocks_refuse_a_gain_at_the_first_monitor(monkeypatch):
+    calls = _spy_contraction(monkeypatch)
+    step = (1 + 1e-9) * _unitary(np.random.default_rng(3), 2)
+    with pytest.raises(NumericalError, match=r"^pulsed chain lost contractivity \(norm "):
+        _chain_power(step, 200, 2)
+    assert len(calls) == 1 and calls[0] > 1 + 6e-8          # (1 + 1e-9)^64
+
+
+def test_power_blocks_renormalize_a_roundoff_gain_silently(monkeypatch):
+    calls = _spy_contraction(monkeypatch)
+    u = _unitary(np.random.default_rng(4), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = _chain_power((1 + 1e-15) * u, 200, 2)
+    assert len(calls) == 4 and max(calls) > 1.0             # three blocks and the end
+    assert snorm(v) <= 1.0 + 1e-15
+    assert np.max(np.abs(v - np.linalg.matrix_power(u, 200))) <= 1e-12
+
+
 def test_core_errors_refuse_a_non_hermitian_hamiltonian():
     hk = decay_model(1.0, 1.0, 2.0)
     p = projector_from_columns(np.array([[1.0], [0.0], [0.0]]))
@@ -366,14 +424,25 @@ def test_blockwise_step_matches_the_dense_step(d, n, project_final, data):
     assert abs(block.trace().real - start) <= 1e-13
 
 
+# Chunk budgets for s kept entries (16 s bytes an iterate, 16 s^2 a power):
+# one step per chunk, two fixed budgets, power blocks of 2 steps, blocks of
+# 3 steps (4 at s = 2) in chunks of 3s + 2, so that a shorter last run occurs,
+# and blocks of a whole chunk.
+_CHUNK_BUDGETS = {"one step": lambda s: 1, "1000 B": lambda s: 1000,
+                  "default": lambda s: pulsed._KEPT_CHUNK_BYTES,
+                  "2 powers": lambda s: 32 * s * s, "3 powers": lambda s: 16 * s * (3 * s + 2),
+                  "whole chunk": lambda s: 1024 * s * s}
+
+
 @PROPERTY
 @given(st.integers(2, 40), st.integers(1, 40), st.booleans(),
-       st.sampled_from([1, 1000, pulsed._KEPT_CHUNK_BYTES]), st.data())
-def test_kept_chain_matches_the_dense_chain(d, n, project_final, chunk_bytes, data):
+       st.sampled_from(sorted(_CHUNK_BUDGETS)), st.data())
+def test_kept_chain_matches_the_dense_chain(d, n, project_final, budget, data):
     sizes, u, rho = _chain_input(data, d)
     dense = _dense_chain(u, rho, sizes, n, project_final)
-    with pytest.MonkeyPatch.context() as mp:        # from one step per chunk up
-        mp.setattr(pulsed, "_KEPT_CHUNK_BYTES", chunk_bytes)
+    with pytest.MonkeyPatch.context() as mp:
+        s = int(np.sum(np.square(sizes)))
+        mp.setattr(pulsed, "_KEPT_CHUNK_BYTES", _CHUNK_BUDGETS[budget](s))
         kept = _kept_chain(u, rho, sizes, n, project_final)
     assert np.max(np.abs(kept - dense)) <= 1e-12
 
@@ -585,6 +654,34 @@ def test_tracking_matches_the_optimal_assignment(seed, angle):
         return
     tracked = _tracked_sectors(prev, current)
     assert [s.eigenvalue for s in tracked] == [current.sectors[j].eigenvalue for j in cols]
+
+
+@PROPERTY
+@given(couplings(), st.floats(0.0, 3.0))
+def test_basis_overlaps_match_the_projector_traces(problem, angle):
+    h, hm, _ = problem
+    r = expm(h, angle).matrix
+    prev, current = eig(hm), eig(as_operator(r @ hm.matrix @ r.conj().T))
+    assume(len(current) == len(prev))
+    want = np.array([[np.trace(p.matrix @ c.matrix).real / p.rank for c in current.projectors]
+                     for p in prev.projectors])
+    got = _overlaps(_basis_stack([prev]), _basis_stack([current]))[0]
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_sector_path_forms_no_projector_products():
+    rng = np.random.default_rng(11)
+    d = 40
+    bundle = zenosim.rotating_bundle(random_hermitian(rng, d), random_hermitian(rng, d),
+                                     random_hermitian(rng, d), 0.05, 1.0)
+    tracemalloc.start()
+    try:
+        path = _sector_path(bundle, np.linspace(0.0, 1.0, 41))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(path) == 41 and len(path[-1]) == d
+    assert peak <= 8 * 2**20            # one pair of dense projector stacks took 85 MiB
 
 
 def test_tracking_refuses_two_sectors_following_one():
