@@ -8,6 +8,8 @@ and within each sector the motion is generated by the blocked Hamiltonian
 ``P_n H P_n``.  This module provides the exact propagator, its limit form,
 the sector machinery, second-order perturbative corrections in 1/K, and
 the defect that measures how far a finite coupling is from the limit.
+The limit form is exponentiated sector by sector (``operators._sector_columns``),
+or densely for a non-Hermitian model or an incomplete decomposition.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from .operators import (
     Projector,
     SectorDecomposition,
     _eigenvector_sectors,
-    _hermitian_slices,
-    _rank_groups,
     _sector_basis,
+    _sector_blocks,
+    _sector_columns,
     as_operator,
     block_diagonal_part,
     cluster_values,
@@ -125,11 +127,8 @@ def zeno_propagator(hk: CoupledHamiltonian, t: float,
     Commutes with every sector projector, so sector populations computed
     with it are exactly constant in time.
     """
-    if sectors is None:
-        sectors = zeno_sectors(hk)
-    hdiag = diag_part(hk.h, sectors)
-    gen = hdiag.matrix + hk.coupling * hk.h_meas.matrix
-    return expm(as_operator(gen, hermitian=hdiag.hermitian and hk.h_meas.hermitian), t)
+    [limit] = _zeno_limits(hk, t, [hk.coupling], sectors)
+    return Operator(limit)
 
 
 def nonadiabatic_defect(hk: CoupledHamiltonian, t: float,
@@ -140,61 +139,37 @@ def nonadiabatic_defect(hk: CoupledHamiltonian, t: float,
     sector gaps and the horizon; acceptance checks fit the slope of a
     K-doubling sweep rather than any absolute constant.
     """
-    exact = exact_propagator(hk, t)
-    limit = zeno_propagator(hk, t, sectors=sectors)
-    return snorm(exact.matrix - limit.matrix)
+    [defect] = _defect_sweep(hk, t, [hk.coupling], sectors)
+    return defect
 
 
 def _defect_sweep(hk: CoupledHamiltonian, t: float, couplings,
-                  sectors: SectorDecomposition) -> list[float]:
-    """:func:`nonadiabatic_defect` of ``hk`` at each coupling K in
-    ``couplings``.  What :func:`_blocked_limits` needs, Hermitian ``H`` and
-    ``H_meas`` and a complete decomposition, picks it (the shipped d = 3 and
-    the d = 200 sweeps); other inputs call :func:`zeno_propagator` per K."""
-    if sectors.complete and hk.h.hermitian and hk.h_meas.hermitian:
-        limits = _blocked_limits(hk, t, couplings, sectors)
-    else:
-        limits = (zeno_propagator(hk.with_coupling(k), t, sectors=sectors).matrix
-                  for k in couplings)
+                  sectors: SectorDecomposition | None) -> list[float]:
+    """:func:`nonadiabatic_defect` of ``hk`` at each coupling K in ``couplings``."""
     return [snorm(exact_propagator(hk.with_coupling(k), t).matrix - limit)
-            for k, limit in zip(couplings, limits)]
+            for k, limit in zip(couplings, _zeno_limits(hk, t, couplings, sectors))]
 
 
-def _blocked_limits(hk: CoupledHamiltonian, t: float, couplings,
-                    sectors: SectorDecomposition):
+def _zeno_limits(hk: CoupledHamiltonian, t: float, couplings,
+                 sectors: SectorDecomposition | None):
     """Yield :func:`zeno_propagator` of ``hk`` at each coupling K in
-    ``couplings``, as arrays, with the blocked Hamiltonian formed once.
-
-    For Hermitian ``H`` and ``H_meas`` and a complete decomposition, as
-    :func:`eig` gives, the limit generator ``H^diag + K H_meas`` is block
-    diagonal in the sector basis ``W = [Q_1 ... Q_m]`` of
-    :func:`_sector_basis`, with blocks ``G_n = Q_n^dag H Q_n + K Q_n^dag
-    H_meas Q_n``; the two terms are formed once for the grid.  Per K, each
-    group of equal-rank blocks is checked as a Hermitian :class:`Operator`
-    (finite and Hermitian, with its messages), diagonalized by one batched
-    ``eigh`` and exponentiated as :func:`expm` does, into the columns
-    ``X[:, n] = Q_n exp(-i G_n t)``; the limit is ``X W^dag``.  Keeping the
-    within-sector part of ``H_meas``, rather than ``K eta_n``, keeps
-    clusters spread within the cluster tolerance exact.
-    """
+    ``couplings``, as arrays (``sectors`` defaults to :func:`zeno_sectors`).
+    The sector blocks need Hermitian ``H`` and ``H_meas`` and a complete
+    decomposition, as :func:`eig` gives.  They keep the within-sector part
+    of ``H_meas``, not ``K eta_n``, so clusters spread within the cluster
+    tolerance stay exact."""
+    if sectors is None:
+        sectors = zeno_sectors(hk)
+    if not (sectors.complete and hk.h.hermitian and hk.h_meas.hermitian):
+        hdiag = diag_part(hk.h, sectors)
+        for k in couplings:
+            yield exact_propagator(CoupledHamiltonian(hdiag, hk.h_meas, k), t).matrix
+        return
     w, sizes = _sector_basis(sectors)
-    wdag, d, groups = w.conj().T, sectors.dim, []
-    x = np.empty((d, d), dtype=complex)
-    for cols, rank, count in _rank_groups(sizes):
-        q = w[:, cols].reshape(d, count, rank).transpose(1, 0, 2)
-        groups.append((q, (wdag[cols] @ hk.h.matrix).reshape(count, rank, d) @ q,
-                       (wdag[cols] @ hk.h_meas.matrix).reshape(count, rank, d) @ q,
-                       x[:, cols].reshape(d, count, rank).transpose(1, 0, 2)))
+    hb, hmb = _sector_blocks(w, sizes, hk.h.matrix), _sector_blocks(w, sizes, hk.h_meas.matrix)
     for k in couplings:
-        for q, hb, hmb, x_cols in groups:
-            g = hb + k * hmb
-            ok = _hermitian_slices(g)
-            if not ok.all():
-                Operator(g[np.argmin(ok)], hermitian=True)     # raises its error
-            e, v = np.linalg.eigh(g)
-            np.matmul(q, (v * np.exp(-1j * t * e)[:, None]) @ v.conj().transpose(0, 2, 1),
-                      out=x_cols)
-        yield x @ wdag
+        blocks = [a + k * b for a, b in zip(hb, hmb)]
+        yield _sector_columns(w, sizes, blocks, t, hermitian=True) @ w.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +237,12 @@ class PerturbativeExpansion:
     def generator(self, lam: float) -> Operator:
         """Blocked generator ``H_meas + lam H^diag + lam^2 sum_n P_n H S_n H P_n``
         reproducing the exact spectrum through second order."""
-        hm = self.hk.h_meas.matrix
         h = self.hk.h.matrix
-        out = hm.astype(complex).copy()
-        for n, s in enumerate(self.sectors):
-            p = s.projector.matrix
-            out += lam * (p @ h @ p)
-            if self.order >= 2:
-                out += lam * lam * (p @ h @ self.reduced_resolvents[n] @ h @ p)
+        out = self.hk.h_meas.matrix + lam * block_diagonal_part(h, self.sectors)
+        if self.order >= 2:
+            for s, res in zip(self.sectors, self.reduced_resolvents):
+                p = s.projector.matrix
+                out += lam * lam * (p @ h @ res @ h @ p)
         return as_operator(out)
 
 

@@ -45,6 +45,7 @@ deliberately no sparse or structured path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -489,8 +490,7 @@ def expm(a, t: float | complex = 1.0) -> Operator:
     generators through scipy's scaling-and-squaring Pade kernel.
     """
     op = as_operator(a)
-    if not np.all(np.isfinite([t.real if isinstance(t, complex) else t,
-                               t.imag if isinstance(t, complex) else 0.0])):
+    if not np.isfinite(t):
         raise ValidationError("time scale must be finite")
     if op.hermitian:
         w, v = op._eigh
@@ -709,18 +709,65 @@ def _ranks_fill(sectors, dim) -> bool:
 
 
 def _sector_basis(sectors: SectorDecomposition) -> tuple[np.ndarray, list[int]]:
-    """``W = [Q_1 ... Q_m]`` and its ranks, stably sorted by rank so that
-    equal-rank blocks batch together (:func:`_rank_groups`)."""
+    """``W = [Q_1 ... Q_m]`` (``d x 0`` for no sectors) and its ranks, stably
+    sorted by rank so that equal-rank blocks batch together (:func:`_rank_groups`)."""
     bases = sorted((s.projector.basis for s in sectors), key=lambda q: q.shape[1])
-    return np.hstack(bases), [q.shape[1] for q in bases]
+    return np.hstack(bases or [np.empty((sectors.dim, 0), complex)]), [q.shape[1] for q in bases]
 
 
 def _rank_groups(sizes) -> list[tuple[slice, int, int]]:
     """``(cols, rank, count)`` of each run of equal ``sizes``: ``count``
     blocks of ``rank x rank`` on the basis columns ``cols``."""
-    starts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
-    cols = np.cumsum([0, *sizes]).tolist()
-    return [(slice(cols[a], cols[b]), sizes[a], b - a) for a, b in zip(starts, starts[1:])]
+    groups, start = [], 0
+    for rank, run in itertools.groupby(sizes):
+        count = len(list(run))
+        groups.append((slice(start, start + rank * count), rank, count))
+        start += rank * count
+    return groups
+
+
+def _check_dimension(m: np.ndarray, dim: int) -> None:
+    if m.shape[0] != dim:
+        raise ValidationError(f"operator dimension {m.shape[0]} does not match sectors ({dim})")
+
+
+def _stacked(w: np.ndarray, cols: slice, count: int, rank: int) -> np.ndarray:
+    """The columns ``cols`` of ``w`` as a ``(count, d, rank)`` view."""
+    return w[:, cols].reshape(w.shape[0], count, rank).transpose(1, 0, 2)
+
+
+def _sector_blocks(w: np.ndarray, sizes, a: np.ndarray) -> list[np.ndarray]:
+    """The blocks ``Q_n^dag A Q_n`` on the bases ``W = [Q_1 ... Q_m]`` of
+    :func:`_sector_basis`, one ``(count, rank, rank)`` stack per group of
+    :func:`_rank_groups` (``2 r d^2`` flops a sector, not ``4 d^3``)."""
+    _check_dimension(a, w.shape[0])
+    wdag = w.conj().T
+    return [(wdag[cols] @ a).reshape(count, rank, -1) @ _stacked(w, cols, count, rank)
+            for cols, rank, count in _rank_groups(sizes)]
+
+
+def _sector_columns(basis: np.ndarray, sizes, blocks, t=None,
+                    hermitian: bool = False) -> np.ndarray:
+    """``X = [Q_1 B_1 ... Q_m B_m]`` on the columns ``basis`` for the stacks
+    ``G`` of :func:`_sector_blocks`: ``B_n = G_n``, or with a time ``t`` ``B_n
+    = exp(-i G_n t)``, so ``X W^dag`` is ``sum_n P_n A P_n`` or a Zeno limit.
+    A ``hermitian`` group is checked as Hermitian :class:`Operator` blocks
+    (with their messages) and exponentiated by one batched ``eigh`` as
+    :func:`expm` does; other blocks go through :func:`expm` one by one."""
+    if t is not None and not np.isfinite(t):
+        raise ValidationError("time scale must be finite")
+    x = np.empty(basis.shape, dtype=complex)
+    for (cols, rank, count), g in zip(_rank_groups(sizes), blocks):
+        if t is not None and hermitian:
+            ok = _hermitian_slices(g)
+            if not ok.all():
+                Operator(g[np.argmin(ok)], hermitian=True)     # raises its error
+            e, v = np.linalg.eigh(g)
+            g = (v * np.exp(-1j * t * e)[:, None]) @ v.conj().transpose(0, 2, 1)
+        elif t is not None:
+            g = np.array([expm(Operator(b), t).matrix for b in g])
+        np.matmul(_stacked(basis, cols, count, rank), g, out=_stacked(x, cols, count, rank))
+    return x
 
 
 def offblock_norm(a, sectors: SectorDecomposition) -> float:
@@ -731,19 +778,11 @@ def offblock_norm(a, sectors: SectorDecomposition) -> float:
 
 
 def block_diagonal_part(a, sectors: SectorDecomposition) -> np.ndarray:
-    """``sum_n P_n A P_n`` as a plain array, formed through each sector's
-    basis as ``Q_n (Q_n^dag A Q_n) Q_n^dag``: about ``2 r d^2`` flops per
-    rank-r sector instead of the ``4 d^3`` of the two dense products."""
+    """``sum_n P_n A P_n`` as a plain array, formed through the sector bases
+    as ``X W^dag`` (:func:`_sector_columns`)."""
     m = as_matrix(a)
-    if m.shape[0] != sectors.dim:
-        raise ValidationError(
-            f"operator dimension {m.shape[0]} does not match sectors ({sectors.dim})"
-        )
-    out = np.zeros_like(m)
-    for s in sectors:
-        q = s.projector.basis
-        out += q @ (q.conj().T @ m @ q) @ q.conj().T
-    return out
+    w, sizes = _sector_basis(sectors)
+    return _sector_columns(w, sizes, _sector_blocks(w, sizes, m)) @ w.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -8,23 +8,12 @@ freeze into unitary motion inside the projected subspaces: the selective
 chain converges to ``P exp(-i P H P t)`` and the nonselective one to
 independent block evolutions with exactly conserved per-sector weights.
 
-Chains run where that motion lives.  A selective chain multiplies
-``rank x rank`` matrices in an orthonormal basis of ``Ran P``
-(:attr:`Projector.basis`); a nonselective chain runs in the basis made of
-all sector bases, where the sandwich map keeps the diagonal blocks.  The
-step of a Hermitian ``H = V diag(w) V^dag`` is formed in that basis from
-the eigenbasis rotated into it once per N grid, ``(B e^{-i w t/N})
-B^dag`` with ``B = Q^dag V`` (the initial state of a nonselective grid
-is rotated once too), and the result is rotated back once per chain.
-One rule on the sector ranks picks the nonselective step, and each side
-has a workload (see :func:`nonselective_evolve`).
-
-The small-matrix chains advance a block of steps per numpy call.  A
-selective chain applies its step raised to the power ``_MONITOR_STRIDE``
-(formed by repeated squaring), checking the contraction bound after each
-block; a nonselective chain on its kept entries forms the step powers
-``M^1 .. M^b`` by doubling and fills ``b`` iterates with one batched
-product, whose traces are then checked step by step.
+Chains run where that motion lives: a selective chain on ``rank x rank``
+cores in a basis of ``Ran P``, a nonselective one in the basis of all
+sector bases, with steps formed there once per N grid and advanced a block
+per numpy call (:func:`pulsed_propagator`, :func:`nonselective_evolve`).
+Both limits come from the sector blocks ``Q_n exp(-i Q_n^dag H Q_n t)`` of
+``operators._sector_columns``, as the continuous limit does.
 
 Units have hbar = 1 throughout; rates and frequencies are inverse time.
 """
@@ -45,9 +34,12 @@ from .operators import (
     Operator,
     Projector,
     SectorDecomposition,
+    _check_dimension,
     _norm_exceeds,
     _rank_groups,
     _sector_basis,
+    _sector_blocks,
+    _sector_columns,
     as_matrix,
     as_operator,
     expm,
@@ -114,6 +106,7 @@ def _selective_cores(h, p: Projector, ns, t: float):
     hop = as_operator(h)
     if not hop.hermitian:
         raise ValidationError("pulsed propagation requires a Hermitian Hamiltonian")
+    _check_dimension(hop.matrix, p.dim)
     w, vecs = hop._eigh
     b = p.basis.conj().T @ vecs
     for n in ns:
@@ -146,17 +139,12 @@ def _chain_power(step: np.ndarray, n: int, dim: int) -> np.ndarray:
 
 def _pulsed_errors(h, p: Projector, ns, t: float) -> list[float]:
     """``||pulsed_propagator(h, p, N, t) - pulsed_limit(h, p, t)||`` for each
-    N in ``ns``, measured on the ``rank x rank`` cores.
-
-    With ``V_N = Q v_N Q^dag`` and the limit ``P exp(-i P H P t) = Q l
-    Q^dag``, ``l = exp(-i (Q^dag H Q) t)``, the isometry ``Q`` leaves the
-    spectral norm unchanged: ``||V_N - lim|| = ||v_N - l||``.  ``h`` is
-    diagonalized once for the whole grid.
-    """
+    N in ``ns``, as ``||v_N - l||`` on the ``rank x rank`` cores of ``V_N =
+    Q v_N Q^dag`` and of the limit ``Q l Q^dag`` (on the basis ``I``)."""
     hop = as_operator(h)
-    q = p.basis
     cores = list(_selective_cores(hop, p, ns, t))
-    limit = expm(Operator(q.conj().T @ hop.matrix @ q, hermitian=True), t).matrix
+    limit = _sector_columns(np.eye(p.rank), [p.rank],
+                            _sector_blocks(p.basis, [p.rank], hop.matrix), t, hermitian=True)
     return [snorm(v - limit) for v in cores]
 
 
@@ -171,11 +159,11 @@ def _enforce_contraction(v: np.ndarray, dim: int) -> np.ndarray:
 
 def pulsed_limit(h, p: Projector, t: float) -> Operator:
     """Frequent-measurement limit ``P exp(-i P H P t)`` of the selective
-    chain; unitary within the range of P."""
+    chain, ``Q exp(-i Q^dag H Q t) Q^dag``; unitary within the range of P."""
     hop = as_operator(h)
-    php = p.matrix @ hop.matrix @ p.matrix
-    u = expm(as_operator(php, hermitian=hop.hermitian), t).matrix
-    return Operator(p.matrix @ u)
+    q = p.basis
+    x = _sector_columns(q, [p.rank], _sector_blocks(q, [p.rank], hop.matrix), t, hop.hermitian)
+    return Operator(x @ q.conj().T)
 
 
 def survival_probability(rho0: DensityMatrix, v, p: Projector) -> float:
@@ -188,6 +176,8 @@ def survival_probability(rho0: DensityMatrix, v, p: Projector) -> float:
     """
     rho = rho0.matrix
     proj = p.matrix
+    _check_dimension(as_matrix(v), p.dim)
+    _check_dimension(rho, p.dim)
     _check_support(rho, proj)
     w = proj @ as_matrix(v) @ proj
     return float(_probability((w @ rho @ w.conj().T).trace().real))
@@ -376,6 +366,7 @@ def _nonselective_grid(h, sectors: SectorDecomposition, ns, t: float,
     sectors.validate_resolution()
 
     hop = as_operator(h)
+    _check_dimension(hop.matrix, sectors.dim)
     w, sizes = _sector_basis(sectors)
     chain = _kept_chain if sum(r * r for r in sizes) <= 2 * sectors.dim else _block_chain
     start = w.conj().T @ rho0.matrix @ w
@@ -516,13 +507,14 @@ def nonselective_limit(h, sectors: SectorDecomposition, t: float,
     ``sum_n V_n(t) rho0 V_n(t)^dag`` with ``V_n = P_n exp(-i P_n H P_n t)``.
 
     Block diagonal by construction; each sector keeps exactly the weight it
-    started with, whatever the off-block content of ``rho0`` was.
+    started with, whatever the off-block content of ``rho0`` was.  It is
+    ``X' X^dag`` for ``X = [V_n Q_n]`` and ``X' = [V_n Q_n Q_n^dag rho0 Q_n]``.
     """
     if rho0.dim != sectors.dim:
         raise ValidationError("state dimension does not match sectors")
     sectors.validate_resolution()
-    out = np.zeros_like(rho0.matrix)
-    for s in sectors:
-        vn = pulsed_limit(h, s.projector, t).matrix
-        out += vn @ rho0.matrix @ vn.conj().T
+    hop = as_operator(h)
+    w, sizes = _sector_basis(sectors)
+    x = _sector_columns(w, sizes, _sector_blocks(w, sizes, hop.matrix), t, hop.hermitian)
+    out = _sector_columns(x, sizes, _sector_blocks(w, sizes, rho0.matrix)) @ x.conj().T
     return DensityMatrix((out + out.conj().T) / 2)

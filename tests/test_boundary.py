@@ -113,6 +113,18 @@ def test_n_grids_on_a_coupling_without_real_sectors_exit_one(tmp_path, capsys, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("task", ["sweep-K", "limit-compare"])
+def test_k_grids_on_a_coupling_without_real_sectors_give_one_row_per_k(tmp_path, capsys, task):
+    save_matrix(tmp_path / "hm.txt", np.diag([-1j, -1j]))
+    scn = tmp_path / "s.yaml"
+    scn.write_text(f"model: {{kind: matrix, hmeas_file: hm.txt}}\ntask: {task}\n"
+                   "sweep: {K: [1, 2, 4]}\ntime: {t_max: 1.0}\n")
+    out = tmp_path / "out.csv"
+    assert main(["run", str(scn), "--out", str(out), "--reproducible"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert read_result_csv(out).values[0].tolist() == [1.0, 2.0, 4.0]
+
+
 @pytest.mark.parametrize("task,columns", [
     ("sectors", "sector,eta_re,eta_im,rank,condition"),
     ("dfs", "sector,eta_re,eta_im,vector,component,re,im"),

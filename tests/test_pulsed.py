@@ -355,21 +355,41 @@ def test_nonselective_limit_block_unitary_when_block_diagonal():
     assert snorm(out.matrix - direct) <= 1e-13
 
 
-@pytest.mark.parametrize("loss", [0.0, 0.3])
-def test_nonselective_limit_is_the_sum_of_written_out_sector_limits(rng, loss):
-    # reference: V_n = P_n exp(-i P_n H P_n t) spelled out, compared bit for bit
-    hmat = random_hermitian(rng, 5) - 1j * loss * np.eye(5)
-    sec = eig(np.diag([0.0, 1.0, 1.0, 2.0, 2.0]))
-    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    rho0 = DensityMatrix.pure(v / np.linalg.norm(v))
+def _written_out_nonselective_limit(hmat, sec, t, rho0):
+    """``sum_n V_n rho0 V_n^dag`` with ``V_n = P_n exp(-i P_n H P_n t)``
+    spelled out on dense ``d x d`` matrices."""
     hermitian = as_operator(hmat).hermitian
-    direct = np.zeros((5, 5), dtype=complex)
+    direct = np.zeros(hmat.shape, dtype=complex)
     for s in sec:
         p = s.projector.matrix
-        vn = p @ expm(as_operator(p @ hmat @ p, hermitian=hermitian), 0.9).matrix
+        vn = p @ expm(as_operator(p @ hmat @ p, hermitian=hermitian), t).matrix
         direct += vn @ rho0.matrix @ vn.conj().T
-    out = nonselective_limit(hmat, sec, 0.9, rho0)
-    assert np.array_equal(out.matrix, (direct + direct.conj().T) / 2)
+    return (direct + direct.conj().T) / 2
+
+
+def _random_state(rng, d):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return DensityMatrix.pure(v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.3])
+def test_nonselective_limit_is_the_sum_of_written_out_sector_limits(rng, loss):
+    # the sector-basis blocks round differently from the dense sandwich by a few ulp
+    hmat = random_hermitian(rng, 5) - 1j * loss * np.eye(5)
+    sec = eig(np.diag([0.0, 1.0, 1.0, 2.0, 2.0]))
+    rho0 = _random_state(rng, 5)
+    out = nonselective_limit(hmat, sec, 0.9, rho0).matrix
+    assert np.max(np.abs(out - _written_out_nonselective_limit(hmat, sec, 0.9, rho0))) <= 1e-14
+
+
+def test_nondegenerate_nonselective_limit_is_the_sum_of_written_out_sector_limits(rng):
+    d = 120
+    hmat = random_hermitian(rng, d)
+    sec = eig(random_hermitian(rng, d))
+    assert len(sec) == d
+    rho0 = _random_state(rng, d)
+    out = nonselective_limit(hmat, sec, 0.9, rho0).matrix
+    assert np.max(np.abs(out - _written_out_nonselective_limit(hmat, sec, 0.9, rho0))) <= 1e-14
 
 
 def test_nonselective_limit_matches_chain_at_large_n():
@@ -389,6 +409,22 @@ def test_nonselective_rejects_mismatched_state():
     sec = three_level_sectors()
     with pytest.raises(ValidationError):
         nonselective_evolve(np.eye(2), sec, 4, 1.0, DensityMatrix.pure([1, 0]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda h, sec, rho: pulsed_limit(h, sec.sectors[0].projector, 1.0),
+    lambda h, sec, rho: pulsed_propagator(h, sec.sectors[0].projector, 4, 1.0),
+    lambda h, sec, rho: nonselective_limit(h, sec, 1.0, rho),
+    lambda h, sec, rho: nonselective_evolve(h, sec, 4, 1.0, rho),
+    lambda h, sec, rho: survival_probability(rho, expm(h, 1.0), sec.sectors[0].projector),
+], ids=["pulsed_limit", "pulsed_propagator", "nonselective_limit", "nonselective_evolve",
+        "survival_probability"])
+def test_operator_of_another_dimension_is_a_validation_error(call):
+    sec = three_level_sectors()
+    rho0 = DensityMatrix(sec.sectors[0].projector.matrix)
+    with pytest.raises(ValidationError,
+                       match=r"^operator dimension 2 does not match sectors \(3\)$"):
+        call(rabi2(), sec, rho0)
 
 
 # --------------------------------------------------------------------------

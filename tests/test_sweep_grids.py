@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 import zenosim
@@ -55,7 +56,7 @@ from zenosim import operators, pulsed, scenario
 from zenosim.adiabatic import _basis_stack, _overlaps, _sector_path, _tracked_sectors
 from zenosim.cli import main
 from zenosim import continuous
-from zenosim.continuous import _blocked_limits, _defect_sweep
+from zenosim.continuous import _defect_sweep, _zeno_limits
 from zenosim.operators import Sector, block_diagonal_part, fnorm
 from zenosim.pulsed import _block_chain, _chain_power, _kept_chain, _pulsed_errors, _selective_cores
 
@@ -300,8 +301,9 @@ def test_blocked_limits_match_zeno_propagator(problem, ks, t):
     h, hm, _ = problem
     hk = CoupledHamiltonian(h, hm, 1.0)
     sectors = eig(hm)
-    for k, limit in zip(ks, _blocked_limits(hk, t, ks, sectors)):
-        want = zeno_propagator(hk.with_coupling(k), t, sectors=sectors).matrix
+    hdiag = sum(s.projector.matrix @ h.matrix @ s.projector.matrix for s in sectors)
+    for k, limit in zip(ks, _zeno_limits(hk, t, ks, sectors)):
+        want = expm(Operator(hdiag + k * hm.matrix, hermitian=True), t).matrix
         assert np.max(np.abs(limit - want)) <= 1e-12
 
 
@@ -313,14 +315,17 @@ def test_blocked_limits_match_zeno_propagator(problem, ks, t):
 def test_blocked_limits_check_each_block_as_an_operator(h, k, message):
     hk = CoupledHamiltonian(as_operator(h, hermitian=True), as_operator(np.diag([0.0, 2.0])), 1.0)
     with pytest.raises(ValidationError, match=message), np.errstate(over="ignore"):
-        list(_blocked_limits(hk, 1.0, [k], zenosim.zeno_sectors(hk)))
+        list(_zeno_limits(hk, 1.0, [k], zenosim.zeno_sectors(hk)))
 
 
 def _spy_blocked(monkeypatch):
+    """Count the sector-block exponentials of the limits: one per K on the
+    block route, none on the dense one (whose blocked Hamiltonian is formed
+    inside ``operators``)."""
     calls = []
-    real = continuous._blocked_limits
-    monkeypatch.setattr(continuous, "_blocked_limits",
-                        lambda *a: calls.append(1) or real(*a))
+    real = continuous._sector_columns
+    monkeypatch.setattr(continuous, "_sector_columns",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
     return calls
 
 
@@ -334,7 +339,7 @@ def test_large_hermitian_sweeps_take_the_blocked_limits(rng, monkeypatch):
     ks = [10.0, 20.0, 40.0]
     calls = _spy_blocked(monkeypatch)
     got = _defect_sweep(hk, 1.0, ks, sectors)
-    assert calls == [1]
+    assert len(calls) == len(ks)
     want = [nonadiabatic_defect(hk.with_coupling(k), 1.0, sectors=sectors) for k in ks]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
@@ -376,9 +381,31 @@ def test_desk_sweeps_take_the_blocked_limits(hk, monkeypatch):
     ks = [1.0, 4.0, 16.0]
     calls = _spy_blocked(monkeypatch)
     got = _defect_sweep(hk, 1.5, ks, sectors)
-    assert calls == [1]
+    assert len(calls) == len(ks)
     want = [nonadiabatic_defect(hk.with_coupling(k), 1.5, sectors=sectors) for k in ks]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+def test_zeno_limits_of_rank_one_sectors_take_no_full_dimension_exponential(rng, monkeypatch):
+    d = 200
+    h, hm = as_operator(random_hermitian(rng, d)), as_operator(random_hermitian(rng, d))
+    sectors = eig(hm)
+    assert len(sectors) == d
+    hk, p = CoupledHamiltonian(h, hm, 10.0), sectors.sectors[0].projector
+    rho0 = DensityMatrix.pure(np.ones(d))
+    sizes = []
+
+    def spy(real):
+        return lambda a, *rest: sizes.append(np.shape(a)[-1]) or real(a, *rest)
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "expm", spy(scipy.linalg.expm))
+    for module in (operators, pulsed, continuous):
+        monkeypatch.setattr(module, "expm", spy(module.expm))
+    for limit in (lambda: zenosim.nonselective_limit(h, sectors, 0.9, rho0),
+                  lambda: pulsed_limit(h, p, 0.9), lambda: zeno_propagator(hk, 0.9, sectors)):
+        sizes.clear()
+        limit()
+        assert sizes and d not in sizes
 
 
 # --------------------------------------------------------------------------
