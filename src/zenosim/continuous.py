@@ -9,13 +9,15 @@ and within each sector the motion is generated by the blocked Hamiltonian
 the sector machinery, second-order perturbative corrections in 1/K, and
 the defect that measures how far a finite coupling is from the limit.
 The limit form is exponentiated sector by sector (``operators._sector_columns``),
-or densely for a non-Hermitian model or an incomplete decomposition.
+or densely for a non-Hermitian model or an incomplete decomposition.  The
+perturbative data are read off ``G = W^dag H W`` on the sector basis
+``W = [Q_1 ... Q_m]``, in which every reduced resolvent is diagonal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,15 +219,15 @@ class PerturbativeExpansion:
     sectors: SectorDecomposition
     order: int
     branches: tuple[PerturbativeBranch, ...]
-    reduced_resolvents: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def unresolved(self) -> tuple[PerturbativeBranch, ...]:
         return tuple(b for b in self.branches if not b.resolved)
 
     def reduced_resolvent(self, n: int) -> np.ndarray:
-        """``sum_{m != n} P_m / (eta_n - eta_m)``."""
-        return self.reduced_resolvents[n]
+        """``S_n = sum_{m != n} P_m / (eta_n - eta_m)``, as ``W diag(D_n) W^dag``."""
+        w, _, diags = _resolvent_frame(self.sectors)
+        return (w * diags[n]) @ w.conj().T
 
     def predicted_eigenvalues(self, lam: float) -> np.ndarray:
         """All eigenvalue branches at ``lam``, repeated by multiplicity."""
@@ -236,14 +238,28 @@ class PerturbativeExpansion:
 
     def generator(self, lam: float) -> Operator:
         """Blocked generator ``H_meas + lam H^diag + lam^2 sum_n P_n H S_n H P_n``
-        reproducing the exact spectrum through second order."""
-        h = self.hk.h.matrix
-        out = self.hk.h_meas.matrix + lam * block_diagonal_part(h, self.sectors)
+        reproducing the exact spectrum through second order, formed as
+        ``H_meas + W X W^dag`` from the sector blocks of ``G = W^dag H W``."""
+        w, owner, diags = _resolvent_frame(self.sectors)
+        g = w.conj().T @ self.hk.h.matrix @ w
+        x = lam * g
         if self.order >= 2:
-            for s, res in zip(self.sectors, self.reduced_resolvents):
-                p = s.projector.matrix
-                out += lam * lam * (p @ h @ res @ h @ p)
-        return as_operator(out)
+            x += lam * lam * (g * diags[owner]) @ g   # row i: G[i, :] D_n(i) G
+        x *= owner[:, None] == owner                   # keep the sector blocks
+        return as_operator(self.hk.h_meas.matrix + w @ x @ w.conj().T)
+
+
+def _resolvent_frame(sectors: SectorDecomposition):
+    """``W = [Q_1 ... Q_m]`` in sector order, the sector that owns each column,
+    and the diagonals ``D_n`` of the reduced resolvents in that basis:
+    ``1 / (eta_n - eta_m)`` on the columns of sector ``m != n``, 0 on its own."""
+    w = np.hstack([s.projector.basis for s in sectors])
+    owner = np.repeat(np.arange(len(sectors)), [s.multiplicity for s in sectors])
+    etas = sectors.eigenvalues
+    gaps = etas[:, None] - etas[owner]
+    others = owner != np.arange(len(sectors))[:, None]
+    diags = np.divide(1.0, gaps, out=np.zeros(gaps.shape, complex), where=others)
+    return w, owner, diags
 
 
 def perturbative_spectrum(hk: CoupledHamiltonian, order: int = 2,
@@ -264,54 +280,30 @@ def perturbative_spectrum(hk: CoupledHamiltonian, order: int = 2,
         sectors = zeno_sectors(hk)
     sectors.validate_resolution()
 
-    h = hk.h.matrix
-    etas = sectors.eigenvalues
+    w, owner, diags = _resolvent_frame(sectors)
+    g = w.conj().T @ hk.h.matrix @ w
     scale = max(1.0, snorm(hk.h))
-
-    resolvents = []
-    for n, s in enumerate(sectors):
-        res = np.zeros((sectors.dim, sectors.dim), dtype=complex)
-        for m, sm in enumerate(sectors):
-            if m != n:
-                res += sm.projector.matrix / (etas[n] - etas[m])
-        resolvents.append(res)
-
     branches: list[PerturbativeBranch] = []
-    for n, s in enumerate(sectors):
-        basis = s.projector.basis
-        b1 = basis.conj().T @ h @ basis                      # first-order block
+    for n, (s, dn) in enumerate(zip(sectors, diags)):
+        own = owner == n
+        b1 = g[np.ix_(own, own)]                             # first-order block
         w1, v1 = np.linalg.eigh((b1 + b1.conj().T) / 2)
-        slices = cluster_values(w1, _DEGENERACY_RTOL * scale)
-        for idx in slices:
-            cols = basis @ v1[:, idx]
-            eta1 = float(np.mean(w1[idx]))
-            if order == 1:
-                branches.append(_branch(n, etas[n], eta1, 0.0, cols,
-                                        resolvents[n], h, resolved=len(idx) == 1))
-                continue
-            b2 = cols.conj().T @ h @ resolvents[n] @ h @ cols
-            w2, v2 = np.linalg.eigh((b2 + b2.conj().T) / 2)
-            if len(idx) == 1:
-                branches.append(_branch(n, etas[n], eta1, float(w2[0]), cols,
-                                        resolvents[n], h, resolved=True))
-                continue
-            sub_slices = cluster_values(w2, _DEGENERACY_RTOL * max(1.0, scale ** 2))
-            for sub in sub_slices:
-                sub_cols = cols @ v2[:, sub]
-                eta2 = float(np.mean(w2[sub]))
-                branches.append(_branch(n, etas[n], eta1, eta2, sub_cols,
-                                        resolvents[n], h, resolved=len(sub) == 1))
-    return PerturbativeExpansion(hk=hk, sectors=sectors, order=order,
-                                 branches=tuple(branches),
-                                 reduced_resolvents=tuple(resolvents))
-
-
-def _branch(n: int, eta0: complex, eta1: float, eta2: float, cols: np.ndarray,
-            resolvent: np.ndarray, h: np.ndarray, resolved: bool) -> PerturbativeBranch:
-    proj = projector_from_columns(cols)
-    correction = resolvent @ h @ proj.matrix + proj.matrix @ h @ resolvent
-    return PerturbativeBranch(
-        sector_index=n, eta0=complex(eta0), eta1=eta1, eta2=eta2,
-        multiplicity=cols.shape[1], projector=proj,
-        projector_correction=correction, resolved=resolved,
-    )
+        for idx in cluster_values(w1, _DEGENERACY_RTOL * scale):
+            c = v1[:, idx]                                   # slice in the sector basis
+            hc, ch = g[:, own] @ c, c.conj().T @ g[own]      # W^dag H V, V^dag H W; V = W_n c
+            if order == 1:                                   # the slice stays one branch
+                w2, v2 = np.zeros(len(idx)), np.eye(len(idx))
+            else:
+                b2 = (ch * dn) @ hc
+                w2, v2 = np.linalg.eigh((b2 + b2.conj().T) / 2)
+            for sub in cluster_values(w2, _DEGENERACY_RTOL * max(1.0, scale ** 2)):
+                u = v2[:, sub]
+                cols = w[:, own] @ (c @ u)                   # the branch's basis
+                sh = w @ (dn[:, None] * (hc @ u))            # S_n H cols
+                hs = ((u.conj().T @ ch) * dn) @ w.conj().T   # cols^dag H S_n
+                branches.append(PerturbativeBranch(
+                    sector_index=n, eta0=complex(s.eigenvalue), eta1=float(np.mean(w1[idx])),
+                    eta2=float(np.mean(w2[sub])), multiplicity=len(sub),
+                    projector=projector_from_columns(cols),
+                    projector_correction=sh @ cols.conj().T + cols @ hs, resolved=len(sub) == 1))
+    return PerturbativeExpansion(hk=hk, sectors=sectors, order=order, branches=tuple(branches))

@@ -13,22 +13,16 @@ def loglog_slope(x, y) -> float:
     Used for convergence-order fits: an error decaying like C/x gives a
     slope of -1.
     """
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    if xs.shape != ys.shape or xs.size < 2:
-        raise ValidationError("need at least two matching samples for a slope fit")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValidationError("log-log fit requires strictly positive data")
-    slope, _ = np.polyfit(np.log(xs), np.log(ys), 1)
-    return float(slope)
+    return loglog_fit(x, y)[0]
 
 
 def loglog_fit(x, y) -> tuple[float, float]:
     """Slope and intercept of the log-log least-squares line."""
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
+    if xs.shape != ys.shape or xs.size < 2:
+        raise ValidationError("need at least two matching samples for a slope fit")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValidationError("log-log fit requires strictly positive data")
     slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
     return float(slope), float(intercept)
-

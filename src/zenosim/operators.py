@@ -297,19 +297,25 @@ def _eigh_projector(cols: np.ndarray) -> Projector:
 
 
 def projector_from_columns(columns: np.ndarray) -> Projector:
-    """Orthogonal projector onto the column span (orthonormalized by QR)."""
+    """Orthogonal projector onto the span of independent columns (orthonormalized by QR)."""
     cols = np.atleast_2d(np.asarray(columns, dtype=complex))
     if cols.shape[1] == 0:
         raise ValidationError("cannot build a projector from zero columns")
-    q, _ = np.linalg.qr(cols)
+    q, r = np.linalg.qr(cols)
+    rank = np.linalg.matrix_rank(r)
+    if rank < cols.shape[1]:
+        raise ValidationError(f"projector columns have rank {rank} < their count {cols.shape[1]}")
     return Projector(q @ q.conj().T, rank=cols.shape[1])
 
 
 def basis_projector(dim: int, *indices: int) -> Projector:
-    """Projector onto the span of the given canonical basis vectors."""
-    cols = np.zeros((dim, len(indices)), dtype=complex)
+    """Projector onto the span of the given distinct canonical basis vectors."""
     for k, i in enumerate(indices):
-        cols[i, k] = 1.0
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < dim:
+            raise ValidationError(f"basis index {i} is not an integer in 0 .. {dim - 1}")
+        if i in indices[:k]:
+            raise ValidationError(f"basis index {i} is repeated")
+    cols = np.eye(dim, dtype=complex)[:, list(indices)]
     return Projector(cols @ cols.conj().T, rank=len(indices))
 
 

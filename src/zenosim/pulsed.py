@@ -298,7 +298,10 @@ def zeno_time_fitted(h, a, tau0: float | None = None, points: int = 5) -> float:
     Evaluates ``1 - p(tau)`` on the geometric grid ``tau0 * 2**-k`` for
     ``k = 0 .. points-1`` (default ``tau0 = 0.01 / ||H||``) and fits
     ``log(1 - p)`` against ``log tau``; the intercept gives the time scale.
+    ``points`` must be an integer >= 2.
     """
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 2:
+        raise ValidationError(f"points must be an integer >= 2, got {points!r}")
     hop = as_operator(h)
     if tau0 is None:
         nrm = snorm(hop)

@@ -10,6 +10,7 @@ from zenosim import (
     as_operator,
     cavity,
     diag_part,
+    eig,
     exact_propagator,
     four_level,
     nonadiabatic_defect,
@@ -370,6 +371,67 @@ def test_perturbative_unresolved_degeneracy_reported():
     exact = np.sort(np.linalg.eigvalsh(hm + lam * h))
     pred = np.sort(exp.predicted_eigenvalues(lam).real)
     assert np.abs(exact - pred).max() <= 10 * lam ** 3
+
+
+def _rotated(rng, values):
+    q, _ = np.linalg.qr(rng.standard_normal((len(values),) * 2)
+                        + 1j * rng.standard_normal((len(values),) * 2))
+    return (q * np.asarray(values, dtype=float)) @ q.conj().T
+
+
+def _perturbative_pair(kind):
+    rng = np.random.default_rng(11)
+    if kind == "nondegenerate":          # d = 30, unit gaps, a generic system part
+        hm = _rotated(rng, np.arange(30.0))
+        h = random_hermitian(rng, 30) / np.sqrt(30)
+    else:                                # d = 12, ranks 4, 3, 5; P_n H P_n = 0 in every sector
+        hm = _rotated(rng, [0.0] * 4 + [1.0] * 3 + [2.5] * 5)
+        h = random_hermitian(rng, 12)
+        for s in eig(hm):
+            h -= s.projector.matrix @ h @ s.projector.matrix
+    return CoupledHamiltonian(as_operator(h), as_operator(hm), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["nondegenerate", "degenerate"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_perturbative_data_match_a_written_out_dense_reference(kind, order):
+    hk = _perturbative_pair(kind)
+    exp = perturbative_spectrum(hk, order=order)
+    h, hm, d = hk.h.matrix, hk.h_meas.matrix, hk.dim
+    ps = [s.projector.matrix for s in exp.sectors]
+    etas = exp.sectors.eigenvalues
+    res = [sum((pm / (etas[n] - etas[m]) for m, pm in enumerate(ps) if m != n),
+               np.zeros((d, d), complex)) for n in range(len(ps))]
+    for n, s_n in enumerate(res):
+        assert np.abs(exp.reduced_resolvent(n) - s_n).max() <= 1e-12
+    assert sum(b.multiplicity for b in exp.branches) == d
+    for b in exp.branches:
+        p, s_n = b.projector.matrix, res[b.sector_index]
+        assert b.eta0 == etas[b.sector_index]
+        assert abs(b.eta1 - np.trace(p @ h @ p).real / b.multiplicity) <= 1e-12
+        b2 = p @ h @ s_n @ h @ p if order == 2 else np.zeros((d, d))
+        assert abs(b.eta2 - np.trace(b2).real / b.multiplicity) <= 1e-12
+        assert np.abs(b.projector_correction - (s_n @ h @ p + p @ h @ s_n)).max() <= 1e-12
+    if kind == "degenerate":             # only the second order splits a sector
+        assert all(b.eta1 == pytest.approx(0.0, abs=1e-12) for b in exp.branches)
+        assert len(exp.unresolved) == (0 if order == 2 else 3)
+        assert len(exp.branches) == (d if order == 2 else 3)
+    lam = 0.05
+    gen = hm + sum(lam * p @ h @ p + (order == 2) * lam * lam * p @ h @ s_n @ h @ p
+                   for p, s_n in zip(ps, res))
+    assert np.abs(exp.generator(lam).matrix - gen).max() <= 1e-12
+
+
+def test_perturbative_data_of_a_certified_decomposition_form_no_sector_matrix(rng):
+    hm = np.diag(np.repeat(np.arange(20.0), 3)).astype(complex)
+    hk = CoupledHamiltonian(as_operator(random_hermitian(rng, 60)), as_operator(hm), 1.0)
+    sectors = zeno_sectors(hk)
+    assert sectors.__dict__["_resolved"]
+    assert all("basis" in s.projector.__dict__ for s in sectors)
+    exp = perturbative_spectrum(hk, sectors=sectors)
+    exp.generator(0.01)
+    exp.reduced_resolvent(3)
+    assert not any("matrix" in s.projector.__dict__ for s in sectors)
 
 
 def test_perturbative_requires_hermitian_coupling():

@@ -134,6 +134,21 @@ def test_projector_invariants():
         Projector(np.eye(2), rank=1)  # trace/rank mismatch
 
 
+@pytest.mark.parametrize("args, index", [((3, -1), "-1"), ((3, 3), "3"), ((3, 0, 0), "0"),
+                                         ((4, 1, 2, 1), "1"), ((1, 1), "1"), ((3, 1.5), "1.5"),
+                                         ((3, True), "True")])
+def test_basis_projector_refuses_bad_indices(args, index):
+    with pytest.raises(ValidationError, match=rf"basis index {index} is (not an integer|repeated)"):
+        basis_projector(*args)
+
+
+@pytest.mark.parametrize("columns", [np.zeros((3, 1)), [[1, 1], [0, 0], [0, 0]],
+                                     [[1, 2], [1j, 2j], [0, 0]], np.ones((2, 3))])
+def test_projector_from_columns_refuses_rank_deficient_columns(columns):
+    with pytest.raises(ValidationError, match="rank"):
+        projector_from_columns(columns)
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValidationError):
         DensityMatrix(np.diag([1.5, 0.0]))  # trace > 1

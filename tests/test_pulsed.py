@@ -32,6 +32,7 @@ from zenosim import (
     zeno_time,
     zeno_time_fitted,
 )
+from zenosim.fitting import loglog_fit, loglog_slope
 from zenosim.pulsed import _probability, _survival_grid
 
 from conftest import random_hermitian
@@ -249,6 +250,24 @@ def test_zeno_time_fitted_two_level():
     omega = 1.7
     tz = zeno_time_fitted(rabi2(omega), [1, 0])
     assert abs(tz - 1 / omega) / (1 / omega) < 0.01
+
+
+@pytest.mark.parametrize("points", [1, 0, -3, 2.5, 3.0, True, "5", None])
+def test_zeno_time_fitted_refuses_points_that_are_not_integers_of_at_least_two(points):
+    with pytest.raises(ValidationError, match="points"):
+        zeno_time_fitted(rabi2(1.7), [1, 0], points=points)
+
+
+@pytest.mark.parametrize("points", [2, np.int64(3)])
+def test_zeno_time_fitted_accepts_integer_points(points):
+    assert abs(zeno_time_fitted(rabi2(1.7), [1, 0], points=points) * 1.7 - 1) < 0.01
+
+
+@pytest.mark.parametrize("x, y", [([1.0], [2.0]), ([], []), ([1.0, 2.0], [1.0, 2.0, 4.0])])
+def test_loglog_fit_needs_two_matching_samples(x, y):
+    for fit in (loglog_fit, loglog_slope):
+        with pytest.raises(ValidationError, match="at least two matching samples"):
+            fit(x, y)
 
 
 def test_short_time_law_ratio_drift():
