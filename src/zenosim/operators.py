@@ -297,8 +297,12 @@ def _eigh_projector(cols: np.ndarray) -> Projector:
 
 
 def projector_from_columns(columns: np.ndarray) -> Projector:
-    """Orthogonal projector onto the span of independent columns (orthonormalized by QR)."""
-    cols = np.atleast_2d(np.asarray(columns, dtype=complex))
+    """Orthogonal projector onto the span of independent columns
+    (orthonormalized by QR); a 1-D vector is one column."""
+    cols = np.asarray(columns, dtype=complex)
+    if cols.ndim not in (1, 2):
+        raise ValidationError(f"projector columns have shape {cols.shape}, not (d,) or (d, k)")
+    cols = cols[:, None] if cols.ndim == 1 else cols
     if cols.shape[1] == 0:
         raise ValidationError("cannot build a projector from zero columns")
     q, r = np.linalg.qr(cols)
@@ -310,6 +314,8 @@ def projector_from_columns(columns: np.ndarray) -> Projector:
 
 def basis_projector(dim: int, *indices: int) -> Projector:
     """Projector onto the span of the given distinct canonical basis vectors."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValidationError(f"dim {dim!r} is not an integer >= 1")
     for k, i in enumerate(indices):
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < dim:
             raise ValidationError(f"basis index {i} is not an integer in 0 .. {dim - 1}")
@@ -513,7 +519,7 @@ def expm(a, t: float | complex = 1.0) -> Operator:
 
 def default_cluster_tol(a) -> float:
     """Default clustering tolerance, 1e-8 * max(1, ||A||)."""
-    return _cluster_tol(lambda: snorm(a), None)
+    return _cluster_tol(snorm(a), None)
 
 
 def real_eigenvalue_tol(a) -> float:
@@ -534,47 +540,34 @@ def cluster_values(values: np.ndarray, tol: float) -> list[list[int]]:
     tolerance would split it differently) and an
     :class:`AmbiguousSpectrumError` carrying the gap histogram is raised.
 
-    For real values the components are the runs of the sorted values whose
-    consecutive gaps are ``<= tol``: rounded subtraction is monotone, so
-    ``a <= b <= c`` gives ``fl(c - a) >= fl(c - b)``, and an edge between
-    two values bounds every gap between them.  Complex values are joined
-    pair by pair.
+    One rule for real and complex values: from ``dist = |v_i - v_j|`` each
+    index takes the smallest index it reaches through ``dist <= tol``, one
+    hop per round of label propagation.  That is O(n^2) time and memory for
+    n <= d eigenvalues: a component that does not raise has diameter <= tol,
+    so one round joins it; only an ambiguous chain takes a round per hop.
     """
     vals = np.asarray(values)
     n = len(vals)
-    real = np.isrealobj(vals)
-    if real:
-        order = np.argsort(vals, kind="stable")
-        ascending = vals[order]
-        cuts = (np.flatnonzero(~(ascending[1:] - ascending[:-1] <= tol)) + 1).tolist()
-        bounds = [0, *cuts, n] if n else []
-        order = order.tolist()
-        clusters = [sorted(order[a:b]) for a, b in zip(bounds, bounds[1:])]
-    else:
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        dist = np.abs(vals[:, None] - vals[None, :])
-        for i, j in np.argwhere(dist <= tol).tolist():     # row-major, as a loop over pairs
-            if i < j:
-                parent[find(i)] = find(j)
-        groups: dict[int, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        clusters = sorted(groups.values(), key=lambda idx: (vals[idx[0]].real, vals[idx[0]].imag))
+    dist = np.abs(vals[:, None] - vals[None, :])
+    close = dist <= tol
+    np.fill_diagonal(close, True)       # every index reaches itself, even for tol < 0
+    label = np.arange(n)
+    while True:
+        reached = np.where(close, label, n).min(axis=1, initial=n)
+        if np.array_equal(reached, label):
+            break
+        label = reached
+    groups: dict[int, list[int]] = {}
+    for i, root in enumerate(label.tolist()):
+        groups.setdefault(root, []).append(i)
+    clusters = sorted(groups.values(), key=lambda idx: (vals[idx[0]].real, vals[idx[0]].imag))
 
     for idx in clusters:
         if len(idx) < 2:
             continue
-        part = vals[idx]
-        diameter = part.max() - part.min() if real else np.abs(part[:, None] - part).max()
+        diameter = dist[np.ix_(idx, idx)].max()
         if diameter > tol:
-            gaps = np.sort(np.abs(vals[:, None] - vals[None, :])[np.triu_indices(n, k=1)])
+            gaps = np.sort(dist[np.triu_indices(n, k=1)])
             histogram = np.histogram(gaps, bins=min(16, max(4, n)))
             raise AmbiguousSpectrumError(
                 f"eigenvalue gaps straddle the cluster tolerance {tol:.3e} "
@@ -585,19 +578,18 @@ def cluster_values(values: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
-def _cluster_tol(norm, cluster_tol) -> float:
+def _cluster_tol(norm: float | None, cluster_tol) -> float:
     """The clustering tolerance of a decomposition: the default for an
-    operator of spectral norm ``norm()`` when None, else a finite value >= 0."""
+    operator of spectral norm ``norm`` when None, else a finite value >= 0."""
     if cluster_tol is None:
-        return DEFAULT_CLUSTER_RTOL * max(1.0, norm())
+        return DEFAULT_CLUSTER_RTOL * max(1.0, norm)
     tol = float(cluster_tol)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"cluster tolerance must be finite and >= 0, got {tol!r}")
     return tol
 
 
-def eig(a, cluster_tol: float | None = None,
-        max_condition: float = DEFAULT_MAX_SECTOR_CONDITION) -> SectorDecomposition:
+def eig(a, cluster_tol: float | None = None) -> SectorDecomposition:
     """Spectral decomposition into distinct-eigenvalue sectors.
 
     Eigenvalues within ``cluster_tol`` of each other are merged into one
@@ -605,12 +597,13 @@ def eig(a, cluster_tol: float | None = None,
     input yields an exact resolution of the identity.  For non-Hermitian
     input the projector of each cluster is the orthogonal projector onto
     the span of its right eigenvectors; clusters whose eigenvector block or
-    spectral projector has condition number above ``max_condition``
-    (defective eigenvalue, poorly separated subspace) go to ``dropped``.
+    spectral projector has condition number above the fixed threshold
+    ``DEFAULT_MAX_SECTOR_CONDITION = 1e8`` (defective eigenvalue, poorly
+    separated subspace) go to ``dropped``.
     """
     op = as_operator(a)
     if not op.hermitian:
-        return _eigenvector_sectors(op, cluster_tol, max_condition)
+        return _eigenvector_sectors(op, cluster_tol)
     return _eigh_sectors(*op._eigh, cluster_tol)
 
 
@@ -619,7 +612,7 @@ def _eigh_sectors(w: np.ndarray, v: np.ndarray,
     """The Hermitian branch of :func:`eig`, from the ``eigh`` eigenvalues
     ``w`` and eigenvectors ``V`` of the operator, so that one batched
     ``eigh`` can serve a stack of operators (``adiabatic`` does)."""
-    tol = _cluster_tol(lambda: float(np.abs(w).max()), cluster_tol)    # ||A|| = max |w|
+    tol = _cluster_tol(float(np.abs(w).max()), cluster_tol)    # ||A|| = max |w|
     clusters = cluster_values(w, tol)
     held, resolved = _eigh_certificate(v, max(map(len, clusters)))
     sectors = tuple(
@@ -632,7 +625,6 @@ def _eigh_sectors(w: np.ndarray, v: np.ndarray,
 
 
 def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
-                         max_condition: float = DEFAULT_MAX_SECTOR_CONDITION,
                          real_only: bool = False) -> SectorDecomposition:
     """Sectors of a non-Hermitian ``op`` from its right eigenvectors.
 
@@ -640,12 +632,12 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
     span of its eigenvectors and the measured condition number of its
     spectral projector.  A cluster goes to ``dropped``, with the figure,
     when the condition number of its eigenvector block or else of its
-    spectral projector exceeds ``max_condition``.  ``real_only`` keeps only
-    eigenvalues with ``|Im eta| <= real_eigenvalue_tol(op)``, reports their
-    real parts and marks the decomposition incomplete.
+    spectral projector exceeds ``DEFAULT_MAX_SECTOR_CONDITION``.  ``real_only``
+    keeps only eigenvalues with ``|Im eta| <= real_eigenvalue_tol(op)``,
+    reports their real parts and marks the decomposition incomplete.
     """
     norm = snorm(op) if real_only or cluster_tol is None else None     # one SVD serves both
-    tol = _cluster_tol(lambda: norm, cluster_tol)
+    tol = _cluster_tol(norm, cluster_tol)
     w, vr = np.linalg.eig(op.matrix)
     keep = (np.flatnonzero(np.abs(w.imag) <= _real_tol(norm)) if real_only
             else np.arange(w.size))
@@ -657,10 +649,10 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
         eta = complex(np.mean(w[idx].real)) if real_only else complex(np.mean(w[idx]))
         # a defective eigenvalue leaves its eigenvector block rank deficient
         condition = float(np.linalg.cond(vr[:, idx]))
-        if condition <= max_condition:
+        if condition <= DEFAULT_MAX_SECTOR_CONDITION:
             vr_inv = np.linalg.inv(vr) if vr_inv is None else vr_inv
             condition = snorm(vr[:, idx] @ vr_inv[idx, :])
-        if condition > max_condition:
+        if condition > DEFAULT_MAX_SECTOR_CONDITION:
             dropped.append((eta, condition))
             continue
         sectors.append(Sector(eta, projector_from_columns(vr[:, idx]), condition=condition))

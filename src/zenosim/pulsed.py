@@ -396,21 +396,16 @@ def _nonselective_grid(h, sectors: SectorDecomposition, ns, t: float,
 _KEPT_CHUNK_BYTES = 1 << 16
 
 
-def _check_trace_step(k: int, tr: float, prev: float) -> float:
-    if abs(tr - prev) > 1e-12 * max(1.0, abs(prev)):
-        raise NumericalError(f"step {k} changed the trace by {abs(tr - prev):.3e}")
-    return tr
-
-
-def _check_traces(first: int, traces: np.ndarray) -> None:
-    """:func:`_check_trace_step` for the steps ``first, first + 1, ...``
-    at once: ``traces[j + 1]`` is the trace after step ``first + j`` and
-    ``traces[0]`` the one before ``first``.  The first offending step
-    raises, with the message of the per-step check."""
+def _check_traces(first: int, traces: np.ndarray) -> float:
+    """Refuse the first of the steps ``first, first + 1, ...`` that changed
+    the trace by more than ``1e-12`` relative, and return the last trace:
+    ``traces[j + 1]`` is the trace after step ``first + j`` and
+    ``traces[0]`` the one before ``first``."""
     prev, delta = traces[:-1], np.abs(np.diff(traces))
     bad = np.flatnonzero(delta > 1e-12 * np.maximum(1.0, np.abs(prev)))
     if bad.size:
         raise NumericalError(f"step {first + bad[0]} changed the trace by {delta[bad[0]]:.3e}")
+    return float(traces[-1])
 
 
 def _kept_entries(sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -456,8 +451,7 @@ def _kept_chain(u, rho, sizes, n: int, project_final: bool) -> np.ndarray:
             np.matmul(pw[:c], vs[j], out=vs[j + 1:j + 1 + c])
         traces = vs[:count + 1, diag].real.sum(axis=1)
         traces[0] = prev
-        _check_traces(first, traces)
-        prev = float(traces[-1])
+        prev = _check_traces(first, traces)
         vs[0] = vs[count]
     return _finish(u, vs[0], ia, ib, n, prev, project_final)
 
@@ -489,7 +483,7 @@ def _block_chain(u, rho, sizes, n: int, project_final: bool) -> np.ndarray:
             np.matmul(blocks, udag_rows, out=z_rows)
         for blocks, _, _, u_rows, z_cols in groups:
             np.matmul(u_rows, z_cols, out=blocks)
-        prev = _check_trace_step(k, float(v[diag].real.sum()), prev)
+        prev = _check_traces(k, np.array([prev, v[diag].real.sum()]))
     return _finish(u, v, ia, ib, n, prev, project_final)
 
 
@@ -500,7 +494,7 @@ def _finish(u, v, ia, ib, n: int, prev: float, project_final: bool) -> np.ndarra
     x[ia, ib] = v
     if not project_final:
         x = u @ x @ u.conj().T
-        _check_trace_step(n - 1, float(x.trace().real), prev)
+        _check_traces(n - 1, np.array([prev, x.trace().real]))
     return x
 
 

@@ -488,7 +488,7 @@ def _survival(s, hk, cluster_tol, md) -> ResultSeries:
     ts = np.linspace(0.0, s.t_max, s.samples)
     v0 = _initial_vector(s, hk.dim)
     rho0 = DensityMatrix.pure(v0)
-    proj = projector_from_columns(v0.reshape(-1, 1))
+    proj = projector_from_columns(v0)
     columns = ("t", "p0")
     values = [ts, _survival_grid(hk.total(), ts, rho0, proj)]
     if s.model_kind == "three_level" and s.initial_state is None:

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -142,10 +143,28 @@ def test_basis_projector_refuses_bad_indices(args, index):
         basis_projector(*args)
 
 
+@pytest.mark.parametrize("dim", [2.5, 0, -1, True, "3"])
+def test_basis_projector_refuses_a_dim_that_is_not_a_positive_integer(dim):
+    with pytest.raises(ValidationError, match=rf"dim {dim!r} is not an integer >= 1"):
+        basis_projector(dim)
+
+
 @pytest.mark.parametrize("columns", [np.zeros((3, 1)), [[1, 1], [0, 0], [0, 0]],
                                      [[1, 2], [1j, 2j], [0, 0]], np.ones((2, 3))])
 def test_projector_from_columns_refuses_rank_deficient_columns(columns):
     with pytest.raises(ValidationError, match="rank"):
+        projector_from_columns(columns)
+
+
+def test_projector_from_columns_reads_a_vector_as_one_column():
+    p = projector_from_columns(np.array([1, 0, 0]))
+    assert p.rank == 1
+    assert np.array_equal(p.matrix, basis_projector(3, 0).matrix)
+
+
+@pytest.mark.parametrize("columns", [np.zeros((3, 1, 1)), np.float64(1.0)])
+def test_projector_from_columns_refuses_other_shapes_by_name(columns):
+    with pytest.raises(ValidationError, match=rf"have shape {re.escape(str(np.shape(columns)))}"):
         projector_from_columns(columns)
 
 
@@ -265,10 +284,10 @@ def all_pairs_clusters(vals, tol):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.sampled_from(["real", "ties", "complex"]),
-       st.sampled_from([-1, 0, 1]))
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12),
+       st.sampled_from(["real", "ties", "complex", "complex ties"]), st.sampled_from([-1, 0, 1]))
 def test_cluster_values_unions_the_pairs_the_all_pairs_loop_does(seed, n, kind, ulps):
-    # real values take the sorted-gap path, complex ones the pairwise union
+    # real and complex values go through the same components of one distance matrix
     rng = np.random.default_rng(seed)
     vals = rng.integers(0, max(n, 1), n) * 0.5 + rng.uniform(0.0, 0.3, n)
     if kind == "ties":           # repeated values, signed zeros, negative values
@@ -276,6 +295,10 @@ def test_cluster_values_unions_the_pairs_the_all_pairs_loop_does(seed, n, kind, 
         vals[vals == 0] = rng.choice([0.0, -0.0], int(np.sum(vals == 0)))
     if kind == "complex":
         vals = vals + 1j * (rng.integers(0, 2, n) * 0.5 + rng.uniform(0.0, 0.3, n))
+    if kind == "complex ties":   # exact repeats, imaginary parts 0.0 and -0.0 among them
+        vals = np.round(vals, 1).astype(complex)
+        vals.imag = rng.choice([0.0, -0.0, 0.5], n)
+        vals = vals[rng.integers(0, max(n, 1), n)]
     if n:
         i, j = rng.integers(0, n, 2)
         tol = abs(vals[i] - vals[j])   # a gap at tol, or 1 ulp on either side of it
@@ -291,6 +314,15 @@ def test_cluster_values_unions_the_pairs_the_all_pairs_loop_does(seed, n, kind, 
         assert np.array_equal(err.value.gaps, np.sort(dist[np.triu_indices(n, k=1)]))
     else:
         assert operators.cluster_values(vals, tol) == expected
+
+
+@pytest.mark.parametrize("chain", [np.arange(6.0), 1j * np.arange(6)], ids=["real", "imaginary"])
+def test_cluster_values_follows_a_chain_to_its_far_end(chain):
+    # index 5 reaches index 0 only through the four values between them
+    with pytest.raises(AmbiguousSpectrumError, match=r"\(cluster diameter 5\.000e\+00\)") as err:
+        operators.cluster_values(chain, 1.0)
+    dist = np.abs(chain[:, None] - chain[None, :])
+    assert np.array_equal(err.value.gaps, np.sort(dist[np.triu_indices(6, k=1)]))
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
