@@ -108,7 +108,8 @@ def _within_scaled(dev, m: np.ndarray, allowed) -> bool:
     falls between the two allowances, and only then the SVD runs."""
     if dev <= allowed(0.0):
         return True
-    f = fnorm(m)
+    with np.errstate(over="ignore"):        # an overflowed norm bounds nothing
+        f = fnorm(m)
     if math.isfinite(f):
         if dev <= allowed(f / math.sqrt(m.shape[0]) * (1 - _ROUNDING)):
             return True
@@ -130,7 +131,8 @@ def _hermitian_allowance(norm: float) -> float:
 
 
 def _hermitian_deviation(m: np.ndarray) -> float:
-    return np.max(np.abs(m - m.conj().T))
+    with np.errstate(over="ignore"):        # an overflow deviates by more than any allowance
+        return np.max(np.abs(m - m.conj().T))
 
 
 def is_hermitian(a) -> bool:
@@ -522,11 +524,6 @@ def default_cluster_tol(a) -> float:
     return _cluster_tol(snorm(a), None)
 
 
-def real_eigenvalue_tol(a) -> float:
-    """Threshold on |Im eta| below which an eigenvalue counts as real."""
-    return _real_tol(snorm(a))
-
-
 def _real_tol(norm: float) -> float:
     return REAL_EIGENVALUE_RTOL * max(1.0, norm)
 
@@ -633,7 +630,7 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
     spectral projector.  A cluster goes to ``dropped``, with the figure,
     when the condition number of its eigenvector block or else of its
     spectral projector exceeds ``DEFAULT_MAX_SECTOR_CONDITION``.  ``real_only``
-    keeps only eigenvalues with ``|Im eta| <= real_eigenvalue_tol(op)``,
+    keeps only eigenvalues with ``|Im eta| <= _real_tol(||op||)``,
     reports their real parts and marks the decomposition incomplete.
     """
     norm = snorm(op) if real_only or cluster_tol is None else None     # one SVD serves both
@@ -682,10 +679,11 @@ def _eigh_certificate(v: np.ndarray, rank: int) -> tuple[bool, bool]:
     ``fl(M_i @ M_j)`` too, ``C_i^dag C_j`` being a block of ``V^dag V - I``.
     Completeness: ``sum_n C_n C_n^dag = V V^dag`` is within ``e`` of ``I``,
     and the ``D_n`` and the sum add ``2 g_d d (1 + e)``.  The subtractions
-    and SVDs of the checks fit in ``_ROUNDING``.  At d = 200 and rank 1,
-    ``b`` is 3.6e-11, mostly the rounding of ``V^dag V``, against
-    ``ORTHOGONALITY_TOL = 1e-10``; from about d = 330 the resolution keeps
-    its exact check.
+    and SVDs of the checks fit in ``_ROUNDING``.  ``held``'s idempotency
+    clause is implied by its trace clause up to ``r d u`` terms (``b - (1 + e)
+    e``); ``b`` stays for ``resolved``.  At d = 200 and rank 1, ``b`` is
+    3.6e-11, mostly the rounding of ``V^dag V``, against ``ORTHOGONALITY_TOL
+    = 1e-10``; from about d = 330 the resolution keeps its exact check.
     """
     d = v.shape[0]
     g, gr = 8 * (d + 1) * _UNIT_ROUNDOFF, 8 * (rank + 1) * _UNIT_ROUNDOFF
@@ -802,10 +800,16 @@ def save_matrix(path, a) -> None:
 
 
 def load_matrix(path) -> Operator:
-    """Read a matrix literal file; the Hermiticity flag is auto-detected."""
+    """Read a matrix literal file; the Hermiticity flag is auto-detected.
+    Lines end where ``str.splitlines`` ends them."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        # str.splitlines ends lines at these, loadtxt reads them as field separators
+        plain = raw.isascii() and not any(c in raw for c in b"\v\f\x1c\x1d\x1e")
+        # a plain file's header line ends before the first \n past its leading blanks
+        nl = raw.find(b"\n", len(raw) - len(raw.lstrip(_BLANK))) if plain else -1
+        lines = raw[:nl if nl >= 0 else None].decode("ascii").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read matrix file {path}: {exc}") from None
     k0 = next((k for k, ln in enumerate(lines, start=1) if ln.strip()), None)
@@ -821,30 +825,29 @@ def load_matrix(path) -> Operator:
         raise ValidationError(f"{path}:{k0}: dimension is not an integer") from None
     if d < 1:
         raise ValidationError(f"{path}:{k0}: dimension must be >= 1")
-    m = _parse_clean_entries(lines[k0:], d)
+    m = _parse_clean_entries(path, k0, d) if nl >= 0 and len(raw.rstrip(_BLANK)) > nl else None
     if m is None:
-        entries = [(k, ln.strip()) for k, ln in enumerate(lines[k0:], start=k0 + 1)
-                   if ln.strip()]
+        body = raw.decode("ascii").splitlines()[k0:] if nl >= 0 else lines[k0:]
+        entries = [(k, ln.strip()) for k, ln in enumerate(body, start=k0 + 1) if ln.strip()]
         m = _parse_entries(path, entries, d)
     return as_operator(m)
 
 
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("re", float), ("im", float)])
+_BLANK = b" \t\n\r\x1f"     # what str.strip strips of ASCII, less \v \f \x1c \x1d \x1e
 
 
-def _parse_clean_entries(lines: list[str], d: int) -> np.ndarray | None:
-    """The matrix of well-formed entry lines, parsed in one pass: besides
-    blank lines, exactly ``d * d`` lines of two integers and two finite
-    floats, each index pair in range and present once.  Anything else
-    returns None and is left to :func:`_parse_entries`, which names the
-    offending line.  ``loadtxt`` accepts a subset of the spellings
-    ``int``/``float`` accept, parses them to the same values and skips the
-    same blank lines."""
-    if len(lines) < d * d or not any(ln.strip() for ln in lines):
-        return None
+def _parse_clean_entries(path, skip: int, d: int) -> np.ndarray | None:
+    """The matrix of the lines past the first ``skip`` of ``path`` in one
+    ``loadtxt`` pass (text mode: ``\\r``, ``\\r\\n`` end lines), when besides
+    blank lines they are ``d * d`` entries of two integers and two finite
+    floats, each index pair in range and present once; else None, left to
+    :func:`_parse_entries`.  ``loadtxt`` accepts a subset of the spellings
+    ``int``/``float`` accept, with the same values, skips the same blank
+    lines, and warns when nothing else follows (the caller checks first)."""
     try:
-        data = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
-    except ValueError:
+        data = np.loadtxt(path, _ENTRY, comments=None, skiprows=skip, encoding="ascii", ndmin=1)
+    except Exception:     # a refusal; also a suffix such as .gz, which loadtxt decompresses
         return None
     i, j, re, im = data["row"], data["col"], data["re"], data["im"]
     if not (len(data) == d * d

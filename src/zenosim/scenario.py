@@ -42,8 +42,8 @@ from .operators import (
     DensityMatrix,
     Operator,
     _cluster_tol,
+    _sector_basis,
     load_matrix,
-    offblock_norm,
     projector_from_columns,
 )
 from .pulsed import (
@@ -541,14 +541,15 @@ def _limit_compare(s, hk, cluster_tol, md) -> ResultSeries:
 
 def _nonselective(s, hk, cluster_tol, md) -> ResultSeries:
     sectors = zeno_sectors(hk, cluster_tol=cluster_tol)
-    v0 = _initial_vector(s, hk.dim, uniform=True)
-    rho0 = DensityMatrix.pure(v0)
-    h = hk.total()
+    rho0 = DensityMatrix.pure(_initial_vector(s, hk.dim, uniform=True))
     ns = [int(n) for n in s.sweep_values]
+    # W is unitary: offblock_norm(rho) is the norm of Y = W^dag rho W off its blocks
+    label = np.repeat(np.arange(len(sectors)), _sector_basis(sectors)[1])
+    offblock = label[:, None] != label
     norms, traces = [], []
-    for rho in _nonselective_grid(h, sectors, ns, s.t_max, rho0, project_final=False):
-        norms.append(offblock_norm(rho, sectors))
-        traces.append(rho.trace)
+    for y in _nonselective_grid(hk.total(), sectors, ns, s.t_max, rho0, project_final=False):
+        norms.append(float(np.linalg.norm(y[offblock])))
+        traces.append(float(y.trace().real))
     return _with_slope(("N", "offblock_norm", "trace"), (ns, norms, traces), md)
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -462,6 +463,16 @@ MATRIX_FILES = [
     ("dim 3\n0 0 1 0\n1 1 1 0\n", ": 7 of 9 entries missing"),
     ("dim 3\n0 0 1 0\n0 0 1 0\n", ":3: duplicate entry (0,0)"),
     ("dim 3\n0 0 1 0\n1 x 1 0\n", ":3: could not parse entry '1 x 1 0'"),
+    # str.splitlines ends a line at \f (and \v \x1c \x1d \x1e), np.loadtxt does not
+    ("dim 2\n0 0\f1 0\n0 1 0 0\n1 0 0 0\n1 1 1 0\n", ":2: expected 'row col re im', got '0 0'"),
+    ("dim 2\r\n" + ENTRIES.replace("\n", "\r\n"), [[1, 0], [0, 1]]),
+    ("\rdim 2\r" + ENTRIES.replace("\n", "\r"), [[1, 0], [0, 1]]),
+    ("dim 2\n0\x1f0 1\t0\n0 1 0 0\n1 0 0 0\n1 1 1 0\x1f\n", [[1, 0], [0, 1]]),
+    ("dim 2\n-0 0_0 .5 1.\n0 1 1e-3 -0.0\n1 0 0 0\n1 1 1 0\n", [[0.5 + 1j, 1e-3], [0, 1]]),
+    ("dim 2\n0 0 1 0\n0 0x1 0 0\n1 0 0 0\n1 1 1 0\n", ":3: could not parse entry '0 0x1 0 0'"),
+    ("dim 2\n0 0 1j 0\n0 1 0 0\n1 0 0 0\n1 1 1 0\n", ":2: could not parse entry '0 0 1j 0'"),
+    ("dim 2\n0 0 1,0 0\n0 1 0 0\n1 0 0 0\n1 1 1 0\n", ":2: could not parse entry '0 0 1,0 0'"),
+    ("dim 2\n0 0 infinity 0\n0 1 0 0\n1 0 0 0\n1 1 1 0\n", ":2: non-finite entry"),
 ]
 
 
@@ -476,6 +487,23 @@ def test_short_matrix_file_is_refused_in_memory_of_its_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_header_without_entries_is_refused_without_a_warning(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("dim 2\n \n")             # loadtxt would warn of a file without data
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError, match=": 4 of 4 entries missing$"):
+            load_matrix(p)
+    assert seen == []
+
+
+@pytest.mark.parametrize("name", ["m.gz", "m.bz2", "m.xz", "m.lzma"])
+def test_matrix_file_with_a_compression_suffix_is_read_as_text(tmp_path, name):
+    p = tmp_path / name                      # loadtxt would try to decompress it
+    p.write_text("dim 2\n" + ENTRIES)
+    assert np.array_equal(load_matrix(p).matrix, np.eye(2))
 
 
 @pytest.mark.parametrize("text, outcome", MATRIX_FILES)
@@ -503,6 +531,86 @@ def test_matrix_file_roundtrip_bit_exact(tmp_path):
     lines = path.read_text().splitlines()
     by_line = operators._parse_entries(path, list(enumerate(lines[1:], start=2)), d)
     assert np.array_equal(back.view(np.int64), by_line.view(np.int64))
+
+
+def _whole_text_matrix(path, d: int) -> np.ndarray:
+    """The reference reader: the whole text split by ``str.splitlines``, a
+    ``dim d`` header, every entry parsed line by line."""
+    try:
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read matrix file {path}: {exc}") from None
+    k0 = next(k for k, ln in enumerate(lines, start=1) if ln.strip())
+    assert lines[k0 - 1].split() == ["dim", str(d)]
+    entries = [(k, ln.strip()) for k, ln in enumerate(lines[k0:], start=k0 + 1) if ln.strip()]
+    return operators._parse_entries(path, entries, d)
+
+
+def _bits_or_message(read):
+    try:
+        return read().view(np.int64).tolist()
+    except ValidationError as exc:
+        return str(exc)
+
+
+SPLITTERS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f"]
+
+
+@st.composite
+def mutated_matrix_files(draw):
+    """A saved matrix file's text with its lines shuffled and respelled:
+    field gaps and line tails from tabs and the six separators above,
+    signs and underscores in fields, ``\\n``, ``\\r`` or ``\\r\\n`` line
+    ends, blank lines before the header and between entries, a separator
+    or a non-ASCII character inserted past the header, an entry dropped or
+    doubled.  A per-file rate keeps about half of the files well formed."""
+    d = draw(st.integers(1, 3))
+    rate = draw(st.sampled_from([0, 1, 5, 20]))        # percent per chance of a fault
+
+    def fault(spelled, *faults):
+        return draw(st.sampled_from(faults)) if draw(st.integers(0, 99)) < rate else spelled
+
+    floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+    entries = [[str(i), str(j), repr(draw(floats)), fault(repr(draw(floats)), "nan", "-inf")]
+               for i in range(d) for j in range(d)]
+    entries = draw(st.permutations(entries))
+    edit = fault("none", "drop", "double")
+    if edit == "drop":
+        entries = entries[1:]
+    elif edit == "double":
+        entries = entries + [list(entries[0])]
+    head = [draw(st.sampled_from(["", " ", "\t", "\x1f"])) for _ in range(draw(st.integers(0, 2)))]
+    body = []
+    for fields in entries:
+        for k, f in enumerate(fields):
+            f = draw(st.sampled_from(["", "+", "-"][:2 if k < 2 else 3])) + f if f[0] != "-" else f
+            at = draw(st.integers(0, len(f)))
+            fields[k] = fault(f, f[:at] + "_" + f[at:], "-" + f)
+        gaps = [fault(draw(st.sampled_from([" ", "  ", "\t", " \t ", "\x1f"])), *SPLITTERS)
+                for _ in range(3)]
+        body.append(draw(st.sampled_from(["", " "])) + "".join(map("".join, zip(fields, gaps)))
+                    + fields[3] + fault(draw(st.sampled_from(["", " ", "\t", "\x1f"])), *SPLITTERS))
+        if draw(st.integers(0, 5)) == 0:
+            body.append(draw(st.sampled_from(["", " ", "\t"])))
+    ends = st.sampled_from(["\n", "\r", "\r\n"])
+    head, body = ("".join(ln + draw(ends) for ln in lines)
+                  for lines in (head + [f"dim {d}"], body))
+    insert = fault(None, "\xe9", "\x85", "\xc2\xa0", *SPLITTERS)     # \xc2\xa0: UTF-8 NBSP
+    if insert is not None:                  # past the header line
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + insert + body[at:]
+    return d, head + body
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mutated_matrix_files())
+def test_matrix_file_reads_as_the_whole_text_reference(tmp_path_factory, case):
+    """Every file gives the bits, or the message, of the reference reader."""
+    d, text = case
+    path = tmp_path_factory.getbasetemp() / "whole_text_reference.txt"
+    path.write_bytes(text.encode("latin-1"))
+    assert (_bits_or_message(lambda: load_matrix(path).matrix)
+            == _bits_or_message(lambda: _whole_text_matrix(path, d)))
 
 
 def test_projector_basis():

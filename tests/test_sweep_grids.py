@@ -640,11 +640,54 @@ def test_nonselective_runner_grid_is_the_per_n_calls(tmp_path, monkeypatch, d, o
         grid = scenario.run(scn).values
         monkeypatch.setattr(scenario, "_nonselective_grid",
                             lambda h, sectors, ns, t, rho0, project_final: [
-                                nonselective_evolve(h, sectors, n, t, rho0, project_final)
-                                for n in ns])
+                                y for n in ns for y in pulsed._nonselective_grid(
+                                    h, sectors, [n], t, rho0, project_final)])
         per_n = scenario.run(scn).values
         monkeypatch.undo()
         assert all(np.array_equal(a, b) for a, b in zip(grid, per_n))
+
+
+@pytest.mark.parametrize("d, outcomes", [(3, 3), (200, 4)])    # rank-1 sectors, rank-50 sectors
+def test_nonselective_rows_are_read_as_the_rotated_back_states_are(tmp_path, monkeypatch,
+                                                                  d, outcomes):
+    """The runner reads the off-block norm and the trace off the frame matrix
+    ``W^dag rho W``; the public route rotates each state back and measures it."""
+    hk = _measured(d, outcomes)
+    zenosim.save_matrix(tmp_path / "h.txt", hk.h)
+    zenosim.save_matrix(tmp_path / "hm.txt", hk.h_meas)
+    path = tmp_path / "scn.yaml"
+    path.write_text("model: {kind: matrix, h_file: h.txt, hmeas_file: hm.txt, K: 2.0}\n"
+                    "task: nonselective\ntime: {t_max: 1.0, samples: 2}\n"
+                    "sweep: {N: [4, 16, 64]}\n")
+    calls, grid = [], scenario._nonselective_grid
+    monkeypatch.setattr(scenario, "_nonselective_grid",
+                        lambda *a, **k: calls.append((a, k)) or grid(*a, **k))
+    ns, norms, traces = scenario.run(scenario.load_scenario(path)).values
+    [((h, sectors, grid_ns, t, rho0), kwargs)] = calls
+    assert kwargs == {"project_final": False}
+    states = [nonselective_evolve(h, sectors, n, t, rho0, project_final=False) for n in grid_ns]
+    assert list(ns) == grid_ns
+    np.testing.assert_allclose(norms, [offblock_norm(rho, sectors) for rho in states],
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(traces, [rho.trace for rho in states], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("chain, sizes", [(_kept_chain, [1, 1, 1]), (_block_chain, [2, 2])])
+def test_a_frame_block_with_a_negative_eigenvalue_is_refused(chain, sizes):
+    """Positivity is checked on the blocks before the last, unprojected step,
+    at the :class:`DensityMatrix` tolerance and with its message."""
+    d = sum(sizes)
+    mix = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    for low, refused in ((-1e-9, True), (-5e-11, False)):
+        frame = np.diag([1.0 - low, low] + [0.0] * (d - 2)).astype(complex)
+        if sizes[0] == 2:                   # one block holds both eigenvalues
+            frame[:2, :2] = mix @ frame[:2, :2] @ mix
+        if refused:
+            with pytest.raises(ValidationError) as info:
+                chain(np.eye(d, dtype=complex), frame, sizes, 1, False)
+            assert str(info.value) == "density matrix has negative eigenvalue -1.000e-09"
+        else:
+            assert np.array_equal(chain(np.eye(d, dtype=complex), frame, sizes, 1, False), frame)
 
 
 # --------------------------------------------------------------------------
