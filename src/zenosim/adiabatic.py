@@ -39,6 +39,7 @@ from .errors import SectorTrackingError, StepResolutionError, ValidationError
 from .operators import (
     Operator,
     SectorDecomposition,
+    _count,
     _eigh_sectors,
     _hermitian_slices,
     as_matrix,
@@ -126,12 +127,6 @@ def required_steps(bundle: TimeDependentBundle, t: float) -> int:
     (finite and >= 0)."""
     [n] = _step_plan(bundle, t, [bundle.coupling], None, resolve=True)
     return n
-
-
-def _count(n, what: str) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"{what} must be an integer >= 1")
-    return int(n)
 
 
 def _step_plan(bundle: TimeDependentBundle, t: float, ks, steps, checkpoints: int = 1,
@@ -319,19 +314,15 @@ def _tracked_sectors(prev: SectorDecomposition, current: SectorDecomposition,
 
 
 def _basis_stack(decs) -> tuple[np.ndarray, np.ndarray]:
-    """The sector bases of decompositions with equal sector counts side by
-    side, ``W`` of shape ``(checkpoint, d, d)`` with zero columns past the
-    total rank, and the ``(checkpoint, sector, d)`` indicator of each
-    sector's columns."""
-    d, m = decs[0].dim, len(decs[0])
-    bases = np.zeros((len(decs), d, d), dtype=complex)
-    labels = np.full((len(decs), d), -1)
+    """The frames ``W`` of decompositions with equal sector counts side by side,
+    ``(checkpoint, d, d)`` with zero columns past the total rank, and the
+    ``(checkpoint, sector, d)`` indicator of each sector's columns."""
+    n, d, m = len(decs), decs[0].dim, len(decs[0])
+    bases, member = np.zeros((n, d, d), dtype=complex), np.zeros((n, m, d))
     for k, dec in enumerate(decs):
-        ranks = [p.rank for p in dec.projectors]
-        cols = sum(ranks)
-        bases[k, :, :cols] = np.hstack([p.basis for p in dec.projectors])
-        labels[k, :cols] = np.repeat(np.arange(m), ranks)
-    return bases, (labels[:, None, :] == np.arange(m)[:, None]).astype(float)
+        w, _, owner = dec._frame
+        bases[k, :, :owner.size], member[k, owner, np.arange(owner.size)] = w, 1.0
+    return bases, member
 
 
 def _overlaps(prev, current) -> np.ndarray:

@@ -10,8 +10,8 @@ the sector machinery, second-order perturbative corrections in 1/K, and
 the defect that measures how far a finite coupling is from the limit.
 The limit form is exponentiated sector by sector (``operators._sector_columns``),
 or densely for a non-Hermitian model or an incomplete decomposition.  The
-perturbative data are read off ``G = W^dag H W`` on the sector basis
-``W = [Q_1 ... Q_m]``, in which every reduced resolvent is diagonal.
+perturbative data are read off ``G = W^dag H W`` on the frame ``W = [Q_1
+... Q_m]`` of the decomposition, in which every reduced resolvent is diagonal.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .operators import (
     Projector,
     SectorDecomposition,
     _eigenvector_sectors,
-    _sector_basis,
     _sector_blocks,
     _sector_columns,
     as_operator,
@@ -167,7 +166,7 @@ def _zeno_limits(hk: CoupledHamiltonian, t: float, couplings,
         for k in couplings:
             yield exact_propagator(CoupledHamiltonian(hdiag, hk.h_meas, k), t).matrix
         return
-    w, sizes = _sector_basis(sectors)
+    w, sizes, _ = sectors._frame
     hb, hmb = _sector_blocks(w, sizes, hk.h.matrix), _sector_blocks(w, sizes, hk.h_meas.matrix)
     for k in couplings:
         blocks = [a + k * b for a, b in zip(hb, hmb)]
@@ -227,19 +226,23 @@ class PerturbativeExpansion:
     def reduced_resolvent(self, n: int) -> np.ndarray:
         """``S_n = sum_{m != n} P_m / (eta_n - eta_m)``, as ``W diag(D_n) W^dag``."""
         w, _, diags = _resolvent_frame(self.sectors)
+        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and 0 <= n < len(diags)):
+            raise ValidationError(f"n = {n!r} is not a sector index in 0 .. {len(diags) - 1}")
         return (w * diags[n]) @ w.conj().T
 
     def predicted_eigenvalues(self, lam: float) -> np.ndarray:
         """All eigenvalue branches at ``lam``, repeated by multiplicity."""
-        vals = []
-        for b in self.branches:
-            vals.extend([b.eigenvalue(lam, self.order)] * b.multiplicity)
-        return np.array(vals)
+        if not math.isfinite(lam):
+            raise ValidationError(f"lam must be finite, got {lam!r}")
+        return np.array([b.eigenvalue(lam, self.order) for b in self.branches
+                         for _ in range(b.multiplicity)])
 
     def generator(self, lam: float) -> Operator:
         """Blocked generator ``H_meas + lam H^diag + lam^2 sum_n P_n H S_n H P_n``
         reproducing the exact spectrum through second order, formed as
         ``H_meas + W X W^dag`` from the sector blocks of ``G = W^dag H W``."""
+        if not math.isfinite(lam):
+            raise ValidationError(f"lam must be finite, got {lam!r}")
         w, owner, diags = _resolvent_frame(self.sectors)
         g = w.conj().T @ self.hk.h.matrix @ w
         x = lam * g
@@ -250,16 +253,13 @@ class PerturbativeExpansion:
 
 
 def _resolvent_frame(sectors: SectorDecomposition):
-    """``W = [Q_1 ... Q_m]`` in sector order, the sector that owns each column,
+    """``W`` and the owner of each column (:attr:`SectorDecomposition._frame`),
     and the diagonals ``D_n`` of the reduced resolvents in that basis:
     ``1 / (eta_n - eta_m)`` on the columns of sector ``m != n``, 0 on its own."""
-    w = np.hstack([s.projector.basis for s in sectors])
-    owner = np.repeat(np.arange(len(sectors)), [s.multiplicity for s in sectors])
-    etas = sectors.eigenvalues
-    gaps = etas[:, None] - etas[owner]
+    w, _, owner = sectors._frame
+    gaps = sectors.eigenvalues[:, None] - sectors.eigenvalues[owner]
     others = owner != np.arange(len(sectors))[:, None]
-    diags = np.divide(1.0, gaps, out=np.zeros(gaps.shape, complex), where=others)
-    return w, owner, diags
+    return w, owner, np.divide(1.0, gaps, out=np.zeros(gaps.shape, complex), where=others)
 
 
 def perturbative_spectrum(hk: CoupledHamiltonian, order: int = 2,

@@ -105,11 +105,16 @@ def _within_scaled(dev, m: np.ndarray, allowed) -> bool:
     """``dev <= allowed(snorm(m))`` for an ``allowed`` nondecreasing in the
     norm.  The floor ``allowed(0)`` passes most calls outright; otherwise
     ``||m||_F / sqrt(n) <= ||m||_2 <= ||m||_F`` decides unless ``dev``
-    falls between the two allowances, and only then the SVD runs."""
+    falls between the two allowances, and only then the SVD runs.  An
+    overflowed norm is decided on ``m`` and ``dev`` scaled by a power of two,
+    exactly, as the allowances are linear above their floor (at most 1)."""
     if dev <= allowed(0.0):
         return True
-    with np.errstate(over="ignore"):        # an overflowed norm bounds nothing
+    with np.errstate(over="ignore"):
         f = fnorm(m)
+    if math.isinf(f) and np.isfinite(m).all():
+        s = math.ldexp(1.0, 1 - math.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+        return _within_scaled(dev * s, m * s, allowed)
     if math.isfinite(f):
         if dev <= allowed(f / math.sqrt(m.shape[0]) * (1 - _ROUNDING)):
             return True
@@ -385,6 +390,18 @@ class SectorDecomposition:
     def total_rank(self) -> int:
         return sum(s.multiplicity for s in self.sectors)
 
+    @cached_property
+    def _frame(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+        """``(W, ranks, owner)``: ``W = [Q_1 ... Q_m]`` stably sorted by rank, read-only
+        (``d x 0`` for no sectors), its ranks and each column's sector, for every reader."""
+        order = sorted(range(len(self)), key=lambda n: self.sectors[n].multiplicity)
+        bases = [self.sectors[n].projector.basis for n in order]
+        w = np.hstack([np.empty((self.dim, 0), complex), *bases])
+        owner = np.repeat(np.array(order, dtype=int), [q.shape[1] for q in bases])
+        w.setflags(write=False)
+        owner.setflags(write=False)
+        return w, tuple(q.shape[1] for q in bases), owner
+
     def _identity_residual(self) -> np.ndarray:
         total = sum((s.projector.matrix for s in self.sectors),
                     np.zeros((self.dim, self.dim), dtype=complex))
@@ -653,7 +670,7 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
             dropped.append((eta, condition))
             continue
         sectors.append(Sector(eta, projector_from_columns(vr[:, idx]), condition=condition))
-    complete = not real_only and not dropped and _ranks_fill(sectors, op.dim)
+    complete = not real_only and not dropped and sum(s.multiplicity for s in sectors) == op.dim
     return SectorDecomposition(tuple(sectors), tol, op.dim, complete=complete,
                                dropped=tuple(dropped))
 
@@ -700,17 +717,6 @@ def _eigh_certificate(v: np.ndarray, rank: int) -> tuple[bool, bool]:
     return held, resolved
 
 
-def _ranks_fill(sectors, dim) -> bool:
-    return sum(s.multiplicity for s in sectors) == dim
-
-
-def _sector_basis(sectors: SectorDecomposition) -> tuple[np.ndarray, list[int]]:
-    """``W = [Q_1 ... Q_m]`` (``d x 0`` for no sectors) and its ranks, stably
-    sorted by rank so that equal-rank blocks batch together (:func:`_rank_groups`)."""
-    bases = sorted((s.projector.basis for s in sectors), key=lambda q: q.shape[1])
-    return np.hstack(bases or [np.empty((sectors.dim, 0), complex)]), [q.shape[1] for q in bases]
-
-
 def _rank_groups(sizes) -> list[tuple[slice, int, int]]:
     """``(cols, rank, count)`` of each run of equal ``sizes``: ``count``
     blocks of ``rank x rank`` on the basis columns ``cols``."""
@@ -720,6 +726,12 @@ def _rank_groups(sizes) -> list[tuple[slice, int, int]]:
         groups.append((slice(start, start + rank * count), rank, count))
         start += rank * count
     return groups
+
+
+def _count(n, what: str) -> int:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"{what} must be an integer >= 1")
+    return int(n)
 
 
 def _check_dimension(m: np.ndarray, dim: int) -> None:
@@ -734,7 +746,7 @@ def _stacked(w: np.ndarray, cols: slice, count: int, rank: int) -> np.ndarray:
 
 def _sector_blocks(w: np.ndarray, sizes, a: np.ndarray) -> list[np.ndarray]:
     """The blocks ``Q_n^dag A Q_n`` on the bases ``W = [Q_1 ... Q_m]`` of
-    :func:`_sector_basis`, one ``(count, rank, rank)`` stack per group of
+    :attr:`SectorDecomposition._frame`, one ``(count, rank, rank)`` stack per group of
     :func:`_rank_groups` (``2 r d^2`` flops a sector, not ``4 d^3``)."""
     _check_dimension(a, w.shape[0])
     wdag = w.conj().T
@@ -776,9 +788,8 @@ def offblock_norm(a, sectors: SectorDecomposition) -> float:
 def block_diagonal_part(a, sectors: SectorDecomposition) -> np.ndarray:
     """``sum_n P_n A P_n`` as a plain array, formed through the sector bases
     as ``X W^dag`` (:func:`_sector_columns`)."""
-    m = as_matrix(a)
-    w, sizes = _sector_basis(sectors)
-    return _sector_columns(w, sizes, _sector_blocks(w, sizes, m)) @ w.conj().T
+    w, sizes, _ = sectors._frame
+    return _sector_columns(w, sizes, _sector_blocks(w, sizes, as_matrix(a))) @ w.conj().T
 
 
 # ---------------------------------------------------------------------------

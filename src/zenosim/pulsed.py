@@ -35,9 +35,9 @@ from .operators import (
     Projector,
     SectorDecomposition,
     _check_dimension,
+    _count,
     _norm_exceeds,
     _rank_groups,
-    _sector_basis,
     _sector_blocks,
     _sector_columns,
     as_matrix,
@@ -110,8 +110,7 @@ def _selective_cores(h, p: Projector, ns, t: float):
     w, vecs = hop._eigh
     b = p.basis.conj().T @ vecs
     for n in ns:
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValidationError("pulse count must be an integer >= 1")
+        _count(n, "pulse count")
         if not (math.isfinite(t) and t >= 0):
             raise ValidationError("horizon must be finite and non-negative")
         yield _chain_power((b * np.exp(-1j * (t / n) * w)) @ b.conj().T, n, p.dim)
@@ -336,16 +335,12 @@ def nonselective_evolve(h, sectors: SectorDecomposition, n: int, t: float,
     exactly zero by construction.  The trace is checked to 1e-12 at every
     step.
 
-    The chain runs in the sector frame ``W = [Q_1 ... Q_m]`` (sorted by
-    rank; :func:`_nonselective_grid`) on the ``s = sum_n r_n^2`` entries the
-    measurements keep, with the step ``u = (A e^{-i w t/n}) A^dag``, ``A =
-    W^dag V``, for a Hermitian ``H = V diag(w) V^dag`` (else ``u = W^dag
-    exp(-i H t/n) W``), and the state is rotated back.  While ``s <= 2 d``
-    it iterates one ``s x s`` matrix on those entries (:func:`_kept_chain`,
-    the shipped d = 3 scenario), otherwise it multiplies the blocks alone
-    (:func:`_block_chain`, four rank-50 sectors at d = 200).
+    The chain runs in the frame ``W = [Q_1 ... Q_m]`` of the decomposition
+    on the ``s = sum_n r_n^2`` entries the measurements keep, and the state is
+    rotated back (:func:`_nonselective_grid`): while ``s <= 2 d`` as one ``s x
+    s`` matrix on those entries (:func:`_kept_chain`), else blockwise (:func:`_block_chain`).
     """
-    w, _ = _sector_basis(sectors)
+    w = sectors._frame[0]
     rho = w @ next(_nonselective_grid(h, sectors, [n], t, rho0, project_final)) @ w.conj().T
     return DensityMatrix((rho + rho.conj().T) / 2)
 
@@ -354,11 +349,11 @@ def _nonselective_grid(h, sectors: SectorDecomposition, ns, t: float,
                        rho0: DensityMatrix, project_final: bool = True):
     """:func:`nonselective_evolve` for each measurement count in ``ns``, as
     an iterator of the frame states ``Y = W^dag rho W`` (checked as
-    :class:`DensityMatrix`, positivity in :func:`_finish`), with the rotation
-    of ``rho0`` and ``A = W^dag V`` formed once for the grid."""
+    :class:`DensityMatrix`, positivity in :func:`_finish`), with the step ``(A
+    e^{-i w t/n}) A^dag`` for a Hermitian ``H = V diag(w) V^dag`` (else ``W^dag
+    exp(-i H t/n) W``); ``A = W^dag V`` and ``W^dag rho0 W`` are formed once."""
     for n in ns:
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValidationError("measurement count must be an integer >= 1")
+        _count(n, "measurement count")
     if not (math.isfinite(t) and t >= 0):
         raise ValidationError("horizon must be finite and non-negative")
     if rho0.dim != sectors.dim:
@@ -367,7 +362,7 @@ def _nonselective_grid(h, sectors: SectorDecomposition, ns, t: float,
 
     hop = as_operator(h)
     _check_dimension(hop.matrix, sectors.dim)
-    w, sizes = _sector_basis(sectors)
+    w, sizes, _ = sectors._frame
     chain = _kept_chain if sum(r * r for r in sizes) <= 2 * sectors.dim else _block_chain
     start = w.conj().T @ rho0.matrix @ w
     if hop.hermitian:
@@ -521,7 +516,7 @@ def nonselective_limit(h, sectors: SectorDecomposition, t: float,
         raise ValidationError("state dimension does not match sectors")
     sectors.validate_resolution()
     hop = as_operator(h)
-    w, sizes = _sector_basis(sectors)
+    w, sizes, _ = sectors._frame
     x = _sector_columns(w, sizes, _sector_blocks(w, sizes, hop.matrix), t, hop.hermitian)
     out = _sector_columns(x, sizes, _sector_blocks(w, sizes, rho0.matrix)) @ x.conj().T
     return DensityMatrix((out + out.conj().T) / 2)

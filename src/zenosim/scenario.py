@@ -42,7 +42,6 @@ from .operators import (
     DensityMatrix,
     Operator,
     _cluster_tol,
-    _sector_basis,
     load_matrix,
     projector_from_columns,
 )
@@ -544,8 +543,8 @@ def _nonselective(s, hk, cluster_tol, md) -> ResultSeries:
     rho0 = DensityMatrix.pure(_initial_vector(s, hk.dim, uniform=True))
     ns = [int(n) for n in s.sweep_values]
     # W is unitary: offblock_norm(rho) is the norm of Y = W^dag rho W off its blocks
-    label = np.repeat(np.arange(len(sectors)), _sector_basis(sectors)[1])
-    offblock = label[:, None] != label
+    owner = sectors._frame[2]
+    offblock = owner[:, None] != owner
     norms, traces = [], []
     for y in _nonselective_grid(hk.total(), sectors, ns, s.t_max, rho0, project_final=False):
         norms.append(float(np.linalg.norm(y[offblock])))
@@ -557,12 +556,12 @@ def _dfs(s, hk, cluster_tol, md) -> ResultSeries:
     dec = _certified(dfs_extract(hk, cluster_tol=cluster_tol))
     md["dfs_dimension"] = dec.total_rank()
     d = dec.dim
-    ranks = np.array([sec.multiplicity for sec in dec], dtype=np.int64)
-    owner = np.repeat(np.arange(len(dec)), ranks)             # sector of each vector
-    vector = np.arange(owner.size) - np.repeat(np.cumsum(ranks) - ranks, ranks)
+    w, _, owner = dec._frame
+    cols = np.argsort(owner, kind="stable")             # the frame's vectors in sector order
+    # one row per (vector, component): vector j is rows j*d ... j*d + d - 1
+    owner, amps = owner[cols], w[:, cols].T.ravel()
+    vector = np.arange(owner.size) - np.searchsorted(owner, owner)
     etas = dec.eigenvalues.astype(complex)[owner]
-    # one row per (vector, component): column j of a basis is rows j*d ... j*d + d - 1
-    amps = np.concatenate([sec.projector.basis.T.ravel() for sec in dec] or [np.empty(0)])
     return ResultSeries(
         ("sector", "eta_re", "eta_im", "vector", "component", "re", "im"),
         (np.repeat(owner, d), np.repeat(etas.real, d), np.repeat(etas.imag, d),

@@ -1,0 +1,245 @@
+"""Fault catalogue: deliberate faults that the Tier-1 tests must catch.
+
+Each entry names a source file, an exact text in it, the text that
+replaces it, and the tests expected to fail once it is replaced.  For each
+entry the script copies the tree to a temporary directory, applies that
+one fault there and runs only the named tests.  It exits 1 when a fault
+survives (the named tests pass), when an entry's old text is not found
+exactly once, or when its tests cannot be run.  So a refactor that moves
+or rewrites faulted code must update the entries, and a change that adds a
+path or a check adds its fault here.
+
+Run from the repository root with ``python tests/fault_catalogue.py``.
+Two faults run at a time, each in its own copy, and a fault whose tests
+run past ``TIMEOUT`` seconds counts as broken.  pytest does not collect
+this file (its name does not start with ``test_``).
+"""
+
+from __future__ import annotations
+
+import os
+import queue
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+JOBS = 2
+TIMEOUT = 120.0
+
+
+class Fault(NamedTuple):
+    name: str
+    file: str          # relative to the repository root
+    old: str           # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]
+
+
+FRAME = "tests/test_sector_frame.py::"
+GRIDS = "tests/test_sweep_grids.py::"
+OPS = "tests/test_operators.py::"
+PERT = "tests/test_continuous.py::"
+GOLDEN = "tests/test_golden.py::"
+
+FAULTS = [
+    # the sector frame and its readers
+    Fault("frame owner numbered in sorted order instead of by sector index",
+          "src/zenosim/operators.py",
+          "owner = np.repeat(np.array(order, dtype=int), [q.shape[1] for q in bases])",
+          "owner = np.repeat(np.arange(len(order)), [q.shape[1] for q in bases])",
+          (FRAME + "test_mixed_decomposition_has_ranks_out_of_order",
+           FRAME + "test_perturbative_data_match_the_dense_resolvents")),
+    Fault("frame without the rank sort",
+          "src/zenosim/operators.py",
+          "order = sorted(range(len(self)), key=lambda n: self.sectors[n].multiplicity)",
+          "order = list(range(len(self)))",
+          (FRAME + "test_frame_is_the_rank_sorted_stack_read_only_and_built_once[hermitian]",)),
+    Fault("frame W left writable",
+          "src/zenosim/operators.py",
+          "        w.setflags(write=False)\n        owner.setflags(write=False)\n",
+          "        owner.setflags(write=False)\n",
+          (FRAME + "test_frame_is_the_rank_sorted_stack_read_only_and_built_once[empty]",)),
+    Fault("nonselective off-block mask inverted",
+          "src/zenosim/scenario.py",
+          "offblock = owner[:, None] != owner",
+          "offblock = owner[:, None] == owner",
+          (FRAME + "test_nonselective_rows_read_the_off_blocks_of_the_frame",)),
+    Fault("dfs rows in frame order",
+          "src/zenosim/scenario.py",
+          'cols = np.argsort(owner, kind="stable")',
+          "cols = np.arange(owner.size)",
+          (FRAME + "test_dfs_rows_list_each_sector_basis_in_sector_order",)),
+    Fault("sweep-K blocks transposed",
+          "src/zenosim/continuous.py",
+          "blocks = [a + k * b for a, b in zip(hb, hmb)]",
+          "blocks = [(a + k * b).transpose(0, 2, 1) for a, b in zip(hb, hmb)]",
+          (FRAME + "test_zeno_propagator_matches_the_dense_exponential",
+           GRIDS + "test_blocked_limits_match_zeno_propagator")),
+    Fault("block chain one step short at large N",
+          "src/zenosim/pulsed.py",
+          "for k in range(n if project_final else n - 1):",
+          "for k in range((n if project_final else n - 1) - (n > 100)):",
+          (FRAME + "test_nonselective_evolve_matches_the_dense_chain",)),
+    Fault("kept chain one step short at large N",
+          "src/zenosim/pulsed.py",
+          "steps = n if project_final else n - 1",
+          "steps = (n if project_final else n - 1) - (n > 100)",
+          (GOLDEN + "test_shipped_scenario_matches_reference[nonselective_three_level]",)),
+    Fault("last unprojected step without the conjugate",
+          "src/zenosim/pulsed.py",
+          "    y = _sector_columns(u, sizes, blocks) @ u.conj().T",
+          "    y = _sector_columns(u, sizes, blocks) @ u.T",
+          (FRAME + "test_nonselective_evolve_matches_the_dense_chain",)),
+    Fault("chain trace rule at 1e-6",
+          "src/zenosim/pulsed.py",
+          "delta > 1e-12 * np.maximum",
+          "delta > 1e-6 * np.maximum",
+          (GRIDS + "test_kept_chain_reports_the_dense_chains_trace_error",)),
+    Fault("frame block positivity 1000x lax",
+          "src/zenosim/pulsed.py",
+          "if -evals.min() > DensityMatrix._PSD_TOL",
+          "if -evals.min() > 1e3 * DensityMatrix._PSD_TOL",
+          (GRIDS + "test_a_frame_block_with_a_negative_eigenvalue_is_refused",)),
+    # selective chains
+    Fault("one 64-step block too many from N = 128",
+          "src/zenosim/pulsed.py",
+          "for _ in range(n // _MONITOR_STRIDE):",
+          "for _ in range(n // _MONITOR_STRIDE + (n >= 128)):",
+          (GRIDS + "test_selective_power_blocks_match_the_stepwise_chain",)),
+    Fault("no renormalization in _enforce_contraction",
+          "src/zenosim/pulsed.py",
+          "    if s > 1.0:\n        v = v / s\n",
+          "",
+          (GRIDS + "test_power_blocks_renormalize_a_roundoff_gain_silently",)),
+    Fault("contraction slack 1e-3",
+          "src/zenosim/pulsed.py",
+          "_CONTRACTION_SLACK = 1e-12",
+          "_CONTRACTION_SLACK = 1e-3",
+          (GRIDS + "test_power_blocks_refuse_a_gain_at_the_first_monitor",)),
+    # sectors
+    Fault("tracking floor 0.05",
+          "src/zenosim/adiabatic.py",
+          "_TRACK_OVERLAP_FLOOR = 0.5",
+          "_TRACK_OVERLAP_FLOOR = 0.05",
+          (GRIDS + "test_tracking_matches_the_optimal_assignment",)),
+    Fault("resolution certificate 100x lax",
+          "src/zenosim/operators.py",
+          "resolved = (held and b <= ORTHOGONALITY_TOL",
+          "resolved = (held and b <= 100 * ORTHOGONALITY_TOL",
+          (OPS + "test_certificate_accepts_eigh_vectors_and_rejects_skewed_ones",)),
+    Fault("ambiguous cluster raised only past 2 tol",
+          "src/zenosim/operators.py",
+          "        if diameter > tol:",
+          "        if diameter > 2 * tol:",
+          (OPS + "test_eig_ambiguous_spectrum_carries_gap_histogram",)),
+    Fault("overflowed norm decided unscaled",
+          "src/zenosim/operators.py",
+          "    if math.isinf(f) and np.isfinite(m).all():",
+          "    if False:",
+          (OPS + "test_hermitian_check_of_an_overflowing_norm_decides_on_the_scaled_matrix",)),
+    # perturbation theory
+    Fault("reduced resolvent takes a bool index",
+          "src/zenosim/continuous.py",
+          "if isinstance(n, bool) or not (isinstance",
+          "if not (isinstance",
+          (PERT + "test_reduced_resolvent_refuses_an_index_outside_the_sectors",)),
+    Fault("generator takes a non-finite lam",
+          "src/zenosim/continuous.py",
+          '        if not math.isfinite(lam):\n'
+          '            raise ValidationError(f"lam must be finite, got {lam!r}")\n'
+          '        w, owner, diags',
+          "        w, owner, diags",
+          (PERT + "test_generator_and_predicted_eigenvalues_refuse_a_non_finite_lam",)),
+    # matrix files
+    Fault("matrix file ASCII check dropped",
+          "src/zenosim/operators.py",
+          "plain = raw.isascii() and not",
+          "plain = not",
+          (OPS + "test_matrix_file_reads_as_the_whole_text_reference",)),
+    Fault("matrix file byte guard dropped",
+          "src/zenosim/operators.py",
+          'plain = raw.isascii() and not any(c in raw for c in b"\\v\\f\\x1c\\x1d\\x1e")',
+          "plain = raw.isascii()",
+          (OPS + r"test_matrix_file_decisions[dim 2\n0 0\x0c1 0\n0 1 0 0\n1 0 0 0\n1 1 1 0\n-"
+           r":2: expected 'row col re im', got '0 0']",)),
+    Fault("matrix file blanks without the unit separator",
+          "src/zenosim/operators.py",
+          r'_BLANK = b" \t\n\r\x1f"',
+          r'_BLANK = b" \t\n\r"',
+          (OPS + r"test_matrix_file_decisions[\x1f\ndim 2\n0 0 1 0\n0 1 0 0\n1 0 0 0\n1 1 1 0\n"
+           r"-outcome29]",)),
+    Fault("matrix file no-data guard dropped",
+          "src/zenosim/operators.py",
+          "if nl >= 0 and len(raw.rstrip(_BLANK)) > nl else None",
+          "if nl >= 0 else None",
+          (OPS + "test_header_without_entries_is_refused_without_a_warning",)),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.pyc")
+    for part in ("src", "tests", "scenarios", "demos", "benchmarks", "pyproject.toml"):
+        path = ROOT / part
+        if path.is_dir():
+            shutil.copytree(path, dest / part, ignore=ignore)
+        elif path.exists():
+            shutil.copy2(path, dest / part)
+
+
+def _run(fault: Fault, tree: Path) -> str:
+    """``caught``, ``SURVIVED`` or why the entry is broken, for ``fault``
+    applied to the copy ``tree`` (restored afterwards)."""
+    target = tree / fault.file
+    text = target.read_text()
+    if text.count(fault.old) != 1:
+        return f"BROKEN: old text found {text.count(fault.old)} times in {fault.file}"
+    target.write_text(text.replace(fault.old, fault.new))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                               *fault.tests], cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return f"BROKEN: the tests ran past {TIMEOUT:g} s"
+    finally:
+        target.write_text(text)
+    if proc.returncode == 1:            # the tests ran and one of them failed
+        return "caught"
+    if proc.returncode == 0:
+        return "SURVIVED"
+    return f"BROKEN: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = queue.SimpleQueue()
+        for k in range(JOBS):
+            _copy_tree(Path(tmp, str(k)))
+            trees.put(Path(tmp, str(k)))
+
+        def run(fault):
+            tree, start = trees.get(), time.perf_counter()
+            try:
+                return _run(fault, tree), time.perf_counter() - start
+            finally:
+                trees.put(tree)
+
+        failed = 0
+        with ThreadPoolExecutor(JOBS) as pool:
+            for fault, (verdict, seconds) in zip(FAULTS, pool.map(run, FAULTS)):
+                print(f"{verdict.split(':')[0]:>8}  {seconds:5.1f} s  {fault.name}", flush=True)
+                if verdict != "caught":
+                    failed += 1
+                    print(verdict, file=sys.stderr)
+    print(f"{len(FAULTS) - failed} of {len(FAULTS)} faults caught")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -434,6 +434,27 @@ def test_perturbative_data_of_a_certified_decomposition_form_no_sector_matrix(rn
     assert not any("matrix" in s.projector.__dict__ for s in sectors)
 
 
+@pytest.mark.parametrize("n", [-1, 3, True, False, 1.0, "0", None])
+def test_reduced_resolvent_refuses_an_index_outside_the_sectors(n):
+    exp = perturbative_spectrum(three_level(1.0, 5.0))     # three sectors
+    with pytest.raises(ValidationError, match=r"n = .* is not a sector index in 0 \.\. 2"):
+        exp.reduced_resolvent(n)
+
+
+def test_reduced_resolvent_takes_a_numpy_integer():
+    exp = perturbative_spectrum(three_level(1.0, 5.0))
+    assert np.array_equal(exp.reduced_resolvent(np.int64(2)), exp.reduced_resolvent(2))
+
+
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+def test_generator_and_predicted_eigenvalues_refuse_a_non_finite_lam(lam):
+    exp = perturbative_spectrum(three_level(1.0, 5.0))
+    with pytest.raises(ValidationError, match="lam must be finite"):
+        exp.generator(lam)
+    with pytest.raises(ValidationError, match="lam must be finite"):
+        exp.predicted_eigenvalues(lam)
+
+
 def test_perturbative_requires_hermitian_coupling():
     model = cavity(1.0, 1.0, 2)
     with pytest.raises(ValidationError):

@@ -473,6 +473,7 @@ MATRIX_FILES = [
     ("dim 2\n0 0 1j 0\n0 1 0 0\n1 0 0 0\n1 1 1 0\n", ":2: could not parse entry '0 0 1j 0'"),
     ("dim 2\n0 0 1,0 0\n0 1 0 0\n1 0 0 0\n1 1 1 0\n", ":2: could not parse entry '0 0 1,0 0'"),
     ("dim 2\n0 0 infinity 0\n0 1 0 0\n1 0 0 0\n1 1 1 0\n", ":2: non-finite entry"),
+    ("\x1f\ndim 2\n" + ENTRIES, [[1, 0], [0, 1]]),          # str.strip strips \x1f
 ]
 
 
@@ -761,6 +762,18 @@ def test_hermitian_slices_of_non_finite_and_overflowing_matrices():
     stack = np.stack([h, h * np.nan, h * np.inf, 1e200 * h, 1e200 * (h + skew)])
     assert operators._hermitian_slices(stack).tolist() == [True, False, False, True, False]
     assert [operators.is_hermitian(m) for m in stack[3:]] == [True, False]
+
+
+def test_hermitian_check_of_an_overflowing_norm_decides_on_the_scaled_matrix():
+    a = 1e308                       # the spectral norm of each matrix below overflows
+    skewed = np.array([[a, a, a], [a, a, a], [-a, a, a]])
+    with pytest.raises(ValidationError, match="matrix flagged Hermitian deviates by"):
+        Operator(skewed, hermitian=True)
+    assert not operators.is_hermitian(skewed)
+    assert Operator([[a, a], [a, a]], hermitian=True).hermitian
+    # a finite deviation is weighed against the norm, 2a, as it is below the overflow
+    assert not operators.is_hermitian([[a, a * (1 + 1e-10)], [a, a]])
+    assert operators.is_hermitian([[a, a * (1 + 1e-14)], [a, a]])
 
 
 @PROPERTY

@@ -587,7 +587,7 @@ def _rotated_selective(h, p, n, t):
 def _rotated_nonselective(h, sectors, n, t, rho0, project_final):
     """The nonselective chain with its step rotated from the full
     exponential, ``W^dag expm(H, t/n) W``, and ``rho0`` rotated per call."""
-    w, sizes = operators._sector_basis(sectors)
+    w, sizes, _ = sectors._frame
     u = w.conj().T @ expm(h, t / n).matrix @ w
     chain = _kept_chain if sum(r * r for r in sizes) <= 2 * sectors.dim else _block_chain
     rho = chain(u, w.conj().T @ rho0.matrix @ w, sizes, n, project_final)
