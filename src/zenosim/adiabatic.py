@@ -40,8 +40,9 @@ from .operators import (
     Operator,
     SectorDecomposition,
     _count,
+    _eigh_exp,
     _eigh_sectors,
-    _hermitian_slices,
+    _is_hermitian,
     as_matrix,
     as_operator,
     eig,
@@ -115,7 +116,7 @@ def rotating_bundle(h0, h_meas0, generator, rate: float,
     def h_meas(t):          # t may be an array of times
         # an overflowing rate * t gives NaN entries, which the integrator reports
         with np.errstate(over="ignore", invalid="ignore"):
-            r = (v * np.exp(-1j * (rate * np.asarray(t))[..., None] * w)[..., None, :]) @ v.conj().T
+            r = _eigh_exp(w, v, (rate * np.asarray(t))[..., None])
             return r @ hm0.matrix @ np.swapaxes(r.conj(), -1, -2)
 
     return _StackedBundle(h=lambda t: h, h_meas=h_meas, coupling=coupling)
@@ -219,11 +220,10 @@ def _midpoint_checkpoints(bundle: TimeDependentBundle, t: float, steps: int,
         ts = (np.arange(start, min(start + chunk, steps)) + 0.5) * dt
         gens = (bundle.total(ts) if isinstance(bundle, _StackedBundle)
                 else np.stack([bundle.total(s) for s in ts.tolist()]))
-        hermitian = _hermitian_slices(gens)
+        hermitian = _is_hermitian(gens)
         if not hermitian.all():
             raise ValidationError(f"bundle is not Hermitian at t = {ts[np.argmin(hermitian)]:.6g}")
-        w, v = np.linalg.eigh(gens)
-        steps_u = (v * np.exp(-1j * dt * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        steps_u = _eigh_exp(*np.linalg.eigh(gens), dt)
         for k, step in enumerate(steps_u, start):
             u = step @ u
             if (k + 1) % per == 0:
@@ -341,7 +341,7 @@ def _sector_path(bundle: TimeDependentBundle, times: np.ndarray) -> list[SectorD
     before (:func:`_tracked_sectors`).
 
     ``h_meas`` is sampled as one stack, checked by one
-    :func:`_hermitian_slices` and diagonalized by one batched ``eigh``;
+    :func:`_is_hermitian` and diagonalized by one batched ``eigh``;
     each Hermitian slice's sectors come from the Hermitian branch of
     :func:`eig` (:func:`_eigh_sectors`), any other slice goes through
     :func:`eig` itself.  The overlaps of consecutive checkpoints come
@@ -349,7 +349,7 @@ def _sector_path(bundle: TimeDependentBundle, times: np.ndarray) -> list[SectorD
     chunk of at most ``_STACK_BYTES`` of ``d x d`` products.
     """
     stack = _sampled(bundle, "h_meas", times)
-    hermitian = _hermitian_slices(stack)
+    hermitian = _is_hermitian(stack)
     eighs = zip(*np.linalg.eigh(stack[hermitian]))
     fresh = [_eigh_sectors(*next(eighs), None) if ok else eig(h)
              for h, ok in zip(stack, hermitian)]

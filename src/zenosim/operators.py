@@ -16,16 +16,17 @@ Conventions
 * Norms: the spectral norm (largest singular value) backs convergence and
   unitarity statements; the Frobenius norm backs block-structure
   diagnostics such as :func:`offblock_norm`.
-* A matrix counts as Hermitian when ``max|A - A^dag|`` does not exceed
-  ``HERMITIAN_RTOL`` times its spectral norm.
-* Invariant checks are decided from cheap bounds first and fall back to
-  the exact spectral norm (an SVD) only when the bounds cannot decide, so
-  every accept/reject decision is the one the exact check makes.  A
-  spectral norm lies between ``||M||_F / sqrt(n)`` and ``||M||_F``; a
-  scaled tolerance ``rtol * max(floor, ||M||)`` is settled by those two
-  bounds, and a residual bound ``||R|| <= b`` passes outright when
-  ``||R||_F <= b``.  Both sides carry a relative slack ``_ROUNDING``
-  that covers the rounding of the Frobenius sum and of the SVD.
+* One decision, ``dev <= rtol * max(floor, ||M||_2)`` for a matrix or each
+  slice of a stack (:func:`_within_scaled`), backs every scaled tolerance:
+  the floor settles most single matrices, ``||M||_F / sqrt(n) <= ||M||_2 <=
+  ||M||_F`` (with a relative slack ``_ROUNDING`` for rounding) the rest
+  unless ``dev`` falls between them, and only then an SVD runs, so each
+  verdict is the exact one.  A NaN ``dev`` fails; an overflowed norm is
+  decided on the matrix scaled by a power of two.  Hermitian: ``max|A -
+  A^dag| <= HERMITIAN_RTOL * ||A||_2`` (a projector's floor is 1, a density
+  matrix's tolerance n-fold).  Positive: ``-lambda_min(herm X) <= _PSD_TOL *
+  max(1, ||X||_2)`` (:func:`_check_positive`).  A residual bound ``||R|| <=
+  b`` passes outright when ``||R||_F <= b``.
 * The Hermitian sectors of :func:`eig` are held by their ``eigh`` columns
   (:attr:`Projector.basis`), through which the block diagnostics and the
   chains work; a sector's ``matrix = fl(Q Q^dag)`` is formed when read.
@@ -101,26 +102,38 @@ def _check_finite(m: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} contains NaN or Inf entries")
 
 
-def _within_scaled(dev, m: np.ndarray, allowed) -> bool:
-    """``dev <= allowed(snorm(m))`` for an ``allowed`` nondecreasing in the
-    norm.  The floor ``allowed(0)`` passes most calls outright; otherwise
-    ``||m||_F / sqrt(n) <= ||m||_2 <= ||m||_F`` decides unless ``dev``
-    falls between the two allowances, and only then the SVD runs.  An
-    overflowed norm is decided on ``m`` and ``dev`` scaled by a power of two,
-    exactly, as the allowances are linear above their floor (at most 1)."""
-    if dev <= allowed(0.0):
+def _within_scaled(dev, m: np.ndarray, rtol: float, floor: float = 1.0):
+    """``dev <= rtol * max(floor, ||m||_2)``: a bool for a matrix ``m``, a bool
+    array for the slices of a stack (``dev`` one value per slice).  The floor
+    passes most single matrices outright; otherwise ``||m||_F / sqrt(n) <=
+    ||m||_2 <= ||m||_F`` decides a whole stack at once unless ``dev`` falls
+    between the two allowances, and only those slices take the SVD.  A NaN or
+    Inf ``dev`` fails.  A slice whose norm overflows is decided on it and its
+    ``dev`` scaled by :func:`_overflow_scale`, exactly, as the allowance is
+    linear above its floor (at most 1)."""
+    if m.ndim == 2 and dev <= rtol * floor:
         return True
+    ms, devs = np.ascontiguousarray(m).reshape(-1, *m.shape[-2:]), np.reshape(dev, -1)
+    parts = ms.view(float)
     with np.errstate(over="ignore"):
-        f = fnorm(m)
-    if math.isinf(f) and np.isfinite(m).all():
-        s = math.ldexp(1.0, 1 - math.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
-        return _within_scaled(dev * s, m * s, allowed)
-    if math.isfinite(f):
-        if dev <= allowed(f / math.sqrt(m.shape[0]) * (1 - _ROUNDING)):
-            return True
-        if dev > allowed(f * (1 + _ROUNDING)):
-            return False
-    return bool(dev <= allowed(snorm(m)))
+        f = np.sqrt(np.einsum("kij,kij->k", parts, parts))     # no n x n temporaries
+        # an overflowed norm bounds nothing from below; NaN fails every comparison
+        ok = (devs <= rtol * np.maximum(floor, f / math.sqrt(ms.shape[1]) * (1 - _ROUNDING))
+              ) & np.isfinite(f)
+        open_ = ~ok & np.isfinite(devs) & (devs <= rtol * np.maximum(floor, f * (1 + _ROUNDING)))
+    for k in np.flatnonzero(open_):
+        s = _overflow_scale(ms[k])
+        ok[k] = devs[k] * s <= rtol * max(floor, snorm(ms[k] * s))
+    return ok if m.ndim == 3 else bool(ok[0])
+
+
+def _overflow_scale(m: np.ndarray) -> float:
+    """1, or for a finite matrix whose Frobenius norm overflows the power of
+    two that brings its largest real or imaginary part into [1, 2)."""
+    with np.errstate(over="ignore"):
+        if math.isfinite(fnorm(m)):
+            return 1.0
+    return math.ldexp(1.0, 1 - math.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
 
 
 def _norm_exceeds(r: np.ndarray, bound: float) -> bool:
@@ -131,37 +144,21 @@ def _norm_exceeds(r: np.ndarray, bound: float) -> bool:
     return snorm(r) > bound
 
 
-def _hermitian_allowance(norm: float) -> float:
-    return HERMITIAN_RTOL * max(norm, _TINY)
-
-
-def _hermitian_deviation(m: np.ndarray) -> float:
-    with np.errstate(over="ignore"):        # an overflow deviates by more than any allowance
-        return np.max(np.abs(m - m.conj().T))
+def _hermitian_deviation(m: np.ndarray):
+    """``max|A - A^dag|`` of a matrix, or of each slice of a stack."""
+    with np.errstate(over="ignore", invalid="ignore"):      # an overflow fails any allowance
+        return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def is_hermitian(a) -> bool:
     """Hermiticity test at the module tolerance (1e-12 relative to the
     spectral norm; the zero matrix is Hermitian)."""
-    m = as_matrix(a)
-    return _within_scaled(_hermitian_deviation(m), m, _hermitian_allowance)
+    return _is_hermitian(as_matrix(a))
 
 
-def _hermitian_slices(ms: np.ndarray) -> np.ndarray:
-    """:func:`is_hermitian` of each slice of the stack ``ms``: the Frobenius
-    bounds of :func:`_within_scaled` decide for the whole stack at once, and
-    only the slices they leave undecided are checked one by one.  A slice
-    with NaN or Inf entries is not Hermitian."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = np.abs(ms - ms.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        f = np.sqrt((ms.real ** 2 + ms.imag ** 2).sum(axis=(1, 2)))
-        f[~np.isfinite(f)] = np.nan             # an overflowed norm bounds nothing
-        low, high = f / math.sqrt(ms.shape[1]) * (1 - _ROUNDING), f * (1 + _ROUNDING)
-        ok = dev <= HERMITIAN_RTOL * np.maximum(low, _TINY)
-        no = ~np.isfinite(dev) | (dev > HERMITIAN_RTOL * np.maximum(high, _TINY))
-    for k in np.flatnonzero(~ok & ~no):
-        ok[k] = is_hermitian(ms[k])
-    return ok
+def _is_hermitian(m: np.ndarray):
+    """:func:`is_hermitian` of a matrix, or of each slice of a stack."""
+    return _within_scaled(_hermitian_deviation(m), m, HERMITIAN_RTOL, _TINY)
 
 
 @dataclass(frozen=True)
@@ -182,12 +179,12 @@ class Operator:
             raise ValidationError(f"operator must be square, got shape {m.shape}")
         _check_finite(m, "operator")
         if self.hermitian:
-            dev = _hermitian_deviation(m)
-            if not _within_scaled(dev, m, _hermitian_allowance):
+            if not _is_hermitian(m):
+                s = _overflow_scale(m)          # the message names the scaled decision
                 raise ValidationError(
-                    f"matrix flagged Hermitian deviates by {dev:.3e} "
-                    f"(allowed {_hermitian_allowance(snorm(m)):.3e})"
-                )
+                    f"matrix flagged Hermitian deviates by {_hermitian_deviation(m * s):.3e} "
+                    f"(allowed {HERMITIAN_RTOL * max(snorm(m * s), _TINY):.3e})"
+                    + (f" on the matrix scaled by 2**{math.frexp(s)[1] - 1}" if s != 1 else ""))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -249,8 +246,7 @@ class Projector:
         n = m.shape[0]
         if m.ndim != 2 or m.shape[1] != n:
             raise ValidationError(f"projector must be square, got shape {m.shape}")
-        if not _within_scaled(_hermitian_deviation(m), m,
-                              lambda norm: HERMITIAN_RTOL * max(1.0, norm)):
+        if not _within_scaled(_hermitian_deviation(m), m, HERMITIAN_RTOL):
             raise ValidationError("projector is not Hermitian")
         if _norm_exceeds(m @ m - m, IDEMPOTENCY_TOL * n):
             raise ValidationError("projector is not idempotent")
@@ -456,15 +452,10 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got {m.shape}")
         n = m.shape[0]
-        if not _within_scaled(_hermitian_deviation(m), m,
-                              lambda norm: HERMITIAN_RTOL * max(1.0, norm) * n):
+        if not _within_scaled(_hermitian_deviation(m), m, HERMITIAN_RTOL * n):
             raise ValidationError("density matrix is not Hermitian")
         if psd:
-            evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-            if not _within_scaled(-evals.min(), m, lambda norm: cls._PSD_TOL * max(1.0, norm)):
-                raise ValidationError(
-                    f"density matrix has negative eigenvalue {evals.min():.3e}"
-                )
+            _check_positive(m, [m])
         tr = m.trace().real
         if tr > 1.0 + cls._TRACE_TOL:
             raise ValidationError(f"density matrix trace {tr:.12g} exceeds one")
@@ -508,8 +499,22 @@ class DensityMatrix:
         return np.asarray(self.matrix, dtype=dtype)
 
 
+def _check_positive(m: np.ndarray, blocks) -> None:
+    """``-lambda_min(herm X) <= _PSD_TOL * max(1, ||X||_2)`` for ``X = m``, block
+    diagonal with the matrices or stacks ``blocks`` (``[m]`` for any ``m``)."""
+    lowest = min(np.linalg.eigvalsh((b + b.conj().swapaxes(-1, -2)) / 2).min() for b in blocks)
+    if not _within_scaled(-lowest, m, DensityMatrix._PSD_TOL):
+        raise ValidationError(f"density matrix has negative eigenvalue {lowest:.3e}")
+
+
 # ---------------------------------------------------------------------------
 # matrix exponential
+
+
+def _eigh_exp(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
+    """``V e^{-i t w} V^dag`` for eigenvalues ``w`` and eigenvectors ``V`` (or rows
+    of them, such as ``Q^dag V``), one set or a stack; ``t`` broadcasts against ``w``."""
+    return (v * np.exp(-1j * t * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def expm(a, t: float | complex = 1.0) -> Operator:
@@ -524,9 +529,7 @@ def expm(a, t: float | complex = 1.0) -> Operator:
     if not np.isfinite(t):
         raise ValidationError("time scale must be finite")
     if op.hermitian:
-        w, v = op._eigh
-        phases = np.exp(-1j * t * w)
-        return Operator((v * phases) @ v.conj().T)
+        return Operator(_eigh_exp(*op._eigh, t))
     import scipy.linalg  # deferred: the Hermitian paths never need it
 
     return Operator(scipy.linalg.expm(-1j * t * op.matrix))
@@ -729,7 +732,7 @@ def _rank_groups(sizes) -> list[tuple[slice, int, int]]:
 
 
 def _count(n, what: str) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"{what} must be an integer >= 1")
     return int(n)
 
@@ -767,11 +770,10 @@ def _sector_columns(basis: np.ndarray, sizes, blocks, t=None,
     x = np.empty(basis.shape, dtype=complex)
     for (cols, rank, count), g in zip(_rank_groups(sizes), blocks):
         if t is not None and hermitian:
-            ok = _hermitian_slices(g)
+            ok = _is_hermitian(g)
             if not ok.all():
                 Operator(g[np.argmin(ok)], hermitian=True)     # raises its error
-            e, v = np.linalg.eigh(g)
-            g = (v * np.exp(-1j * t * e)[:, None]) @ v.conj().transpose(0, 2, 1)
+            g = _eigh_exp(*np.linalg.eigh(g), t)
         elif t is not None:
             g = np.array([expm(Operator(b), t).matrix for b in g])
         np.matmul(_stacked(basis, cols, count, rank), g, out=_stacked(x, cols, count, rank))

@@ -34,15 +34,19 @@ from .operators import (
     Operator,
     Projector,
     SectorDecomposition,
+    _ROUNDING,
     _check_dimension,
+    _check_positive,
     _count,
-    _norm_exceeds,
+    _eigh_exp,
     _rank_groups,
     _sector_blocks,
     _sector_columns,
+    _within_scaled,
     as_matrix,
     as_operator,
     expm,
+    fnorm,
     snorm,
 )
 
@@ -113,7 +117,7 @@ def _selective_cores(h, p: Projector, ns, t: float):
         _count(n, "pulse count")
         if not (math.isfinite(t) and t >= 0):
             raise ValidationError("horizon must be finite and non-negative")
-        yield _chain_power((b * np.exp(-1j * (t / n) * w)) @ b.conj().T, n, p.dim)
+        yield _chain_power(_eigh_exp(w, b, t / n), n, p.dim)
 
 
 def _chain_power(step: np.ndarray, n: int, dim: int) -> np.ndarray:
@@ -184,8 +188,9 @@ def survival_probability(rho0: DensityMatrix, v, p: Projector) -> float:
 
 def _check_support(rho: np.ndarray, proj: np.ndarray) -> None:
     resid = rho - proj @ rho @ proj
-    # The floor of the allowance settles nearly every call without an SVD.
-    if _norm_exceeds(resid, 1e-10) and snorm(resid) > 1e-10 * max(1.0, snorm(rho)):
+    # ||resid||_2 <= ||resid||_F settles nearly every call at the floor, without an SVD
+    bound = fnorm(resid) * (1 + _ROUNDING)
+    if not _within_scaled(bound if bound <= 1e-10 else snorm(resid), rho, 1e-10):
         raise ValidationError("initial state is not supported in the measured subspace")
 
 
@@ -371,7 +376,7 @@ def _nonselective_grid(h, sectors: SectorDecomposition, ns, t: float,
 
     def step(n):
         if hop.hermitian:
-            return (a * np.exp(-1j * (t / n) * energies)) @ a.conj().T
+            return _eigh_exp(energies, a, t / n)
         return w.conj().T @ expm(hop, t / n).matrix @ w
 
     def evolve(n):         # returns, so no step or chain array outlives its N
@@ -444,7 +449,7 @@ def _kept_chain(u, rho, sizes, n: int, project_final: bool) -> np.ndarray:
         traces[0] = prev
         prev = _check_traces(first, traces)
         vs[0] = vs[count]
-    return _finish(u, vs[0], sizes, n, prev, project_final)
+    return _finish(u, vs[0], sizes, (ia, ib), n, prev, project_final)
 
 
 def _block_chain(u, rho, sizes, n: int, project_final: bool) -> np.ndarray:
@@ -473,7 +478,7 @@ def _block_chain(u, rho, sizes, n: int, project_final: bool) -> np.ndarray:
         for blocks, _, _, u_rows, z_cols in groups:
             np.matmul(u_rows, z_cols, out=blocks)
         prev = _check_traces(k, np.array([prev, v[diag].real.sum()]))
-    return _finish(u, v, sizes, n, prev, project_final)
+    return _finish(u, v, sizes, (ia, ib), n, prev, project_final)
 
 
 def _block_stacks(v, sizes) -> list[np.ndarray]:
@@ -483,20 +488,17 @@ def _block_stacks(v, sizes) -> list[np.ndarray]:
     return [part.reshape(count, rank, rank) for part, (_, rank, count) in zip(parts, groups)]
 
 
-def _finish(u, v, sizes, n: int, prev: float, project_final: bool) -> np.ndarray:
-    """The kept entries ``v`` as the block-diagonal ``X``, or without the
-    final projection the last step's ``U X U^dag = [U_1 X_1 ... U_m X_m] U^dag``,
-    once the blocks pass the :class:`DensityMatrix` positivity test.  That
-    congruence and a rotation back move an eigenvalue by about ``2 (d + r) d
-    u tr X`` at most (Weyl): 1.3e-11 at d = 200, against ``_PSD_TOL = 1e-10``."""
+def _finish(u, v, sizes, kept, n: int, prev: float, project_final: bool) -> np.ndarray:
+    """The kept entries ``v``, at the rows and columns ``kept``, as the block-diagonal
+    ``X``, or without the final projection the last step's ``U X U^dag = [U_1 X_1 ...
+    U_m X_m] U^dag``, once ``X`` passes the :class:`DensityMatrix` positivity rule
+    on its blocks.  That congruence and a rotation back move an eigenvalue by about
+    ``2 (d + r) d u tr X`` at most (Weyl): 1.3e-11 at d = 200, against ``_PSD_TOL``."""
     blocks = _block_stacks(v, sizes)
-    evals = np.concatenate([np.linalg.eigvalsh((b + b.conj().transpose(0, 2, 1)) / 2).ravel()
-                            for b in blocks])
-    if -evals.min() > DensityMatrix._PSD_TOL * max(1.0, np.abs(evals).max()):
-        raise ValidationError(f"density matrix has negative eigenvalue {evals.min():.3e}")
+    x = np.zeros_like(u)
+    x[kept] = v
+    _check_positive(x, blocks)
     if project_final:
-        x = np.zeros_like(u)
-        x[_kept_entries(sizes)[:2]] = v
         return x
     y = _sector_columns(u, sizes, blocks) @ u.conj().T
     _check_traces(n - 1, np.array([prev, y.trace().real]))

@@ -103,8 +103,8 @@ FAULTS = [
           (GRIDS + "test_kept_chain_reports_the_dense_chains_trace_error",)),
     Fault("frame block positivity 1000x lax",
           "src/zenosim/pulsed.py",
-          "if -evals.min() > DensityMatrix._PSD_TOL",
-          "if -evals.min() > 1e3 * DensityMatrix._PSD_TOL",
+          "    _check_positive(x, blocks)",
+          "    _check_positive(x, [1e-3 * b for b in blocks])",
           (GRIDS + "test_a_frame_block_with_a_negative_eigenvalue_is_refused",)),
     # selective chains
     Fault("one 64-step block too many from N = 128",
@@ -138,11 +138,33 @@ FAULTS = [
           "        if diameter > tol:",
           "        if diameter > 2 * tol:",
           (OPS + "test_eig_ambiguous_spectrum_carries_gap_histogram",)),
+    Fault("one round of label propagation",
+          "src/zenosim/operators.py",
+          "        if np.array_equal(reached, label):\n            break\n"
+          "        label = reached\n",
+          "        label = reached\n        break\n",
+          (OPS + "test_cluster_values_follows_a_chain_to_its_far_end[real]",)),
+    Fault("cluster diagonal not set",
+          "src/zenosim/operators.py",
+          "    np.fill_diagonal(close, True)",
+          "    pass",
+          (OPS + "test_cluster_values_unions_the_pairs_the_all_pairs_loop_does",)),
+    # the tolerance decision and the shared exponential
     Fault("overflowed norm decided unscaled",
           "src/zenosim/operators.py",
-          "    if math.isinf(f) and np.isfinite(m).all():",
-          "    if False:",
+          "        s = _overflow_scale(ms[k])\n",
+          "        s = 1.0\n",
           (OPS + "test_hermitian_check_of_an_overflowing_norm_decides_on_the_scaled_matrix",)),
+    Fault("NaN slice decided Hermitian",
+          "src/zenosim/operators.py",
+          "              ) & np.isfinite(f)\n",
+          "              ) & np.isfinite(f) | np.isnan(devs)\n",
+          (OPS + "test_hermitian_slices_of_non_finite_and_overflowing_matrices",)),
+    Fault("shared exponential without its conjugate",
+          "src/zenosim/operators.py",
+          "@ v.conj().swapaxes(-1, -2)",
+          "@ v.swapaxes(-1, -2)",
+          (OPS + "test_expm_unitarity_and_group_law",)),
     # perturbation theory
     Fault("reduced resolvent takes a bool index",
           "src/zenosim/continuous.py",
@@ -174,6 +196,11 @@ FAULTS = [
           r'_BLANK = b" \t\n\r"',
           (OPS + r"test_matrix_file_decisions[\x1f\ndim 2\n0 0 1 0\n0 1 0 0\n1 0 0 0\n1 1 1 0\n"
            r"-outcome29]",)),
+    Fault("matrix file fast path refusals narrowed to OSError and ValueError",
+          "src/zenosim/operators.py",
+          "    except Exception:     # a refusal",
+          "    except (OSError, ValueError):     # a refusal",
+          (OPS + "test_matrix_file_with_a_compression_suffix_is_read_as_text[m.xz]",)),
     Fault("matrix file no-data guard dropped",
           "src/zenosim/operators.py",
           "if nl >= 0 and len(raw.rstrip(_BLANK)) > nl else None",

@@ -7,7 +7,20 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from zenosim import ValidationError, load_matrix, save_matrix, three_level
+from zenosim import (
+    DensityMatrix,
+    ValidationError,
+    basis_projector,
+    constant_bundle,
+    eig,
+    intertwining_defect,
+    load_matrix,
+    nonselective_evolve,
+    propagate_td,
+    pulsed_propagator,
+    save_matrix,
+    three_level,
+)
 from zenosim.cli import main
 from zenosim.scenario import MODEL_KINDS, TASKS, Scenario, parse_scenario, read_result_csv
 
@@ -176,6 +189,23 @@ def test_overflowed_results_exit_two(tmp_path, capsys, model, t_max, message):
 def test_diagonalizable_matrix_file_still_exits_zero(tmp_path):
     save_matrix(tmp_path / "hm.txt", three_level(1.0, 1.0).h_meas)
     assert main(["sectors", "--matrix-file", str(tmp_path / "hm.txt")]) == 0
+
+
+# --------------------------------------------------------------------------
+# counts: a bool is not an integer count, though bool subclasses int
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda hk: pulsed_propagator(hk.h, basis_projector(3, 0), True, 0.01), "pulse count"),
+    (lambda hk: nonselective_evolve(hk.h, eig(hk.h_meas), True, 0.01,
+                                    DensityMatrix.pure(np.eye(3)[0])), "measurement count"),
+    (lambda hk: propagate_td(constant_bundle(hk), 0.01, True), "step count"),
+    (lambda hk: intertwining_defect(constant_bundle(hk), 0.01, [1.0], samples=True),
+     "checkpoint count"),
+], ids=["pulsed_propagator", "nonselective_evolve", "propagate_td", "intertwining_defect"])
+def test_a_bool_count_is_refused(call, what):
+    with pytest.raises(ValidationError, match=f"^{what} must be an integer >= 1$"):
+        call(three_level(1.0, 1.0))
 
 
 # --------------------------------------------------------------------------

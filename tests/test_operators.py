@@ -752,7 +752,7 @@ def test_hermitian_checks_decide_as_exact_svd(seed, dim, kind, ratio, scale):
     assert operators.is_hermitian(m) == expected
     assert (raised(Operator, m, hermitian=True) is None) == expected
     stack = np.stack([h, m, 0 * m])
-    assert operators._hermitian_slices(stack).tolist() == [True, expected, True]
+    assert operators._is_hermitian(stack).tolist() == [True, expected, True]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -760,15 +760,20 @@ def test_hermitian_slices_of_non_finite_and_overflowing_matrices():
     h = np.array([[1.0, 2 - 1j], [2 + 1j, -3.0]])
     skew = np.array([[0, 1e-11], [0, 0]])
     stack = np.stack([h, h * np.nan, h * np.inf, 1e200 * h, 1e200 * (h + skew)])
-    assert operators._hermitian_slices(stack).tolist() == [True, False, False, True, False]
-    assert [operators.is_hermitian(m) for m in stack[3:]] == [True, False]
+    assert operators._is_hermitian(stack).tolist() == [True, False, False, True, False]
+    assert [operators.is_hermitian(m) for m in stack] == [True, False, False, True, False]
 
 
 def test_hermitian_check_of_an_overflowing_norm_decides_on_the_scaled_matrix():
     a = 1e308                       # the spectral norm of each matrix below overflows
     skewed = np.array([[a, a, a], [a, a, a], [-a, a, a]])
-    with pytest.raises(ValidationError, match="matrix flagged Hermitian deviates by"):
+    with pytest.raises(ValidationError, match="matrix flagged Hermitian deviates by") as info:
         Operator(skewed, hermitian=True)
+    # the message prints the scaled decision: entries 1e308 * 2**-1023, deviation 2 of them
+    dev, allowed = (float(x) for x in re.findall(r"\d\.\d{3}e[+-]\d+", str(info.value)))
+    assert str(info.value).endswith(" on the matrix scaled by 2**-1023")
+    assert dev == float(f"{2 * (a * 2.0 ** -1023):.3e}")
+    assert allowed == float(f"{1e-12 * svd_norm(skewed * 2.0 ** -1023):.3e}")
     assert not operators.is_hermitian(skewed)
     assert Operator([[a, a], [a, a]], hermitian=True).hermitian
     # a finite deviation is weighed against the norm, 2a, as it is below the overflow
