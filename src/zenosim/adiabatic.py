@@ -43,6 +43,7 @@ from .operators import (
     _eigh_exp,
     _eigh_sectors,
     _is_hermitian,
+    _number,
     as_matrix,
     as_operator,
     eig,
@@ -71,13 +72,15 @@ class TimeDependentBundle:
     coupling: float
 
     def __post_init__(self):
-        if not math.isfinite(self.coupling) or self.coupling < 0:
-            raise ValidationError("coupling strength K must be finite and >= 0")
+        _number(self.coupling, "coupling strength K must be finite and >= 0", 0)
 
     def with_coupling(self, coupling: float) -> "TimeDependentBundle":
         return replace(self, coupling=coupling)
 
     def total(self, t: float) -> np.ndarray:
+        return self._total(_number(t, "time must be finite, got {!r}"))
+
+    def _total(self, t) -> np.ndarray:     # t may be an array of times for a stacked bundle
         return np.asarray(self.h(t), dtype=complex) + \
             self.coupling * np.asarray(self.h_meas(t), dtype=complex)
 
@@ -89,10 +92,10 @@ class _StackedBundle(TimeDependentBundle):
 
 def constant_bundle(hk: CoupledHamiltonian) -> TimeDependentBundle:
     """Freeze a time-independent Hamiltonian pair into a bundle."""
-    h = hk.h.matrix
-    hm = hk.h_meas.matrix
-    return TimeDependentBundle(h=lambda t: h, h_meas=lambda t: hm,
-                               coupling=hk.coupling)
+    if not isinstance(hk, CoupledHamiltonian):
+        raise ValidationError(f"expected a CoupledHamiltonian, got {type(hk).__name__}")
+    h, hm = hk.h.matrix, hk.h_meas.matrix
+    return TimeDependentBundle(h=lambda t: h, h_meas=lambda t: hm, coupling=hk.coupling)
 
 
 def rotating_bundle(h0, h_meas0, generator, rate: float,
@@ -103,13 +106,14 @@ def rotating_bundle(h0, h_meas0, generator, rate: float,
     as ``R H_meas R^dag`` while the system part stays fixed, so its sector
     projectors rotate smoothly without eigenvalue crossings.
     """
-    h = np.asarray(h0, dtype=complex)
-    hm0 = as_operator(h_meas0)
+    hk = CoupledHamiltonian(h0, h_meas0, coupling)     # checks both matrices and K
+    h, hm0 = hk.h.matrix, hk.h_meas
     gen = as_operator(generator)
     if not gen.hermitian:
         raise ValidationError("rotation generator must be Hermitian")
     if gen.dim != hm0.dim:
         raise ValidationError("rotation generator dimension mismatch")
+    _number(rate, "rotation rate must be finite, got {!r}")
     # R(t) = expm(gen, rate * t), from one eigendecomposition of the generator
     w, v = np.linalg.eigh(gen.matrix)
 
@@ -143,11 +147,10 @@ def _step_plan(bundle: TimeDependentBundle, t: float, ks, steps, checkpoints: in
     naming the tighter of the violated timescales, and so does a plan
     above ``_MAX_STEPS`` steps, before any step is taken; the first such K
     of the grid raises."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValidationError("horizon must be finite and non-negative")
+    _number(t, "horizon must be finite and non-negative", 0)
     if not (resolve and steps is None):
-        steps = _count(steps, "step count")
-    checkpoints = _count(checkpoints, "checkpoint count")
+        steps = _count(steps, "step count must be an integer >= 1")
+    checkpoints = _count(checkpoints, "checkpoint count must be an integer >= 1")
     hn, mn = _probe_norms(bundle, t)
     plans = []
     for k in ks:
@@ -218,8 +221,8 @@ def _midpoint_checkpoints(bundle: TimeDependentBundle, t: float, steps: int,
     u = np.eye(dim, dtype=complex)
     for start in range(0, steps, chunk):
         ts = (np.arange(start, min(start + chunk, steps)) + 0.5) * dt
-        gens = (bundle.total(ts) if isinstance(bundle, _StackedBundle)
-                else np.stack([bundle.total(s) for s in ts.tolist()]))
+        gens = (bundle._total(ts) if isinstance(bundle, _StackedBundle)
+                else np.stack([bundle._total(s) for s in ts.tolist()]))
         hermitian = _is_hermitian(gens)
         if not hermitian.all():
             raise ValidationError(f"bundle is not Hermitian at t = {ts[np.argmin(hermitian)]:.6g}")
@@ -387,12 +390,10 @@ def intertwining_defect(bundle: TimeDependentBundle, t: float, k_grid,
     norms of the step plans, and one batched decomposition of ``H_meas``
     at all checkpoints (:func:`_sector_path`).
     """
-    ks = [float(k) for k in k_grid]
+    ks = [float(_number(k, "coupling strengths must be >= 0", 0)) for k in k_grid]
     if not ks:
         raise ValidationError("coupling grid must not be empty")
-    if any(k < 0 for k in ks):
-        raise ValidationError("coupling strengths must be >= 0")
-    bundles = [bundle.with_coupling(k) for k in ks]       # refuses a NaN or Inf K first
+    bundles = [bundle.with_coupling(k) for k in ks]
     plans = _step_plan(bundle, t, ks, steps, samples, resolve=True)
     sector_path = _sector_path(bundle, np.linspace(0.0, t, samples + 1))
 

@@ -16,7 +16,6 @@ perturbative data are read off ``G = W^dag H W`` on the frame ``W = [Q_1
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,10 @@ from .operators import (
     Operator,
     Projector,
     SectorDecomposition,
+    _check_dimension,
+    _count,
     _eigenvector_sectors,
+    _number,
     _sector_blocks,
     _sector_columns,
     as_operator,
@@ -58,8 +60,7 @@ class CoupledHamiltonian:
         hm = as_operator(self.h_meas)
         if h.dim != hm.dim:
             raise ValidationError("system and measurement dimensions differ")
-        if not math.isfinite(self.coupling) or self.coupling < 0:
-            raise ValidationError("coupling strength K must be finite and >= 0")
+        _number(self.coupling, "coupling strength K must be finite and >= 0", 0)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "h_meas", hm)
 
@@ -159,6 +160,7 @@ def _zeno_limits(hk: CoupledHamiltonian, t: float, couplings,
     decomposition, as :func:`eig` gives.  They keep the within-sector part
     of ``H_meas``, not ``K eta_n``, so clusters spread within the cluster
     tolerance stay exact."""
+    _number(t, "time scale must be finite", complex_ok=True)
     if sectors is None:
         sectors = zeno_sectors(hk)
     if not (sectors.complete and hk.h.hermitian and hk.h_meas.hermitian):
@@ -204,6 +206,7 @@ class PerturbativeBranch:
     resolved: bool = True
 
     def eigenvalue(self, lam: float, order: int = 2) -> complex:
+        _number(lam, "lam must be finite, got {!r}")
         out = complex(self.eta0) + lam * self.eta1
         if order >= 2:
             out += lam * lam * self.eta2
@@ -226,14 +229,11 @@ class PerturbativeExpansion:
     def reduced_resolvent(self, n: int) -> np.ndarray:
         """``S_n = sum_{m != n} P_m / (eta_n - eta_m)``, as ``W diag(D_n) W^dag``."""
         w, _, diags = _resolvent_frame(self.sectors)
-        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and 0 <= n < len(diags)):
-            raise ValidationError(f"n = {n!r} is not a sector index in 0 .. {len(diags) - 1}")
+        n = _count(n, "n = {!r} is not a sector index in 0 .. {high}", 0, len(diags) - 1)
         return (w * diags[n]) @ w.conj().T
 
     def predicted_eigenvalues(self, lam: float) -> np.ndarray:
         """All eigenvalue branches at ``lam``, repeated by multiplicity."""
-        if not math.isfinite(lam):
-            raise ValidationError(f"lam must be finite, got {lam!r}")
         return np.array([b.eigenvalue(lam, self.order) for b in self.branches
                          for _ in range(b.multiplicity)])
 
@@ -241,8 +241,7 @@ class PerturbativeExpansion:
         """Blocked generator ``H_meas + lam H^diag + lam^2 sum_n P_n H S_n H P_n``
         reproducing the exact spectrum through second order, formed as
         ``H_meas + W X W^dag`` from the sector blocks of ``G = W^dag H W``."""
-        if not math.isfinite(lam):
-            raise ValidationError(f"lam must be finite, got {lam!r}")
+        _number(lam, "lam must be finite, got {!r}")
         w, owner, diags = _resolvent_frame(self.sectors)
         g = w.conj().T @ self.hk.h.matrix @ w
         x = lam * g
@@ -272,13 +271,13 @@ def perturbative_spectrum(hk: CoupledHamiltonian, order: int = 2,
     at both orders is kept as one lump and reported via ``resolved=False``
     (its eigenvalue data is still correct for every state in the lump).
     """
-    if order not in (1, 2):
-        raise ValidationError("perturbative order must be 1 or 2")
+    _count(order, "perturbative order must be 1 or 2", 1, 2)
     if not hk.h_meas.hermitian:
         raise ValidationError("perturbative corrections require a Hermitian coupling")
     if sectors is None:
         sectors = zeno_sectors(hk)
     sectors.validate_resolution()
+    _check_dimension(hk.h.matrix, sectors.dim)
 
     w, owner, diags = _resolvent_frame(sectors)
     g = w.conj().T @ hk.h.matrix @ w

@@ -26,13 +26,20 @@ import numpy as np
 
 from .continuous import CoupledHamiltonian, real_sectors
 from .errors import ValidationError
-from .operators import Operator, SectorDecomposition, as_operator
+from .operators import Operator, SectorDecomposition, as_matrix, as_operator
+from .operators import _check_dimension, _count, _number
+
+def _rates(*rates) -> None:
+    for rate in rates:
+        _number(rate, "rates must be >= 0", 0)
 
 
 def coupling_matrix(dim: int, i: int, j: int) -> np.ndarray:
     """Unit coupling |i><j| + |j><i| between 1-based levels i and j."""
-    if not (1 <= i <= dim and 1 <= j <= dim and i != j):
-        raise ValidationError(f"levels ({i},{j}) invalid for dimension {dim}")
+    message, fields = "levels ({i},{j}) invalid for dimension {dim}", dict(i=i, j=j, dim=dim)
+    dim = _count(dim, message, **fields)
+    if _count(i, message, 1, dim, **fields) == _count(j, message, 1, dim, **fields):
+        raise ValidationError(message.format(**fields))
     m = np.zeros((dim, dim), dtype=complex)
     m[i - 1, j - 1] = 1.0
     m[j - 1, i - 1] = 1.0
@@ -47,8 +54,7 @@ def rotation_generator(dim: int, i: int, j: int, kind: str = "phase") -> Operato
     antisymmetric generator -i|i><j| + i|j><i| (rotates the pair into each
     other).  Both carry eigenvalue-preserving paths without crossings.
     """
-    if not (1 <= i <= dim and 1 <= j <= dim and i != j):
-        raise ValidationError(f"levels ({i},{j}) invalid for dimension {dim}")
+    dim = len(coupling_matrix(dim, i, j))      # refuses an invalid level pair
     g = np.zeros((dim, dim), dtype=complex)
     if kind == "phase":
         g[i - 1, i - 1] = 1.0
@@ -75,8 +81,7 @@ def three_level(omega: float, coupling: float) -> CoupledHamiltonian:
          [omega,  0,     K],
          [0,      K,     0]].
     """
-    if omega < 0 or coupling < 0:
-        raise ValidationError("rates must be >= 0")
+    _rates(omega, coupling)
     h = omega * coupling_matrix(3, 1, 2)
     hm = coupling_matrix(3, 2, 3)
     return CoupledHamiltonian(Operator(h, hermitian=True),
@@ -90,6 +95,7 @@ def three_level_survival(omega: float, coupling: float, t):
     ``K1 = sqrt(K^2 + omega^2)``; tends to one as K grows at fixed t.
     Accepts a scalar or an array of times.
     """
+    _rates(omega, coupling)
     k2 = coupling * coupling
     o2 = omega * omega
     k1sq = k2 + o2
@@ -127,8 +133,7 @@ class FourLevelModel:
     k_outer: float
 
     def __post_init__(self):
-        if self.omega < 0 or self.k_inner < 0 or self.k_outer < 0:
-            raise ValidationError("rates must be >= 0")
+        _rates(self.omega, self.k_inner, self.k_outer)
 
     @property
     def rabi(self) -> np.ndarray:
@@ -191,12 +196,14 @@ class ExcitationSectors:
         return {n: tuple(v) for n, v in sorted(out.items())}
 
     def index(self, label: tuple[int, int, int]) -> int:
+        if not (isinstance(label, (tuple, list, np.ndarray)) and tuple(label) in self.labels):
+            raise ValidationError(f"label {label} is not in the basis")
         return self.labels.index(tuple(label))
 
     def sector_labels(self, n: int) -> tuple[tuple[int, int, int], ...]:
         """Lexicographically ordered basis labels of S_n."""
         try:
-            return self.labels_by_n[n]
+            return self.labels_by_n[_count(n, "no excitation sector with N = {}", 0)]
         except KeyError:
             raise ValidationError(f"no excitation sector with N = {n}") from None
 
@@ -209,7 +216,8 @@ class ExcitationSectors:
             if lbl not in allowed:
                 raise ValidationError(f"label {lbl} is not in excitation sector {n}")
         idx = [self.index(lbl) for lbl in labels]
-        m = np.asarray(matrix, dtype=complex)
+        m = as_matrix(matrix)
+        _check_dimension(m, len(self.labels))
         return m[np.ix_(idx, idx)]
 
 
@@ -246,10 +254,8 @@ def cavity(g: float, kappa: float, n_max: int = 2) -> CavityModel:
     ``n_max >= 2`` is required so that every state reachable from the
     zero- and one-excitation sectors is represented exactly.
     """
-    if n_max < 2:
-        raise ValidationError("photon truncation n_max must be >= 2")
-    if g < 0 or kappa < 0:
-        raise ValidationError("rates must be >= 0")
+    n_max = _count(n_max, "photon truncation n_max must be >= 2", 2)
+    _rates(g, kappa)
     nph = n_max + 1
     b = np.diag(np.sqrt(np.arange(1, nph)), 1).astype(complex)
     id_ph = np.eye(nph, dtype=complex)
@@ -312,10 +318,9 @@ def decay_model(tau_z: float, gamma: float, coupling: float) -> CoupledHamiltoni
     resonantly drives |2> <-> |3> with strength K; driving faster than the
     effective width cuts the decay off.
     """
-    if tau_z <= 0 or gamma <= 0:
-        raise ValidationError("tau_z and gamma must be > 0")
-    if coupling < 0:
-        raise ValidationError("coupling strength K must be >= 0")
+    _number(tau_z, "tau_z and gamma must be > 0", 0, strict=True)
+    _number(gamma, "tau_z and gamma must be > 0", 0, strict=True)
+    _number(coupling, "coupling strength K must be >= 0", 0)
     h = np.zeros((3, 3), dtype=complex)
     h[0, 1] = h[1, 0] = 1.0 / tau_z
     h[1, 1] = -2j / (tau_z * tau_z * gamma)

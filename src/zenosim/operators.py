@@ -38,7 +38,7 @@ Conventions
   included, come from one eigenvector routine and carry the measured
   condition number of their spectral projector; a cluster whose eigenvector
   block or spectral projector exceeds ``DEFAULT_MAX_SECTOR_CONDITION`` is dropped.
-* A clustering tolerance must be finite and >= 0.
+* Four guards check arguments: ``_number``, ``_count``, ``_array`` and ``_state_vector``.
 
 Intended scale is "desk" size, dimensions up to a couple hundred; there is
 deliberately no sparse or structured path.
@@ -74,6 +74,9 @@ DEFAULT_MAX_SECTOR_CONDITION = 1e8
 _ROUNDING = 1e-9
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _TINY = np.finfo(float).tiny
+_FLOAT_MAX = np.finfo(float).max
+_REAL = (int, float, np.integer, np.floating)
+_COMPLEX = (*_REAL, complex, np.complexfloating)
 
 
 def snorm(a) -> float:
@@ -91,15 +94,50 @@ def as_matrix(a) -> np.ndarray:
     complex square ndarray (no copy when already suitable)."""
     if isinstance(a, (Operator, Projector, DensityMatrix)):
         return a.matrix
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    return _array(a, "expected a square matrix, got shape {}")
+
+
+def _number(x, message: str, low: float = -math.inf, strict=False, complex_ok=False):
+    """``x`` if it is a finite real number ``>= low`` (``> low`` when ``strict``), or with
+    ``complex_ok`` a finite complex one, no bool; else ``ValidationError(message.format(x))``."""
+    if (isinstance(x, _COMPLEX if complex_ok else _REAL) and not isinstance(x, bool)
+            and abs(x) <= _FLOAT_MAX and (complex_ok or not (x < low or x == low and strict))):
+        return x
+    raise ValidationError(message.format(x))
+
+
+def _count(n, message: str, low: int = 1, high: float = math.inf, **fields) -> int:
+    """``n`` as an int if an integer in ``low .. high``, not a bool; else ``message`` formatted."""
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and low <= n <= high:
+        return int(n)
+    raise ValidationError(message.format(n, high=high, **fields))
+
+
+def _array(a, message: str, ndims=(2,), copy: bool = False, finite: str = "") -> np.ndarray:
+    """``a`` as a complex array with ``ndims`` dimensions (a C-ordered copy with ``copy``), square
+    and nonempty for ``(2,)``; ``message.format(shape)`` refuses the rest, ``finite`` NaN, Inf."""
+    try:
+        m = np.array(a, dtype=complex, order="C") if copy else np.asarray(a, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{message.format('?')} ({exc})") from None
+    if m.ndim not in ndims or ndims == (2,) and not m.shape[0] == m.shape[1] >= 1:
+        raise ValidationError(message.format(m.shape))
+    if finite and not np.isfinite(np.ascontiguousarray(m).view(float)).all():
+        raise ValidationError(f"{finite} contains NaN or Inf entries")
     return m
 
 
-def _check_finite(m: np.ndarray, what: str) -> None:
-    if not np.isfinite(m.view(float)).all():
-        raise ValidationError(f"{what} contains NaN or Inf entries")
+def _state_vector(a, dim: int | None, normalize: bool = False) -> np.ndarray:
+    """``a`` as a finite vector of length ``dim`` (any if None), ``normalize``d or of norm 1."""
+    v = _array(a, "state vector has shape {}, not (d,)", (1,), finite="state vector")
+    if dim is not None and v.size != dim:
+        raise ValidationError(f"state vector has shape {v.shape}, not ({dim},)")
+    nrm = np.linalg.norm(v)
+    if normalize and nrm == 0:
+        raise ValidationError("cannot normalize the zero vector")
+    if not normalize and abs(nrm - 1.0) > 1e-10:
+        raise ValidationError(f"state vector must be normalized (norm {nrm:.12g})")
+    return v / nrm if normalize else v
 
 
 def _within_scaled(dev, m: np.ndarray, rtol: float, floor: float = 1.0):
@@ -174,17 +212,14 @@ class Operator:
     hermitian: bool = False
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex, order="C")
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValidationError(f"operator must be square, got shape {m.shape}")
-        _check_finite(m, "operator")
-        if self.hermitian:
-            if not _is_hermitian(m):
-                s = _overflow_scale(m)          # the message names the scaled decision
-                raise ValidationError(
-                    f"matrix flagged Hermitian deviates by {_hermitian_deviation(m * s):.3e} "
-                    f"(allowed {HERMITIAN_RTOL * max(snorm(m * s), _TINY):.3e})"
-                    + (f" on the matrix scaled by 2**{math.frexp(s)[1] - 1}" if s != 1 else ""))
+        m = _array(self.matrix, "operator must be square, got shape {}", copy=True,
+                   finite="operator")
+        if self.hermitian and not _is_hermitian(m):
+            s = _overflow_scale(m)              # the message names the scaled decision
+            raise ValidationError(
+                f"matrix flagged Hermitian deviates by {_hermitian_deviation(m * s):.3e} "
+                f"(allowed {HERMITIAN_RTOL * max(snorm(m * s), _TINY):.3e})"
+                + (f" on the matrix scaled by 2**{math.frexp(s)[1] - 1}" if s != 1 else ""))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -203,9 +238,6 @@ class Operator:
         w.setflags(write=False)
         v.setflags(write=False)
         return w, v
-
-    def adjoint(self) -> "Operator":
-        return Operator(self.matrix.conj().T, hermitian=self.hermitian)
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix, dtype=dtype)
@@ -226,10 +258,7 @@ def as_operator(a, hermitian: bool | None = None) -> Operator:
     if isinstance(a, Operator) and hermitian in (None, a.hermitian):
         return a
     m = as_matrix(a)
-    _check_finite(m, "operator")
-    if hermitian is None:
-        hermitian = is_hermitian(m)
-    return Operator(m, hermitian=hermitian)
+    return Operator(m, hermitian=is_hermitian(m) if hermitian is None else hermitian)
 
 
 @dataclass(frozen=True)
@@ -241,17 +270,15 @@ class Projector:
     rank: int
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex, order="C")
-        _check_finite(m, "projector")
-        n = m.shape[0]
-        if m.ndim != 2 or m.shape[1] != n:
-            raise ValidationError(f"projector must be square, got shape {m.shape}")
+        m = _array(self.matrix, "projector must be square, got shape {}", copy=True,
+                   finite="projector")
+        _count(self.rank, "projector rank {!r} is not an integer >= 0", 0)
         if not _within_scaled(_hermitian_deviation(m), m, HERMITIAN_RTOL):
             raise ValidationError("projector is not Hermitian")
-        if _norm_exceeds(m @ m - m, IDEMPOTENCY_TOL * n):
+        if _norm_exceeds(m @ m - m, IDEMPOTENCY_TOL * len(m)):
             raise ValidationError("projector is not idempotent")
         tr = m.trace().real
-        if abs(tr - self.rank) > TRACE_RANK_TOL * max(1, n):
+        if abs(tr - self.rank) > TRACE_RANK_TOL * len(m):     # the guard refuses a 0 x 0 matrix
             raise ValidationError(f"projector trace {tr:.12g} does not match rank {self.rank}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -302,9 +329,8 @@ def _eigh_projector(cols: np.ndarray) -> Projector:
 def projector_from_columns(columns: np.ndarray) -> Projector:
     """Orthogonal projector onto the span of independent columns
     (orthonormalized by QR); a 1-D vector is one column."""
-    cols = np.asarray(columns, dtype=complex)
-    if cols.ndim not in (1, 2):
-        raise ValidationError(f"projector columns have shape {cols.shape}, not (d,) or (d, k)")
+    cols = _array(columns, "projector columns have shape {}, not (d,) or (d, k)", (1, 2),
+                  finite="projector columns")
     cols = cols[:, None] if cols.ndim == 1 else cols
     if cols.shape[1] == 0:
         raise ValidationError("cannot build a projector from zero columns")
@@ -317,11 +343,9 @@ def projector_from_columns(columns: np.ndarray) -> Projector:
 
 def basis_projector(dim: int, *indices: int) -> Projector:
     """Projector onto the span of the given distinct canonical basis vectors."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValidationError(f"dim {dim!r} is not an integer >= 1")
+    dim = _count(dim, "dim {!r} is not an integer >= 1")
     for k, i in enumerate(indices):
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < dim:
-            raise ValidationError(f"basis index {i} is not an integer in 0 .. {dim - 1}")
+        _count(i, "basis index {} is not an integer in 0 .. {high}", 0, dim - 1)
         if i in indices[:k]:
             raise ValidationError(f"basis index {i} is repeated")
     cols = np.eye(dim, dtype=complex)[:, list(indices)]
@@ -447,12 +471,9 @@ class DensityMatrix:
     def _checked(cls, matrix, psd: bool) -> np.ndarray:
         """Read-only copy of ``matrix`` after the finiteness, shape,
         Hermiticity and trace checks, and with ``psd`` the positivity test."""
-        m = np.array(matrix, dtype=complex, order="C")
-        _check_finite(m, "density matrix")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"density matrix must be square, got {m.shape}")
-        n = m.shape[0]
-        if not _within_scaled(_hermitian_deviation(m), m, HERMITIAN_RTOL * n):
+        m = _array(matrix, "density matrix must be square, got {}", copy=True,
+                   finite="density matrix")
+        if not _within_scaled(_hermitian_deviation(m), m, HERMITIAN_RTOL * len(m)):
             raise ValidationError("density matrix is not Hermitian")
         if psd:
             _check_positive(m, [m])
@@ -474,11 +495,7 @@ class DensityMatrix:
         ulp, far below ``_PSD_TOL``.  The other checks run as for every
         density matrix.
         """
-        v = np.asarray(state, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise ValidationError("cannot normalize the zero vector")
-        v = v / nrm
+        v = _state_vector(state, None, normalize=True)
         rho = object.__new__(cls)
         object.__setattr__(rho, "matrix", cls._checked(np.outer(v, v.conj()), psd=False))
         return rho
@@ -493,6 +510,8 @@ class DensityMatrix:
 
     def population(self, projector: Projector) -> float:
         """Probability weight inside the projector's range."""
+        if projector.dim != self.dim:
+            raise ValidationError("state dimension does not match the projector")
         return float((projector.matrix @ self.matrix).trace().real)
 
     def __array__(self, dtype=None, copy=None):
@@ -526,8 +545,7 @@ def expm(a, t: float | complex = 1.0) -> Operator:
     generators through scipy's scaling-and-squaring Pade kernel.
     """
     op = as_operator(a)
-    if not np.isfinite(t):
-        raise ValidationError("time scale must be finite")
+    _number(t, "time scale must be finite", complex_ok=True)
     if op.hermitian:
         return Operator(_eigh_exp(*op._eigh, t))
     import scipy.linalg  # deferred: the Hermitian paths never need it
@@ -600,10 +618,7 @@ def _cluster_tol(norm: float | None, cluster_tol) -> float:
     operator of spectral norm ``norm`` when None, else a finite value >= 0."""
     if cluster_tol is None:
         return DEFAULT_CLUSTER_RTOL * max(1.0, norm)
-    tol = float(cluster_tol)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"cluster tolerance must be finite and >= 0, got {tol!r}")
-    return tol
+    return float(_number(cluster_tol, "cluster tolerance must be finite and >= 0, got {!r}", 0))
 
 
 def eig(a, cluster_tol: float | None = None) -> SectorDecomposition:
@@ -731,12 +746,6 @@ def _rank_groups(sizes) -> list[tuple[slice, int, int]]:
     return groups
 
 
-def _count(n, what: str) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"{what} must be an integer >= 1")
-    return int(n)
-
-
 def _check_dimension(m: np.ndarray, dim: int) -> None:
     if m.shape[0] != dim:
         raise ValidationError(f"operator dimension {m.shape[0]} does not match sectors ({dim})")
@@ -765,8 +774,6 @@ def _sector_columns(basis: np.ndarray, sizes, blocks, t=None,
     A ``hermitian`` group is checked as Hermitian :class:`Operator` blocks
     (with their messages) and exponentiated by one batched ``eigh`` as
     :func:`expm` does; other blocks go through :func:`expm` one by one."""
-    if t is not None and not np.isfinite(t):
-        raise ValidationError("time scale must be finite")
     x = np.empty(basis.shape, dtype=complex)
     for (cols, rank, count), g in zip(_rank_groups(sizes), blocks):
         if t is not None and hermitian:
@@ -805,11 +812,14 @@ def save_matrix(path, a) -> None:
     """Write a matrix literal file."""
     m = as_matrix(a)
     d = m.shape[0]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"dim {d}\n")
-        for i in range(d):
-            for j in range(d):
-                fh.write(f"{i} {j} {float(m[i, j].real)!r} {float(m[i, j].imag)!r}\n")
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(f"dim {d}\n")
+            for i in range(d):
+                for j in range(d):
+                    fh.write(f"{i} {j} {float(m[i, j].real)!r} {float(m[i, j].imag)!r}\n")
+    except (OSError, TypeError) as exc:
+        raise ValidationError(f"cannot write matrix file {path}: {exc}") from None
 
 
 def load_matrix(path) -> Operator:
@@ -823,7 +833,7 @@ def load_matrix(path) -> Operator:
         # a plain file's header line ends before the first \n past its leading blanks
         nl = raw.find(b"\n", len(raw) - len(raw.lstrip(_BLANK))) if plain else -1
         lines = raw[:nl if nl >= 0 else None].decode("ascii").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, TypeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read matrix file {path}: {exc}") from None
     k0 = next((k for k, ln in enumerate(lines, start=1) if ln.strip()), None)
     if k0 is None:

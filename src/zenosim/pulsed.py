@@ -39,9 +39,11 @@ from .operators import (
     _check_positive,
     _count,
     _eigh_exp,
+    _number,
     _rank_groups,
     _sector_blocks,
     _sector_columns,
+    _state_vector,
     _within_scaled,
     as_matrix,
     as_operator,
@@ -76,14 +78,6 @@ class EffectiveRate:
         return math.isinf(self.gamma)
 
 
-def _normalized_vector(a) -> np.ndarray:
-    v = np.asarray(a, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValidationError(f"state vector must be normalized (norm {nrm:.12g})")
-    return v
-
-
 def pulsed_propagator(h, p: Projector, n: int, t: float) -> Operator:
     """Selective chain ``[P U(t/N) P]^N`` with ``U = exp(-i H t/N)``.
 
@@ -114,9 +108,8 @@ def _selective_cores(h, p: Projector, ns, t: float):
     w, vecs = hop._eigh
     b = p.basis.conj().T @ vecs
     for n in ns:
-        _count(n, "pulse count")
-        if not (math.isfinite(t) and t >= 0):
-            raise ValidationError("horizon must be finite and non-negative")
+        _count(n, "pulse count must be an integer >= 1")
+        _number(t, "horizon must be finite and non-negative", 0)
         yield _chain_power(_eigh_exp(w, b, t / n), n, p.dim)
 
 
@@ -163,6 +156,7 @@ def _enforce_contraction(v: np.ndarray, dim: int) -> np.ndarray:
 def pulsed_limit(h, p: Projector, t: float) -> Operator:
     """Frequent-measurement limit ``P exp(-i P H P t)`` of the selective
     chain, ``Q exp(-i Q^dag H Q t) Q^dag``; unitary within the range of P."""
+    _number(t, "time scale must be finite", complex_ok=True)
     hop = as_operator(h)
     q = p.basis
     x = _sector_columns(q, [p.rank], _sector_blocks(q, [p.rank], hop.matrix), t, hop.hermitian)
@@ -177,12 +171,11 @@ def survival_probability(rho0: DensityMatrix, v, p: Projector) -> float:
     restricted to the subspace before tracing, so both sandwiched chains
     (``V_N``) and plain unitaries give the textbook survival value.
     """
-    rho = rho0.matrix
-    proj = p.matrix
-    _check_dimension(as_matrix(v), p.dim)
+    rho, proj, v = rho0.matrix, p.matrix, as_matrix(v)
+    _check_dimension(v, p.dim)
     _check_dimension(rho, p.dim)
     _check_support(rho, proj)
-    w = proj @ as_matrix(v) @ proj
+    w = proj @ v @ proj
     return float(_probability((w @ rho @ w.conj().T).trace().real))
 
 
@@ -230,8 +223,8 @@ def _survival_grid(h: Operator, ts: np.ndarray, rho0: DensityMatrix,
 
 def survival_amplitude(h, a, tau: float) -> complex:
     """Undisturbed amplitude ``<a| exp(-i H tau) |a>``."""
-    v = _normalized_vector(a)
     u = expm(h, tau).matrix
+    v = _state_vector(a, u.shape[0])
     return complex(np.vdot(v, u @ v))
 
 
@@ -242,11 +235,9 @@ def effective_rate(h, a, tau: float) -> EffectiveRate:
     roundoff overshoot is clipped; dissipative generators are left as
     computed (transient amplification then yields a negative rate).
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValidationError("measurement interval must be positive")
+    _number(tau, "measurement interval must be positive", 0, strict=True)
     amp = survival_amplitude(h, a, tau)
-    hermitian = as_operator(h).hermitian
-    return _rate_from_amplitude(amp, tau, clip=hermitian)
+    return _rate_from_amplitude(amp, tau, clip=as_operator(h).hermitian)
 
 
 def effective_rate_from_amplitude(amplitude: Callable[[float], complex],
@@ -257,8 +248,7 @@ def effective_rate_from_amplitude(amplitude: Callable[[float], complex],
     model amplitudes with other short-time exponents (where the limit rate
     can stay finite or diverge) be pushed through the same definitions.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValidationError("measurement interval must be positive")
+    _number(tau, "measurement interval must be positive", 0, strict=True)
     return _rate_from_amplitude(complex(amplitude(tau)), tau, clip=False)
 
 
@@ -286,7 +276,7 @@ def zeno_time(h, a) -> float:
     hop = as_operator(h)
     if not hop.hermitian:
         raise ValidationError("the quadratic decay scale requires a Hermitian Hamiltonian")
-    v = _normalized_vector(a)
+    v = _state_vector(a, hop.dim)
     hv = hop.matrix @ v
     m2 = float(np.vdot(hv, hv).real)
     m1 = float(np.vdot(v, hv).real)
@@ -304,20 +294,18 @@ def zeno_time_fitted(h, a, tau0: float | None = None, points: int = 5) -> float:
     ``log(1 - p)`` against ``log tau``; the intercept gives the time scale.
     ``points`` must be an integer >= 2.
     """
-    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 2:
-        raise ValidationError(f"points must be an integer >= 2, got {points!r}")
+    _count(points, "points must be an integer >= 2, got {!r}", 2)
     hop = as_operator(h)
+    _state_vector(a, hop.dim)
     if tau0 is None:
         nrm = snorm(hop)
         if nrm == 0:
             return math.inf
         tau0 = 0.01 / nrm
+    _number(tau0, "tau0 must be a finite number > 0, got {!r}", 0, strict=True)
     taus = tau0 * 0.5 ** np.arange(points)
-    deficits = []
-    for tau in taus:
-        p = abs(survival_amplitude(hop, a, tau)) ** 2
-        deficits.append(max(1.0 - p, 0.0))
-    deficits = np.asarray(deficits)
+    deficits = np.array([max(1.0 - abs(survival_amplitude(hop, a, tau)) ** 2, 0.0)
+                         for tau in taus])
     if np.any(deficits <= 0):
         return math.inf
     _, intercept = loglog_fit(taus, deficits)
@@ -358,9 +346,8 @@ def _nonselective_grid(h, sectors: SectorDecomposition, ns, t: float,
     e^{-i w t/n}) A^dag`` for a Hermitian ``H = V diag(w) V^dag`` (else ``W^dag
     exp(-i H t/n) W``); ``A = W^dag V`` and ``W^dag rho0 W`` are formed once."""
     for n in ns:
-        _count(n, "measurement count")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValidationError("horizon must be finite and non-negative")
+        _count(n, "measurement count must be an integer >= 1")
+    _number(t, "horizon must be finite and non-negative", 0)
     if rho0.dim != sectors.dim:
         raise ValidationError("state dimension does not match sectors")
     sectors.validate_resolution()
@@ -514,6 +501,7 @@ def nonselective_limit(h, sectors: SectorDecomposition, t: float,
     started with, whatever the off-block content of ``rho0`` was.  It is
     ``X' X^dag`` for ``X = [V_n Q_n]`` and ``X' = [V_n Q_n Q_n^dag rho0 Q_n]``.
     """
+    _number(t, "time scale must be finite", complex_ok=True)
     if rho0.dim != sectors.dim:
         raise ValidationError("state dimension does not match sectors")
     sectors.validate_resolution()

@@ -46,6 +46,7 @@ GRIDS = "tests/test_sweep_grids.py::"
 OPS = "tests/test_operators.py::"
 PERT = "tests/test_continuous.py::"
 GOLDEN = "tests/test_golden.py::"
+BOUNDARY = "tests/test_public_boundary.py::test_a_bad_argument_raises_a_zeno_error["
 
 FAULTS = [
     # the sector frame and its readers
@@ -167,17 +168,41 @@ FAULTS = [
           (OPS + "test_expm_unitarity_and_group_law",)),
     # perturbation theory
     Fault("reduced resolvent takes a bool index",
-          "src/zenosim/continuous.py",
-          "if isinstance(n, bool) or not (isinstance",
-          "if not (isinstance",
+          "src/zenosim/operators.py",
+          "isinstance(n, (int, np.integer)) and not isinstance(n, bool) and low",
+          "isinstance(n, (int, np.integer)) and low",
           (PERT + "test_reduced_resolvent_refuses_an_index_outside_the_sectors",)),
     Fault("generator takes a non-finite lam",
           "src/zenosim/continuous.py",
-          '        if not math.isfinite(lam):\n'
-          '            raise ValidationError(f"lam must be finite, got {lam!r}")\n'
-          '        w, owner, diags',
+          '        _number(lam, "lam must be finite, got {!r}")\n        w, owner, diags',
           "        w, owner, diags",
           (PERT + "test_generator_and_predicted_eigenvalues_refuse_a_non_finite_lam",)),
+    # the argument guards
+    Fault("finite-number guard lets a bool through",
+          "src/zenosim/operators.py",
+          "if (isinstance(x, _COMPLEX if complex_ok else _REAL) and not isinstance(x, bool)\n",
+          "if (isinstance(x, _COMPLEX if complex_ok else _REAL)\n",
+          (BOUNDARY + "three_level-omega-bool]",)),
+    Fault("finite-number guard lets NaN through",
+          "src/zenosim/operators.py",
+          "and abs(x) <= _FLOAT_MAX and",
+          "and abs(x) != math.inf and",
+          (BOUNDARY + "FourLevelModel-omega-nan]",)),
+    Fault("conversion guard catches only TypeError, so a string escapes as a ValueError",
+          "src/zenosim/operators.py",
+          "except (TypeError, ValueError, OverflowError) as exc:",
+          "except TypeError as exc:",
+          (BOUNDARY + "snorm-a-str]",)),
+    Fault("vector guard skips its dimension test",
+          "src/zenosim/operators.py",
+          "if dim is not None and v.size != dim:",
+          "if False:",
+          (BOUNDARY + "zeno_time-a-dim2]",)),
+    Fault("integer guard accepts 2.0",
+          "src/zenosim/operators.py",
+          "if isinstance(n, (int, np.integer)) and not",
+          "if (isinstance(n, (int, np.integer)) or isinstance(n, float) and n.is_integer()) and not",
+          (BOUNDARY + "cavity-n_max-float]",)),
     # matrix files
     Fault("matrix file ASCII check dropped",
           "src/zenosim/operators.py",
