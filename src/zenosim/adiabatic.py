@@ -9,20 +9,20 @@ integrates the Schroedinger equation for such bundles and measures how
 far a finite coupling is from perfect transport.
 
 The midpoint integrator works a chunk of steps at a time, the chunk capped
-at ``_STACK_BYTES`` of generators: it stacks the chunk's midpoint
-generators (a rotating bundle evaluates all its times at once), checks
-them in one pass, diagonalizes them by one batched ``eigh`` and multiplies
-the step propagators into ``U`` one by one in time order, so ``U`` equals
-the product of per-step :func:`expm` calls bit for bit.
+at ``_STACK_BYTES`` of generators: it samples them by :func:`_sampled`
+(a rotating bundle evaluates all its times at once), checks them in one
+pass, diagonalizes them by one batched ``eigh`` and multiplies the step
+propagators into ``U`` one by one in time order, so ``U`` equals the
+product of per-step :func:`expm` calls bit for bit.
 
 Work that does not depend on the coupling K is done once per path: the
-step plans of a K grid share one set of probe norms (one batched norm per
-part for a rotating bundle), and the sectors of ``H_meas`` at all
-checkpoints come from one batched decomposition, with the tracking
-overlaps of consecutive checkpoints from their sector bases in batched
-products; each decomposition and tracking decision is the one
-:func:`eig` and :func:`_tracked_sectors` make checkpoint by checkpoint,
-bit for bit.
+step plans of a K grid share one set of probe norms, the sectors of
+``H_meas`` at all checkpoints come from one batched decomposition with
+the tracking overlaps from their sector bases in batched products (each
+decision the one :func:`eig` and :func:`_tracked_sectors` make checkpoint
+by checkpoint, bit for bit), and the defects are measured in one pass
+over the checkpoints: each chunk's projector stack is formed once, not
+cached, and serves every K, so memory is in proportion to one chunk.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .operators import (
     _eigh_sectors,
     _is_hermitian,
     _number,
+    _projector_matrix,
     as_matrix,
     as_operator,
     eig,
@@ -78,9 +79,7 @@ class TimeDependentBundle:
         return replace(self, coupling=coupling)
 
     def total(self, t: float) -> np.ndarray:
-        return self._total(_number(t, "time must be finite, got {!r}"))
-
-    def _total(self, t) -> np.ndarray:     # t may be an array of times for a stacked bundle
+        t = _number(t, "time must be finite, got {!r}")
         return np.asarray(self.h(t), dtype=complex) + \
             self.coupling * np.asarray(self.h_meas(t), dtype=complex)
 
@@ -211,9 +210,10 @@ def _midpoint_checkpoints(bundle: TimeDependentBundle, t: float, steps: int,
     """Yield ``U`` at ``checkpoints`` evenly spaced times up to ``t``, from
     ``steps`` midpoint steps ``exp(-i H_K(t_k + dt/2) dt)`` (a multiple of
     ``checkpoints``, as :func:`_step_plan` returns), in stacked chunks (see
-    the module notes; a pairwise product would round differently).  The
-    first midpoint whose generator has NaN or Inf entries or fails the
-    :func:`is_hermitian` rule raises, naming its time."""
+    the module notes; a pairwise product would round differently), each
+    ``H + K H_meas`` summed as :meth:`~TimeDependentBundle.total` sums it.  The
+    first midpoint generator that is not square raises, as does, naming its
+    time, one with NaN or Inf entries or failing the :func:`is_hermitian` rule."""
     dt = t / steps
     per = steps // checkpoints
     dim = np.asarray(bundle.h(0.0)).shape[0]
@@ -221,8 +221,7 @@ def _midpoint_checkpoints(bundle: TimeDependentBundle, t: float, steps: int,
     u = np.eye(dim, dtype=complex)
     for start in range(0, steps, chunk):
         ts = (np.arange(start, min(start + chunk, steps)) + 0.5) * dt
-        gens = (bundle._total(ts) if isinstance(bundle, _StackedBundle)
-                else np.stack([bundle._total(s) for s in ts.tolist()]))
+        gens = _sampled(bundle, "h", ts) + bundle.coupling * _sampled(bundle, "h_meas", ts)
         hermitian = _is_hermitian(gens)
         if not hermitian.all():
             raise ValidationError(f"bundle is not Hermitian at t = {ts[np.argmin(hermitian)]:.6g}")
@@ -375,8 +374,7 @@ def _sector_path(bundle: TimeDependentBundle, times: np.ndarray) -> list[SectorD
 def intertwining_defect(bundle: TimeDependentBundle, t: float, k_grid,
                         samples: int = 40,
                         steps: int | None = None) -> list[TransportReport]:
-    """Transport defect and drift along the path, for each coupling in
-    ``k_grid``.
+    """Transport defect and drift along the path for each coupling in ``k_grid``.
 
     For each K the path is integrated with automatically resolved steps
     (or ``steps``, an integer >= 1 which must resolve the largest K), the
@@ -386,35 +384,33 @@ def intertwining_defect(bundle: TimeDependentBundle, t: float, k_grid,
     grows.  The horizon ``t`` must be finite and >= 0; the step count is
     raised to a multiple of ``samples``.
 
-    The work shared by the couplings is done once per path: the probe
-    norms of the step plans, and one batched decomposition of ``H_meas``
-    at all checkpoints (:func:`_sector_path`).
+    The couplings share the probe norms, the sector path and one pass over
+    the checkpoints in chunks of at most ``_STACK_BYTES`` of projectors: each
+    chunk's stack is formed once, and every K's integration advances through
+    it before the next.  Of several failing couplings, the first failure met
+    in chunk order raises.
     """
     ks = [float(_number(k, "coupling strengths must be >= 0", 0)) for k in k_grid]
     if not ks:
         raise ValidationError("coupling grid must not be empty")
-    bundles = [bundle.with_coupling(k) for k in ks]
     plans = _step_plan(bundle, t, ks, steps, samples, resolve=True)
     sector_path = _sector_path(bundle, np.linspace(0.0, t, samples + 1))
+    runs = [_midpoint_checkpoints(bundle.with_coupling(k), t, n, samples)
+            for k, n in zip(ks, plans)]
 
-    # the checkpoint projectors stacked once per path, (checkpoint, sector, d, d),
-    # in chunks of at most _STACK_BYTES (37 checkpoints at d = 3 with three sectors)
     sectors0 = sector_path[0]
-    p0 = np.array([p.matrix for p in sectors0.projectors])
-    rho0 = np.array([p.matrix / p.rank for p in sectors0.projectors])
-    per = max(1, _STACK_BYTES // p0.nbytes)
-    path = [np.array([[p.matrix for p in here.projectors] for here in sector_path[i:i + per]])
-            for i in range(1, samples + 1, per)]
-    reports = []
-    for bk, nsteps in zip(bundles, plans):
-        defect = drift = np.zeros(len(sectors0))
-        checkpoints = _midpoint_checkpoints(bk, t, nsteps, samples)
-        for pt in path:
-            u = np.array(list(islice(checkpoints, len(pt))))[:, None]      # (checkpoint, 1, d, d)
+    p0 = np.array([_projector_matrix(p) for p in sectors0.projectors])
+    rho0 = np.array([m / p.rank for m, p in zip(p0, sectors0.projectors)])
+    per = max(1, _STACK_BYTES // p0.nbytes)     # 37 checkpoints at d = 3 with three sectors
+    worst = np.zeros((len(ks), 2, len(sectors0)))      # defect and drift per K and sector
+    for i in range(1, samples + 1, per):
+        pt = np.array([[_projector_matrix(p) for p in here.projectors]
+                       for here in sector_path[i:i + per]])
+        for run, w in zip(runs, worst):
+            u = np.array(list(islice(run, len(pt))))[:, None]      # (checkpoint, 1, d, d)
             norms = np.linalg.norm(u @ p0 - pt @ u, 2, axis=(2, 3))
             pop = np.trace(pt @ u @ rho0 @ u.conj().swapaxes(2, 3), axis1=2, axis2=3).real
-            defect = np.maximum(defect, norms.max(axis=0))
-            drift = np.maximum(drift, np.abs(pop - 1.0).max(axis=0))
-        reports.append(TransportReport(bk.coupling, tuple(map(
-            SectorTransport, [s.eigenvalue for s in sectors0], defect.tolist(), drift.tolist()))))
-    return reports
+            np.maximum(w, [norms.max(axis=0), np.abs(pop - 1.0).max(axis=0)], out=w)
+    eigenvalues = [s.eigenvalue for s in sectors0]
+    return [TransportReport(k, tuple(map(SectorTransport, eigenvalues, *w.tolist())))
+            for k, w in zip(ks, worst)]

@@ -286,9 +286,8 @@ class Projector:
     def __getattr__(self, name):    # the first read of a basis-held projector's matrix
         if name != "matrix" or "basis" not in self.__dict__:
             raise AttributeError(name)
-        m = self.basis @ self.basis.conj().T
+        m = self.__dict__["matrix"] = _projector_matrix(self)
         m.setflags(write=False)
-        self.__dict__["matrix"] = m
         return m
 
     @property
@@ -316,6 +315,11 @@ class Projector:
 
     def __rmatmul__(self, other):
         return as_matrix(other) @ self.matrix
+
+
+def _projector_matrix(p: Projector) -> np.ndarray:
+    """``p.matrix`` bit for bit, ``fl(Q Q^dag)`` of a basis-held ``p`` not cached on it."""
+    return p.__dict__["matrix"] if "matrix" in p.__dict__ else p.basis @ p.basis.conj().T
 
 
 def _eigh_projector(cols: np.ndarray) -> Projector:

@@ -46,6 +46,7 @@ GRIDS = "tests/test_sweep_grids.py::"
 OPS = "tests/test_operators.py::"
 PERT = "tests/test_continuous.py::"
 GOLDEN = "tests/test_golden.py::"
+ADIA = "tests/test_adiabatic.py::"
 BOUNDARY = "tests/test_public_boundary.py::test_a_bad_argument_raises_a_zeno_error["
 
 FAULTS = [
@@ -123,6 +124,22 @@ FAULTS = [
           "_CONTRACTION_SLACK = 1e-12",
           "_CONTRACTION_SLACK = 1e-3",
           (GRIDS + "test_power_blocks_refuse_a_gain_at_the_first_monitor",)),
+    # sector transport
+    Fault("chunk stack read through the caching Projector.matrix",
+          "src/zenosim/adiabatic.py",
+          "pt = np.array([[_projector_matrix(p) for p in here.projectors]",
+          "pt = np.array([[p.matrix for p in here.projectors]",
+          (GRIDS + "test_intertwining_defect_holds_one_chunk_of_projectors",)),
+    Fault("every coupling measured on the first coupling's run",
+          "src/zenosim/adiabatic.py",
+          "_midpoint_checkpoints(bundle.with_coupling(k), t, n, samples)",
+          "_midpoint_checkpoints(bundle.with_coupling(ks[0]), t, plans[0], samples)",
+          (ADIA + "test_chunked_checkpoints_give_the_per_checkpoint_reports",)),
+    Fault("integrator drops the factor K on the sampled h_meas",
+          "src/zenosim/adiabatic.py",
+          'gens = _sampled(bundle, "h", ts) + bundle.coupling * _sampled(bundle, "h_meas", ts)',
+          'gens = _sampled(bundle, "h", ts) + _sampled(bundle, "h_meas", ts)',
+          (ADIA + "test_batched_steps_are_the_per_step_loop",)),
     # sectors
     Fault("tracking floor 0.05",
           "src/zenosim/adiabatic.py",

@@ -2,6 +2,9 @@
 ValidationError (exit 1), every uncertified sector as exit 2, never as a
 traceback."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -9,6 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from zenosim import (
     DensityMatrix,
+    Operator,
+    Sector,
+    SectorDecomposition,
     ValidationError,
     basis_projector,
     constant_bundle,
@@ -16,13 +22,26 @@ from zenosim import (
     intertwining_defect,
     load_matrix,
     nonselective_evolve,
+    projector_from_columns,
     propagate_td,
     pulsed_propagator,
+    rotating_bundle,
     save_matrix,
     three_level,
+    zeno_time,
+    zeno_time_fitted,
 )
 from zenosim.cli import main
-from zenosim.scenario import MODEL_KINDS, TASKS, Scenario, parse_scenario, read_result_csv
+from zenosim.fitting import loglog_fit
+from zenosim.scenario import (
+    MODEL_KINDS,
+    TASKS,
+    ResultSeries,
+    Scenario,
+    export_csv,
+    parse_scenario,
+    read_result_csv,
+)
 
 SURVIVAL = """
 model: {kind: three_level, params: {omega: 1.0, K: 10.0}}
@@ -271,3 +290,98 @@ def test_random_bytes_parse_or_raise_validation_error(data):
 def test_known_boundary_failures_are_validation_errors(data):
     with pytest.raises(ValidationError):
         parse_scenario(data)
+
+
+# --------------------------------------------------------------------------
+# one row per boundary no other test reaches: each call raises its
+# ValidationError (a str row, the message) or returns a value the row checks
+
+A, B = np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 1.0, 2.0])
+P = basis_projector(3, 0, 2)
+RHO = DensityMatrix.pure(np.eye(3)[1])
+
+
+def _file(tmp_path, text, name="f.txt"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def _exit_message(capsys, args):
+    code = main(args)
+    return code, capsys.readouterr().err
+
+
+UNREACHED = {
+    "Operator @ Operator": (lambda tmp, cap: Operator(A) @ Operator(B),
+                            lambda got: np.array_equal(got, A @ B)),
+    "list @ Operator": (lambda tmp, cap: A.tolist() @ Operator(B),
+                        lambda got: np.array_equal(got, A @ B)),
+    "asarray of a Projector": (lambda tmp, cap: np.asarray(P),
+                               lambda got: np.array_equal(got, np.diag([1, 0, 1]))),
+    "Projector @ Projector": (lambda tmp, cap: P @ basis_projector(3, 2),
+                              lambda got: np.array_equal(got, np.diag([0, 0, 1]))),
+    "list @ Projector": (lambda tmp, cap: A.tolist() @ P,
+                         lambda got: np.array_equal(got, np.diag([1, 0, 3]))),
+    "asarray of a DensityMatrix": (lambda tmp, cap: np.asarray(RHO),
+                                   lambda got: np.array_equal(got, np.diag([0, 1, 0]))),
+    "projector of zero columns": (lambda tmp, cap: projector_from_columns(np.zeros((3, 0))),
+                                  "cannot build a projector from zero columns"),
+    "sector of another dimension": (
+        lambda tmp, cap: SectorDecomposition((Sector(1.0, basis_projector(2, 0)),), 1e-9, 3),
+        "sector projector dimension mismatch"),
+    "empty matrix file": (lambda tmp, cap: load_matrix(_file(tmp, " \n\n")), "empty matrix file"),
+    "matrix file dimension x": (lambda tmp, cap: load_matrix(_file(tmp, "dim x\n")),
+                                "dimension is not an integer"),
+    "matrix file dimension 0": (lambda tmp, cap: load_matrix(_file(tmp, "dim 0\n")),
+                                "dimension must be >= 1"),
+    "zeno_time of a non-Hermitian matrix": (
+        lambda tmp, cap: zeno_time(JORDAN, [1.0, 0.0]),
+        "the quadratic decay scale requires a Hermitian Hamiltonian"),
+    "zeno_time_fitted of a zero Hamiltonian": (
+        lambda tmp, cap: zeno_time_fitted(np.zeros((2, 2)), [1.0, 0.0]),
+        lambda got: got == math.inf),
+    "zeno_time_fitted of an eigenstate": (lambda tmp, cap: zeno_time_fitted(A, [0.0, 1.0, 0.0]),
+                                          lambda got: got == math.inf),
+    "rotating_bundle of a non-Hermitian generator": (
+        lambda tmp, cap: rotating_bundle(A, B, np.triu(np.ones((3, 3))), 0.1, 1.0),
+        "rotation generator must be Hermitian"),
+    "loglog_fit of a zero": (lambda tmp, cap: loglog_fit([1, 2], [0, 1]),
+                             "log-log fit requires strictly positive data"),
+    "column of another name": (
+        lambda tmp, cap: ResultSeries(("a",), ([1.0],), {}).column("b"), "no column named 'b'"),
+    "empty K sweep": (lambda tmp, cap: parse_scenario(SURVIVAL + "sweep: {K: []}\n"),
+                      "sweep.K: must be a non-empty list"),
+    "amplitude of three parts": (
+        lambda tmp, cap: parse_scenario(SURVIVAL + "initial_state: [[1, 0, 0]]\n"),
+        "initial_state[0]: expected [re, im]"),
+    "rotation about one level": (
+        lambda tmp, cap: parse_scenario(SURVIVAL + "rotation: {levels: [2, 2]}\n"),
+        "expected two distinct 1-based level indices"),
+    "CSV into a missing directory": (
+        lambda tmp, cap: export_csv(ResultSeries(("a",), ([1.0],), {}), tmp / "no" / "o.csv"),
+        "cannot write"),
+    "missing CSV": (lambda tmp, cap: read_result_csv(tmp / "absent.csv"), "cannot read"),
+    "CSV of metadata only": (lambda tmp, cap: read_result_csv(_file(tmp, "# a: 1\n", "m.csv")),
+                             "no header row"),
+    "--params without =": (
+        lambda tmp, cap: _exit_message(cap, ["sectors", "--model", "three_level",
+                                             "--params", "K"]),
+        lambda got: got[0] == 1 and "--params: expected k=v" in got[1]),
+    "run without an output path": (
+        lambda tmp, cap: _exit_message(cap, ["run", str(_file(tmp, SURVIVAL, "s.yaml"))]),
+        lambda got: got[0] == 1 and "no output path" in got[1]),
+    "sectors of no coupling": (
+        lambda tmp, cap: _exit_message(cap, ["sectors"]),
+        lambda got: got[0] == 1 and "pass exactly one of --model or --matrix-file" in got[1]),
+}
+
+
+@pytest.mark.parametrize("name", UNREACHED)
+def test_each_boundary_raises_its_message_or_returns_its_value(tmp_path, capsys, name):
+    call, outcome = UNREACHED[name]
+    if isinstance(outcome, str):
+        with pytest.raises(ValidationError, match=re.escape(outcome)):
+            call(tmp_path, capsys)
+    else:
+        assert outcome(call(tmp_path, capsys))

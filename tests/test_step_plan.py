@@ -99,8 +99,12 @@ def test_probe_times_are_evaluated_once_per_grid(monkeypatch):
                         lambda *a: norms.append(1) or real_norms(*a))
     intertwining_defect(bundle(), 1.0, GRID, samples=5)
     assert norms == [1]
-    # the nine probe times of h and h_meas, then the six checkpoints of h_meas
-    assert sampled == [("h", 9), ("h_meas", 9), ("h_meas", 6)]
+    # the nine probe times of h and h_meas, then the six checkpoints of h_meas,
+    # then the integrator's chunks, each sampling h and h_meas at its midpoints
+    assert sampled[:3] == [("h", 9), ("h_meas", 9), ("h_meas", 6)]
+    chunks = sampled[3:]
+    assert chunks and chunks[::2] == [("h", n) for _, n in chunks[1::2]]
+    assert chunks[1::2] == [("h_meas", n) for _, n in chunks[::2]]
 
 
 def test_grid_plans_are_the_per_coupling_plans():

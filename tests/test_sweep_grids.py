@@ -754,6 +754,37 @@ def test_sector_path_forms_no_projector_products():
     assert peak <= 8 * 2**20            # one pair of dense projector stacks took 85 MiB
 
 
+def test_intertwining_defect_holds_one_chunk_of_projectors():
+    rng = np.random.default_rng(11)
+    d = 40
+    bundle = zenosim.rotating_bundle(random_hermitian(rng, d), random_hermitian(rng, d),
+                                     random_hermitian(rng, d), 0.05, 1.0)
+    tracemalloc.start()
+    try:
+        reports = zenosim.intertwining_defect(bundle, 1.0, [1.0, 2.0], samples=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(r.sectors) for r in reports] == [d, d]
+    assert peak <= 10 * 2**20           # every checkpoint projector held twice took 85 MiB
+
+
+def test_uncached_projector_matrix_is_the_cached_one():
+    [p, _] = eig(as_operator(np.diag([1.0, 1.0, 2.0]))).projectors
+    m = operators._projector_matrix(p)
+    assert "matrix" not in p.__dict__
+    assert np.array_equal(m, p.matrix) and operators._projector_matrix(p) is p.matrix
+
+
+def test_a_bundle_changing_shape_between_probes_and_midpoints_is_refused():
+    m = three_level(1.0, 1.0)
+    hm, probes = m.h_meas.matrix, set(np.linspace(0.0, 1.0, 9).tolist())
+    bundle = TimeDependentBundle(lambda t: m.h.matrix, coupling=1.0,
+                                 h_meas=lambda t: hm if t in probes else hm[:, :2])
+    with pytest.raises(ValidationError, match=r"^expected a square matrix, got shape \(3, 2\)$"):
+        propagate_td(bundle, 1.0, 20)
+
+
 def test_tracking_refuses_two_sectors_following_one():
     eta = np.diag([1.0, 2.0, 3.0])
     u = _rotation(0, 1, 0.7) @ _rotation(1, 2, 0.7)
