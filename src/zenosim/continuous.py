@@ -31,6 +31,7 @@ from .operators import (
     _number,
     _sector_blocks,
     _sector_columns,
+    _snorm,
     as_operator,
     block_diagonal_part,
     cluster_values,
@@ -148,7 +149,7 @@ def nonadiabatic_defect(hk: CoupledHamiltonian, t: float,
 def _defect_sweep(hk: CoupledHamiltonian, t: float, couplings,
                   sectors: SectorDecomposition | None) -> list[float]:
     """:func:`nonadiabatic_defect` of ``hk`` at each coupling K in ``couplings``."""
-    return [snorm(exact_propagator(hk.with_coupling(k), t).matrix - limit)
+    return [_snorm(exact_propagator(hk.with_coupling(k), t).matrix - limit)
             for k, limit in zip(couplings, _zeno_limits(hk, t, couplings, sectors))]
 
 

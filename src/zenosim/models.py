@@ -93,7 +93,7 @@ def three_level_survival(omega: float, coupling: float, t):
 
     ``p0(t) = (K^2 + omega^2 cos(K1 t))^2 / K1^4`` with
     ``K1 = sqrt(K^2 + omega^2)``; tends to one as K grows at fixed t.
-    Accepts a scalar or an array of times.
+    Accepts a scalar or an array of finite real times.
     """
     _rates(omega, coupling)
     k2 = coupling * coupling
@@ -102,7 +102,12 @@ def three_level_survival(omega: float, coupling: float, t):
     if k1sq == 0:
         raise ValidationError("survival formula undefined for omega = K = 0")
     k1 = math.sqrt(k1sq)
-    t = np.asarray(t, dtype=float)
+    try:
+        t = np.asarray(t)
+    except ValueError as exc:           # a ragged nesting
+        raise ValidationError(f"times must be finite real numbers ({exc})") from None
+    if t.dtype.kind not in "iuf" or not np.isfinite(t).all():
+        raise ValidationError("times must be finite real numbers")
     p = (k2 + o2 * np.cos(k1 * t)) ** 2 / (k1sq * k1sq)
     return float(p) if p.ndim == 0 else p
 

@@ -80,8 +80,13 @@ _COMPLEX = (*_REAL, complex, np.complexfloating)
 
 
 def snorm(a) -> float:
-    """Spectral norm (largest singular value)."""
-    return float(np.linalg.norm(as_matrix(a), 2))
+    """Spectral norm (largest singular value) of a finite matrix."""
+    return _snorm(_finite_matrix(a))
+
+
+def _snorm(m: np.ndarray) -> float:
+    """Spectral norm of a computed array: NaN ends in numpy's ``LinAlgError``, Inf gives NaN."""
+    return float(np.linalg.norm(m, 2))
 
 
 def fnorm(a) -> float:
@@ -95,6 +100,11 @@ def as_matrix(a) -> np.ndarray:
     if isinstance(a, (Operator, Projector, DensityMatrix)):
         return a.matrix
     return _array(a, "expected a square matrix, got shape {}")
+
+
+def _finite_matrix(a) -> np.ndarray:
+    """:func:`as_matrix` of an argument, refused when it holds NaN or Inf entries."""
+    return _array(as_matrix(a), "expected a square matrix, got shape {}", finite="matrix")
 
 
 def _number(x, message: str, low: float = -math.inf, strict=False, complex_ok=False):
@@ -176,10 +186,11 @@ def _overflow_scale(m: np.ndarray) -> float:
 
 def _norm_exceeds(r: np.ndarray, bound: float) -> bool:
     """``snorm(r) > bound``; a Frobenius norm within the bound settles it
-    without an SVD."""
-    if fnorm(r) * (1 + _ROUNDING) <= bound:
+    without an SVD, and one that is not finite exceeds it."""
+    f = fnorm(r)
+    if f * (1 + _ROUNDING) <= bound:
         return False
-    return snorm(r) > bound
+    return not math.isfinite(f) or snorm(r) > bound
 
 
 def _hermitian_deviation(m: np.ndarray):
@@ -687,7 +698,8 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
         condition = float(np.linalg.cond(vr[:, idx]))
         if condition <= DEFAULT_MAX_SECTOR_CONDITION:
             vr_inv = np.linalg.inv(vr) if vr_inv is None else vr_inv
-            condition = snorm(vr[:, idx] @ vr_inv[idx, :])
+            product = vr[:, idx] @ vr_inv[idx, :]      # an overflowed one is unbounded
+            condition = snorm(product) if np.isfinite(product).all() else math.inf
         if condition > DEFAULT_MAX_SECTOR_CONDITION:
             dropped.append((eta, condition))
             continue
@@ -794,7 +806,7 @@ def _sector_columns(basis: np.ndarray, sizes, blocks, t=None,
 def offblock_norm(a, sectors: SectorDecomposition) -> float:
     """Frobenius norm of the part of ``a`` outside the sector blocks,
     ``||A - sum_n P_n A P_n||_F``.  Zero iff ``a`` is block diagonal."""
-    m = as_matrix(a)
+    m = _finite_matrix(a)
     return fnorm(m - block_diagonal_part(m, sectors))
 
 
@@ -813,8 +825,8 @@ def block_diagonal_part(a, sectors: SectorDecomposition) -> np.ndarray:
 
 
 def save_matrix(path, a) -> None:
-    """Write a matrix literal file."""
-    m = as_matrix(a)
+    """Write a matrix literal file of a finite matrix."""
+    m = _finite_matrix(a)
     d = m.shape[0]
     try:
         with open(path, "w", encoding="ascii") as fh:

@@ -15,6 +15,10 @@ per numpy call (:func:`pulsed_propagator`, :func:`nonselective_evolve`).
 Both limits come from the sector blocks ``Q_n exp(-i Q_n^dag H Q_n t)`` of
 ``operators._sector_columns``, as the continuous limit does.
 
+The survival amplitude ``<a| exp(-i H t) |a>`` of a time grid comes from one
+diagonalization (:func:`_survival_amplitudes`) for every pure-state caller;
+:func:`survival_probability` serves mixed states and any projector.
+
 Units have hbar = 1 throughout; rates and frequencies are inverse time.
 """
 
@@ -43,6 +47,7 @@ from .operators import (
     _rank_groups,
     _sector_blocks,
     _sector_columns,
+    _snorm,
     _state_vector,
     _within_scaled,
     as_matrix,
@@ -141,11 +146,11 @@ def _pulsed_errors(h, p: Projector, ns, t: float) -> list[float]:
     cores = list(_selective_cores(hop, p, ns, t))
     limit = _sector_columns(np.eye(p.rank), [p.rank],
                             _sector_blocks(p.basis, [p.rank], hop.matrix), t, hermitian=True)
-    return [snorm(v - limit) for v in cores]
+    return [_snorm(v - limit) for v in cores]
 
 
 def _enforce_contraction(v: np.ndarray, dim: int) -> np.ndarray:
-    s = snorm(v)
+    s = _snorm(v)
     if s > 1.0 + _CONTRACTION_SLACK * dim:
         raise NumericalError(f"pulsed chain lost contractivity (norm {s:.15g})")
     if s > 1.0:
@@ -174,17 +179,13 @@ def survival_probability(rho0: DensityMatrix, v, p: Projector) -> float:
     rho, proj, v = rho0.matrix, p.matrix, as_matrix(v)
     _check_dimension(v, p.dim)
     _check_dimension(rho, p.dim)
-    _check_support(rho, proj)
-    w = proj @ v @ proj
-    return float(_probability((w @ rho @ w.conj().T).trace().real))
-
-
-def _check_support(rho: np.ndarray, proj: np.ndarray) -> None:
     resid = rho - proj @ rho @ proj
     # ||resid||_2 <= ||resid||_F settles nearly every call at the floor, without an SVD
     bound = fnorm(resid) * (1 + _ROUNDING)
     if not _within_scaled(bound if bound <= 1e-10 else snorm(resid), rho, 1e-10):
         raise ValidationError("initial state is not supported in the measured subspace")
+    w = proj @ v @ proj
+    return float(_probability((w @ rho @ w.conj().T).trace().real))
 
 
 def _probability(prob) -> np.ndarray:
@@ -197,35 +198,21 @@ def _probability(prob) -> np.ndarray:
     return np.where(prob > 0.0, np.minimum(prob, 1.0), 0.0)    # -0.0 clips to 0.0
 
 
-def _survival_grid(h: Operator, ts: np.ndarray, rho0: DensityMatrix,
-                   p: Projector) -> list[float]:
-    """``survival_probability(rho0, expm(h, t), p)`` for every t in ``ts``.
-
-    With ``P = Q Q^dag`` and ``rho0 = Q s Q^dag`` the survival is
-    ``Tr[A s A^dag]`` for the ``rank x rank`` amplitude ``A = Q^dag U Q``.
-    A Hermitian ``h = V diag(w) V^dag`` is diagonalized once and gives
-    ``A(t) = (Q^dag V) e^{-i w t} (V^dag Q)`` for the whole grid; other
-    generators take one Pade exponential per sample.  The support check
-    runs once, the [0, 1] range check on all values in one pass.
-    """
-    _check_support(rho0.matrix, p.matrix)
-    q = p.basis
-    s = q.conj().T @ rho0.matrix @ q
+def _survival_amplitudes(h: Operator, v: np.ndarray, ts) -> np.ndarray:
+    """``<v| exp(-i h t) |v>`` for every t in ``ts``: ``sum_k e^{-i w_k t} |(V^dag v)_k|^2``
+    from the kept ``eigh`` of a Hermitian ``h``, else one Pade exponential per t."""
     if h.hermitian:
         w, vecs = h._eigh
-        left, right = q.conj().T @ vecs, vecs.conj().T @ q
-        amps = np.einsum("ik,tk,kj->tij", left, np.exp(-1j * np.multiply.outer(ts, w)), right)
-    else:
-        amps = np.array([q.conj().T @ expm(h, t).matrix @ q for t in ts])
-    probs = np.einsum("tij,jk,tik->t", amps, s, amps.conj()).real
-    return _probability(probs).tolist()
+        return np.exp(-1j * np.multiply.outer(ts, w)) @ np.abs(vecs.conj().T @ v) ** 2
+    return np.array([np.vdot(v, expm(h, t).matrix @ v) for t in ts])
 
 
 def survival_amplitude(h, a, tau: float) -> complex:
     """Undisturbed amplitude ``<a| exp(-i H tau) |a>``."""
-    u = expm(h, tau).matrix
-    v = _state_vector(a, u.shape[0])
-    return complex(np.vdot(v, u @ v))
+    hop = as_operator(h)
+    _number(tau, "time scale must be finite", complex_ok=True)
+    [amp] = _survival_amplitudes(hop, _state_vector(a, hop.dim), [tau])
+    return complex(amp)
 
 
 def effective_rate(h, a, tau: float) -> EffectiveRate:
@@ -249,7 +236,8 @@ def effective_rate_from_amplitude(amplitude: Callable[[float], complex],
     can stay finite or diverge) be pushed through the same definitions.
     """
     _number(tau, "measurement interval must be positive", 0, strict=True)
-    return _rate_from_amplitude(complex(amplitude(tau)), tau, clip=False)
+    amp = _number(amplitude(tau), "amplitude must be a finite number, got {!r}", complex_ok=True)
+    return _rate_from_amplitude(complex(amp), tau, clip=False)
 
 
 def _rate_from_amplitude(amp: complex, tau: float, clip: bool) -> EffectiveRate:
@@ -296,7 +284,7 @@ def zeno_time_fitted(h, a, tau0: float | None = None, points: int = 5) -> float:
     """
     _count(points, "points must be an integer >= 2, got {!r}", 2)
     hop = as_operator(h)
-    _state_vector(a, hop.dim)
+    v = _state_vector(a, hop.dim)
     if tau0 is None:
         nrm = snorm(hop)
         if nrm == 0:
@@ -304,8 +292,7 @@ def zeno_time_fitted(h, a, tau0: float | None = None, points: int = 5) -> float:
         tau0 = 0.01 / nrm
     _number(tau0, "tau0 must be a finite number > 0, got {!r}", 0, strict=True)
     taus = tau0 * 0.5 ** np.arange(points)
-    deficits = np.array([max(1.0 - abs(survival_amplitude(hop, a, tau)) ** 2, 0.0)
-                         for tau in taus])
+    deficits = np.maximum(1.0 - np.abs(_survival_amplitudes(hop, v, taus)) ** 2, 0.0)
     if np.any(deficits <= 0):
         return math.inf
     _, intercept = loglog_fit(taus, deficits)

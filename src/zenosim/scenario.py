@@ -38,18 +38,8 @@ from .models import (
     three_level,
     three_level_survival,
 )
-from .operators import (
-    DensityMatrix,
-    Operator,
-    _cluster_tol,
-    load_matrix,
-    projector_from_columns,
-)
-from .pulsed import (
-    _nonselective_grid,
-    _pulsed_errors,
-    _survival_grid,
-)
+from .operators import DensityMatrix, Operator, _cluster_tol, load_matrix
+from .pulsed import _nonselective_grid, _probability, _pulsed_errors, _survival_amplitudes
 
 _DEFAULT_T_MAX = 10.0
 _DEFAULT_SAMPLES = 1001
@@ -438,6 +428,9 @@ def _initial_vector(s: Scenario, dim: int, uniform: bool = False) -> np.ndarray:
     else:
         v = np.zeros(dim, dtype=complex)
         v[0] = 1.0
+    # scaled by its largest |re| or |im| first (as reals: a complex division overflows 1/tiny)
+    parts = v.view(float)
+    v = (parts / np.abs(parts).max()).view(complex)
     return v / np.linalg.norm(v)
 
 
@@ -485,11 +478,9 @@ def _with_slope(columns, values, md) -> ResultSeries:
 
 def _survival(s, hk, cluster_tol, md) -> ResultSeries:
     ts = np.linspace(0.0, s.t_max, s.samples)
-    v0 = _initial_vector(s, hk.dim)
-    rho0 = DensityMatrix.pure(v0)
-    proj = projector_from_columns(v0)
+    amplitudes = _survival_amplitudes(hk.total(), _initial_vector(s, hk.dim), ts)
     columns = ("t", "p0")
-    values = [ts, _survival_grid(hk.total(), ts, rho0, proj)]
+    values = [ts, _probability(np.abs(amplitudes) ** 2)]
     if s.model_kind == "three_level" and s.initial_state is None:
         columns += ("p0_analytic",)
         values.append(three_level_survival(s.model_params["omega"],

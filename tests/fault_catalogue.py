@@ -47,6 +47,7 @@ OPS = "tests/test_operators.py::"
 PERT = "tests/test_continuous.py::"
 GOLDEN = "tests/test_golden.py::"
 ADIA = "tests/test_adiabatic.py::"
+PULSED = "tests/test_pulsed.py::"
 BOUNDARY = "tests/test_public_boundary.py::test_a_bad_argument_raises_a_zeno_error["
 
 FAULTS = [
@@ -124,6 +125,57 @@ FAULTS = [
           "_CONTRACTION_SLACK = 1e-12",
           "_CONTRACTION_SLACK = 1e-3",
           (GRIDS + "test_power_blocks_refuse_a_gain_at_the_first_monitor",)),
+    # the survival amplitude
+    Fault("survival weights not squared",
+          "src/zenosim/pulsed.py",
+          "@ np.abs(vecs.conj().T @ v) ** 2",
+          "@ np.abs(vecs.conj().T @ v)",
+          (PULSED + "test_survival_grid_matches_per_sample_oracle",)),
+    # |A|^2 cannot see a conjugated amplitude: the complex-amplitude test must
+    Fault("survival amplitude conjugated",
+          "src/zenosim/pulsed.py",
+          "return np.exp(-1j * np.multiply.outer(ts, w))",
+          "return np.exp(1j * np.multiply.outer(ts, w))",
+          (PULSED + "test_survival_amplitude_is_the_propagated_overlap",)),
+    Fault("initial state divided by its norm alone",
+          "src/zenosim/scenario.py",
+          "    parts = v.view(float)\n    v = (parts / np.abs(parts).max()).view(complex)\n",
+          "",
+          ("tests/test_scenario.py::test_huge_and_tiny_initial_states_are_normalized_exactly",)),
+    Fault("amplitude hook returns unchecked",
+          "src/zenosim/pulsed.py",
+          'amp = _number(amplitude(tau), "amplitude must be a finite number, got {!r}", '
+          "complex_ok=True)",
+          "amp = amplitude(tau)",
+          (BOUNDARY + "effective_rate_from_amplitude-amplitude-str]",)),
+    Fault("closed-form survival takes NaN times",
+          "src/zenosim/models.py",
+          'if t.dtype.kind not in "iuf" or not np.isfinite(t).all():',
+          'if t.dtype.kind not in "iuf":',
+          (BOUNDARY + "three_level_survival-t-nan]",)),
+    # computed arrays against arguments
+    Fault("snorm, offblock_norm and save_matrix take NaN",
+          "src/zenosim/operators.py",
+          'return _array(as_matrix(a), "expected a square matrix, got shape {}", finite="matrix")',
+          "return as_matrix(a)",
+          (BOUNDARY + "snorm-a-nan]", BOUNDARY + "offblock_norm-a-nan]",
+           BOUNDARY + "save_matrix-a-inf]")),
+    Fault("chain norm taken through the argument guard",
+          "src/zenosim/pulsed.py",
+          "    s = _snorm(v)\n",
+          "    s = snorm(v)\n",
+          ("tests/test_boundary.py::"
+           "test_an_overflowed_chain_exits_two_though_snorm_refuses_non_finite_arguments",)),
+    Fault("overflowed spectral projector measured through the argument guard",
+          "src/zenosim/operators.py",
+          "condition = snorm(product) if np.isfinite(product).all() else math.inf",
+          "condition = snorm(product)",
+          (OPS + "test_an_overflowed_spectral_projector_drops_its_cluster",)),
+    Fault("non-finite residual handed to the SVD",
+          "src/zenosim/operators.py",
+          "return not math.isfinite(f) or snorm(r) > bound",
+          "return snorm(r) > bound",
+          (OPS + "test_a_projector_whose_square_overflows_is_not_idempotent",)),
     # sector transport
     Fault("chunk stack read through the caching Projector.matrix",
           "src/zenosim/adiabatic.py",

@@ -205,6 +205,19 @@ def test_overflowed_results_exit_two(tmp_path, capsys, model, t_max, message):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowed_chain_exits_two_though_snorm_refuses_non_finite_arguments(
+        tmp_path, capsys):
+    # the chain's norm is taken of a computed NaN array, which is no malformed argument
+    scn = tmp_path / "s.yaml"
+    scn.write_text("model: {kind: three_level, params: {omega: 1e300, K: 1e300}}\n"
+                   "task: sweep-N\nsweep: {N: [4]}\ntime: {t_max: 1e300}\n")
+    out = tmp_path / "out.csv"
+    assert main(["run", str(scn), "--out", str(out)]) == 2
+    assert "numerical error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diagonalizable_matrix_file_still_exits_zero(tmp_path):
     save_matrix(tmp_path / "hm.txt", three_level(1.0, 1.0).h_meas)
     assert main(["sectors", "--matrix-file", str(tmp_path / "hm.txt")]) == 0

@@ -353,6 +353,21 @@ def test_defective_eigenvalues_are_dropped_not_certified(coupling):
         assert eta == 0 and condition > operators.DEFAULT_MAX_SECTOR_CONDITION
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowed_spectral_projector_drops_its_cluster(monkeypatch):
+    # the product V[:, idx] V^-1[idx, :] is a computed array: unbounded, not a bad argument
+    monkeypatch.setattr(np.linalg, "inv", lambda a: np.full(a.shape, np.inf, dtype=complex))
+    dec = eig(as_operator(np.array([[0, 1], [0, 2]], dtype=complex)))
+    assert len(dec) == 0 and not dec.complete
+    assert [condition for _, condition in dec.dropped] == [math.inf, math.inf]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_projector_whose_square_overflows_is_not_idempotent():
+    with pytest.raises(ValidationError, match="^projector is not idempotent$"):
+        Projector(np.full((2, 2), 1e200), rank=1)
+
+
 # --------------------------------------------------------------------------
 # offblock_norm
 

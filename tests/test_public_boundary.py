@@ -7,7 +7,8 @@ each kind.  Each case passes one bad value of one argument, the others
 valid, with every warning an error.  Callables, flags and records passed
 as arguments (a bundle's ``h``, ``project_final``, a ``CoupledHamiltonian``)
 have no kind, except a record whose dimension must match (a projector, a
-state, a decomposition) and ``constant_bundle``'s only argument.
+state, a decomposition), ``constant_bundle``'s only argument and the
+amplitude callable, whose bad values each return a bad number.
 ``test_the_table_covers_the_public_api`` fails on a public callable with no
 row that is not in ``RECORDS``.
 """
@@ -77,6 +78,7 @@ INTEGER = {"bool": True, "half": 2.5, "float": 2.0, "str": "3", "none": None}
 MATRIX = {"str": "x", "none": None, "vector": np.ones(3), "stack": np.ones((2, 2, 2)),
           "nonsquare": [[1, 2]], "ragged": [[1], [1, 2]], "overflow": [[10 ** 400]]}
 OPERATOR = {**MATRIX, "nan": np.full((3, 3), NAN), "inf": np.diag([INF, 0, 0])}
+AMPLITUDE = {**NUMBER, "complex-nan": complex(NAN, 0), "complex-inf": complex(1, INF)}
 
 # the bad values of each argument kind; the models of the table have d = 3 (cavity: 27)
 BAD = {
@@ -110,6 +112,10 @@ BAD = {
     "rotation": {"unknown": "spin", "none": None},
     "path": {"none": None, "missing": "no/such/dir/m.txt"},
     "coupled": {"str": "x", "none": None},
+    "times": {"str": "x", "none": None, "bool": True, "complex": 1j, "nan": NAN, "inf": INF,
+              "overflow": 10 ** 400, "nan-entry": [0.0, NAN], "ragged": [[1], [1, 2]]},
+    # amplitude callables, each returning one bad value
+    "amplitude": {label: (lambda tau, value=value: value) for label, value in AMPLITUDE.items()},
 }
 
 
@@ -153,10 +159,10 @@ TABLE = [
     Row("eig", eig, dict(a=HK.h_meas, cluster_tol=None), dict(a="operator", cluster_tol="tol")),
     Row("expm", expm, dict(a=H, t=0.1), dict(a="operator", t="time")),
     Row("load_matrix", load_matrix, dict(path=MATRIX_FILE), dict(path="path")),
-    Row("save_matrix", save_matrix, dict(path=os.devnull, a=H), dict(path="path", a="matrix")),
-    Row("snorm", snorm, dict(a=H.matrix), dict(a="matrix")),
+    Row("save_matrix", save_matrix, dict(path=os.devnull, a=H), dict(path="path", a="operator")),
+    Row("snorm", snorm, dict(a=H.matrix), dict(a="operator")),
     Row("offblock_norm", offblock_norm, dict(a=H.matrix, sectors=SECTORS),
-        dict(a="matrix_d", sectors="sectors_d")),
+        dict(a="operator_d", sectors="sectors_d")),
     Row("projector_from_columns", projector_from_columns, dict(columns=[1, 0, 0]),
         dict(columns="columns")),
     # pulsed
@@ -171,7 +177,7 @@ TABLE = [
     Row("effective_rate", effective_rate, dict(h=H, a=[1, 0, 0], tau=0.1),
         dict(h="operator_d", a="vector_d", tau="positive")),
     Row("effective_rate_from_amplitude", effective_rate_from_amplitude,
-        dict(amplitude=lambda tau: 0.9, tau=0.1), dict(tau="positive")),
+        dict(amplitude=lambda tau: 0.9, tau=0.1), dict(amplitude="amplitude", tau="positive")),
     Row("zeno_time", zeno_time, dict(h=H, a=[1, 0, 0]), dict(h="operator_d", a="vector_d")),
     Row("zeno_time_fitted", zeno_time_fitted, dict(h=H, a=[1, 0, 0], tau0=None, points=3),
         dict(h="operator_d", a="vector_d", tau0="positive?", points="count2")),
@@ -225,7 +231,7 @@ TABLE = [
     Row("three_level", three_level, dict(omega=1.0, coupling=2.0),
         dict(omega="nonneg", coupling="nonneg")),
     Row("three_level_survival", three_level_survival, dict(omega=1.0, coupling=2.0, t=0.5),
-        dict(omega="nonneg", coupling="nonneg")),
+        dict(omega="nonneg", coupling="nonneg", t="times")),
     Row("four_level", four_level, dict(omega=1.0, k_inner=2.0, k_outer=3.0),
         dict(omega="nonneg", k_inner="nonneg", k_outer="nonneg")),
     Row("FourLevelModel", FourLevelModel, dict(omega=1.0, k_inner=2.0, k_outer=3.0),

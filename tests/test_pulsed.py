@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from zenosim import (
     CoupledHamiltonian,
     DensityMatrix,
     NumericalError,
-    Operator,
+    Projector,
     ValidationError,
     as_operator,
     basis_projector,
@@ -33,7 +34,9 @@ from zenosim import (
     zeno_time_fitted,
 )
 from zenosim.fitting import loglog_fit, loglog_slope
-from zenosim.pulsed import _probability, _survival_grid
+from zenosim.cli import main
+from zenosim.pulsed import _probability, _survival_amplitudes
+from zenosim.scenario import load_scenario, read_result_csv, run
 
 from conftest import random_hermitian
 
@@ -529,14 +532,21 @@ def test_survival_grid_matches_per_sample_oracle(problem, k, samples, data):
     hm = sum(s.eigenvalue.real * s.projector.matrix for s in sectors)
     hk = CoupledHamiltonian(as_operator(h), as_operator(hm), k)
     ts = np.linspace(0.0, data.draw(st.floats(0.1, 10.0)), samples)
-    if data.draw(st.booleans()):
-        rho0, p = DensityMatrix.pure(psi), projector_from_columns(psi.reshape(-1, 1))
-    else:  # a mixed state inside a higher-rank subspace
-        s = sectors.sectors[data.draw(st.integers(0, len(sectors) - 1))]
-        rho0, p = DensityMatrix(s.projector.matrix / s.multiplicity), s.projector
-    got = _survival_grid(hk.total(), ts, rho0, p)
+    got = np.abs(_survival_amplitudes(hk.total(), psi, ts)) ** 2
+    rho0, p = DensityMatrix.pure(psi), projector_from_columns(psi.reshape(-1, 1))
     want = [survival_probability(rho0, exact_propagator(hk, t), p) for t in ts]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+@ORACLE
+@given(degenerate_problems(), st.floats(0.0, 10.0), st.data())
+def test_survival_probability_of_a_mixed_state_sums_its_pure_parts(problem, t, data):
+    h, sectors, _ = problem
+    s = sectors.sectors[data.draw(st.integers(0, len(sectors) - 1))]
+    p, r, u = s.projector, s.multiplicity, expm(h, t).matrix
+    got = survival_probability(DensityMatrix(p.matrix / r), u, p)
+    # rho0 = sum_i |q_i><q_i| / r over the basis of Ran P, so p(t) = sum_i ||P U q_i||^2 / r
+    assert abs(got - np.linalg.norm(p.matrix @ u @ p.basis) ** 2 / r) <= 1e-12
 
 
 @ORACLE
@@ -548,9 +558,40 @@ def test_survival_grid_matches_oracle_for_decay_model(tau_z, gamma, k, t_max):
     v0 = np.array([1, 0, 0], dtype=complex)
     rho0, p = DensityMatrix.pure(v0), projector_from_columns(v0.reshape(-1, 1))
     ts = np.linspace(0.0, t_max, 21)
-    got = _survival_grid(hk.total(), ts, rho0, p)
+    got = np.abs(_survival_amplitudes(hk.total(), v0, ts)) ** 2
     want = [survival_probability(rho0, exact_propagator(hk, t), p) for t in ts]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+@ORACLE
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(-5.0, 5.0), st.floats(-0.2, 0.2))
+def test_survival_amplitude_is_the_propagated_overlap(d, seed, tau, damping):
+    rng = np.random.default_rng(seed)
+    for h in (as_operator(random_hermitian(rng, d)), decay_model(1.0, 2.0, 3.0).total()):
+        v = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
+        v /= np.linalg.norm(v)
+        for t in (tau, complex(tau, damping)):
+            want = np.vdot(v, expm(h, t).matrix @ v)
+            assert abs(survival_amplitude(h, v, t) - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_a_hermitian_survival_run_diagonalizes_once_and_builds_no_state(monkeypatch):
+    scenario = load_scenario(Path(__file__).resolve().parents[1] / "scenarios"
+                             / "survival_three_level.yaml")
+    calls = []
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(Projector, "__post_init__", counted("Projector", Projector.__post_init__))
+    monkeypatch.setattr(DensityMatrix, "_checked",
+                        classmethod(counted("DensityMatrix", DensityMatrix._checked.__func__)))
+    assert run(scenario).column("p0").size == 1001
+    assert calls == ["eigh"]
 
 
 def test_survival_grid_rejects_unsupported_state():
@@ -560,17 +601,22 @@ def test_survival_grid_rejects_unsupported_state():
     message = "initial state is not supported in the measured subspace"
     with pytest.raises(ValidationError, match=message):
         survival_probability(rho0, exact_propagator(hk, 0.5), p)
-    with pytest.raises(ValidationError, match=message):
-        _survival_grid(hk.total(), np.linspace(0.0, 1.0, 5), rho0, p)
 
 
-def test_survival_grid_names_the_first_sample_outside_the_range():
+def test_survival_grid_names_the_first_sample_outside_the_range(tmp_path, capsys):
     # exp(-i H t) with H = 0.5i amplifies: the survival is exp(t)
-    h, rho0, p = Operator(np.array([[0.5j]])), DensityMatrix.pure([1.0]), basis_projector(1, 0)
-    ts = np.array([0.0, 1e-13, 1e-9, 2e-9])
-    with pytest.raises(NumericalError, match=r"^survival probability 1\.000000001 outside \[0, 1\]$"):
-        _survival_grid(h, ts, rho0, p)
-    assert _survival_grid(h, ts[:2], rho0, p) == [1.0, 1.0]
+    (tmp_path / "h.txt").write_text("dim 1\n0 0 0.0 0.5\n")
+    (tmp_path / "hm.txt").write_text("dim 1\n0 0 0.0 0.0\n")
+    scenario, out = tmp_path / "s.yaml", tmp_path / "out.csv"
+    model = "model: {kind: matrix, h_file: h.txt, hmeas_file: hm.txt}\ntask: survival\n"
+    scenario.write_text(model + "time: {t_max: 2.0e-9, samples: 3}\n")
+    assert main(["run", str(scenario), "--out", str(out)]) == 2
+    assert ("numerical error: survival probability 1.000000001 outside [0, 1]"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    scenario.write_text(model + "time: {t_max: 1.0e-13, samples: 2}\n")
+    assert main(["run", str(scenario), "--out", str(out)]) == 0
+    assert read_result_csv(out).column("p0").tolist() == [1.0, 1.0]
 
 
 def test_range_check_names_the_first_nan_and_clips_roundoff():

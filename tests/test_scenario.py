@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,22 @@ def test_initial_state_dimension_checked():
     s = parse_scenario(MINIMAL + "initial_state: [1, 0]\n")
     with pytest.raises(ValidationError, match="initial_state"):
         run(s)
+
+
+@pytest.mark.parametrize("task", [
+    "task: survival\ntime: {t_max: 1.0, samples: 5}",
+    "task: sweep-N\nsweep: {N: [4, 8]}\ntime: {t_max: 1.0}",
+    "task: nonselective\nsweep: {N: [4, 8]}\ntime: {t_max: 1.0}",
+], ids=["survival", "sweep-N", "nonselective"])
+@pytest.mark.parametrize("state", ["[1.0e308, 0, 0]", "[1.0e-320, 0, 0]"])
+def test_huge_and_tiny_initial_states_are_normalized_exactly(task, state):
+    def rows(initial_state):
+        return run(parse_scenario("model: {kind: three_level, params: {omega: 1, K: 1}}\n"
+                                  f"{task}\ninitial_state: {initial_state}\n")).rows
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert rows(state) == rows("[1, 0, 0]")
 
 
 # --------------------------------------------------------------------------
