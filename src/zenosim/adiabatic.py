@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .continuous import CoupledHamiltonian
+from .continuous import _COUPLED, CoupledHamiltonian
 from .errors import SectorTrackingError, StepResolutionError, ValidationError
 from .operators import (
     Operator,
@@ -45,6 +45,7 @@ from .operators import (
     _is_hermitian,
     _number,
     _projector_matrix,
+    _record,
     as_matrix,
     as_operator,
     eig,
@@ -57,6 +58,7 @@ _TRACK_OVERLAP_FLOOR = 0.5
 _STACK_BYTES = 1 << 14
 # Most midpoint steps one integration may take: a few seconds at d = 3.
 _MAX_STEPS = 10 ** 6
+_BUNDLE = "expected a TimeDependentBundle, got {}"
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,7 @@ class _StackedBundle(TimeDependentBundle):
 
 def constant_bundle(hk: CoupledHamiltonian) -> TimeDependentBundle:
     """Freeze a time-independent Hamiltonian pair into a bundle."""
-    if not isinstance(hk, CoupledHamiltonian):
-        raise ValidationError(f"expected a CoupledHamiltonian, got {type(hk).__name__}")
-    h, hm = hk.h.matrix, hk.h_meas.matrix
+    h, hm = _record(hk, CoupledHamiltonian, _COUPLED).h.matrix, hk.h_meas.matrix
     return TimeDependentBundle(h=lambda t: h, h_meas=lambda t: hm, coupling=hk.coupling)
 
 
@@ -129,6 +129,7 @@ def required_steps(bundle: TimeDependentBundle, t: float) -> int:
     """Smallest step count resolving both the system and the (K-scaled)
     measurement timescale at a tenth of a period over the horizon ``t``
     (finite and >= 0)."""
+    _record(bundle, TimeDependentBundle, _BUNDLE)
     [n] = _step_plan(bundle, t, [bundle.coupling], None, resolve=True)
     return n
 
@@ -242,6 +243,7 @@ def propagate_td(bundle: TimeDependentBundle, t: float, steps: int) -> Operator:
     resolve both timescales (a tenth of the fastest period), otherwise a
     resolution error names the binding one.
     """
+    _record(bundle, TimeDependentBundle, _BUNDLE)
     [steps] = _step_plan(bundle, t, [bundle.coupling], steps)
     if t == 0:
         return Operator(np.eye(np.asarray(bundle.h(0.0)).shape[0], dtype=complex))
@@ -390,6 +392,7 @@ def intertwining_defect(bundle: TimeDependentBundle, t: float, k_grid,
     it before the next.  Of several failing couplings, the first failure met
     in chunk order raises.
     """
+    _record(bundle, TimeDependentBundle, _BUNDLE)
     ks = [float(_number(k, "coupling strengths must be >= 0", 0)) for k in k_grid]
     if not ks:
         raise ValidationError("coupling grid must not be empty")

@@ -25,10 +25,12 @@ from .operators import (
     Operator,
     Projector,
     SectorDecomposition,
+    _SECTORS,
     _check_dimension,
     _count,
     _eigenvector_sectors,
     _number,
+    _record,
     _sector_blocks,
     _sector_columns,
     _snorm,
@@ -40,6 +42,8 @@ from .operators import (
     projector_from_columns,
     snorm,
 )
+
+_COUPLED = "expected a CoupledHamiltonian, got {}"
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ def zeno_sectors(hk: CoupledHamiltonian, cluster_tol: float | None = None) -> Se
     weight leaks out of the space and is reported as a trace deficit by the
     density-matrix evolutions.
     """
-    return real_sectors(hk.h_meas, cluster_tol=cluster_tol)
+    return real_sectors(_record(hk, CoupledHamiltonian, _COUPLED).h_meas, cluster_tol=cluster_tol)
 
 
 def real_sectors(h_meas, cluster_tol: float | None = None) -> SectorDecomposition:
@@ -120,7 +124,7 @@ def diag_part(h, sectors: SectorDecomposition) -> Operator:
 
 def exact_propagator(hk: CoupledHamiltonian, t: float) -> Operator:
     """Finite-coupling propagator ``exp(-i (H + K H_meas) t)``."""
-    return expm(hk.total(), t)
+    return expm(_record(hk, CoupledHamiltonian, _COUPLED).total(), t)
 
 
 def zeno_propagator(hk: CoupledHamiltonian, t: float,
@@ -130,6 +134,7 @@ def zeno_propagator(hk: CoupledHamiltonian, t: float,
     Commutes with every sector projector, so sector populations computed
     with it are exactly constant in time.
     """
+    _record(hk, CoupledHamiltonian, _COUPLED)
     [limit] = _zeno_limits(hk, t, [hk.coupling], sectors)
     return Operator(limit)
 
@@ -142,6 +147,7 @@ def nonadiabatic_defect(hk: CoupledHamiltonian, t: float,
     sector gaps and the horizon; acceptance checks fit the slope of a
     K-doubling sweep rather than any absolute constant.
     """
+    _record(hk, CoupledHamiltonian, _COUPLED)
     [defect] = _defect_sweep(hk, t, [hk.coupling], sectors)
     return defect
 
@@ -164,6 +170,7 @@ def _zeno_limits(hk: CoupledHamiltonian, t: float, couplings,
     _number(t, "time scale must be finite", complex_ok=True)
     if sectors is None:
         sectors = zeno_sectors(hk)
+    _record(sectors, SectorDecomposition, _SECTORS)
     if not (sectors.complete and hk.h.hermitian and hk.h_meas.hermitian):
         hdiag = diag_part(hk.h, sectors)
         for k in couplings:
@@ -273,10 +280,11 @@ def perturbative_spectrum(hk: CoupledHamiltonian, order: int = 2,
     (its eigenvalue data is still correct for every state in the lump).
     """
     _count(order, "perturbative order must be 1 or 2", 1, 2)
-    if not hk.h_meas.hermitian:
+    if not _record(hk, CoupledHamiltonian, _COUPLED).h_meas.hermitian:
         raise ValidationError("perturbative corrections require a Hermitian coupling")
     if sectors is None:
         sectors = zeno_sectors(hk)
+    _record(sectors, SectorDecomposition, _SECTORS)
     sectors.validate_resolution()
     _check_dimension(hk.h.matrix, sectors.dim)
 

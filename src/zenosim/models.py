@@ -24,10 +24,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .continuous import CoupledHamiltonian, real_sectors
+from .continuous import _COUPLED, CoupledHamiltonian, real_sectors
 from .errors import ValidationError
 from .operators import Operator, SectorDecomposition, as_matrix, as_operator
-from .operators import _check_dimension, _count, _number
+from .operators import _check_dimension, _count, _number, _record
 
 def _rates(*rates) -> None:
     for rate in rates:
@@ -301,7 +301,7 @@ def dfs_extract(hk: CoupledHamiltonian, cluster_tol: float | None = None) -> Sec
     The union of the returned subspaces is protected from the dissipation:
     dynamics restricted there stays unitary.
     """
-    return real_sectors(hk.h_meas, cluster_tol=cluster_tol)
+    return real_sectors(_record(hk, CoupledHamiltonian, _COUPLED).h_meas, cluster_tol=cluster_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,12 @@ Conventions
   included, come from one eigenvector routine and carry the measured
   condition number of their spectral projector; a cluster whose eigenvector
   block or spectral projector exceeds ``DEFAULT_MAX_SECTOR_CONDITION`` is dropped.
-* Four guards check arguments: ``_number``, ``_count``, ``_array`` and ``_state_vector``.
+* State vectors are normalized, or their norm checked, on the vector scaled
+  by the power of two of :func:`_unit_scale` (exact), so a huge or tiny
+  finite vector neither overflows nor underflows; ``zeno_time`` takes its
+  moments on ``s H`` alike.
+* Five guards check arguments: ``_number``, ``_count``, ``_array``,
+  ``_state_vector`` and ``_record`` (a record of its type).
 
 Intended scale is "desk" size, dimensions up to a couple hundred; there is
 deliberately no sparse or structured path.
@@ -77,6 +82,8 @@ _TINY = np.finfo(float).tiny
 _FLOAT_MAX = np.finfo(float).max
 _REAL = (int, float, np.integer, np.floating)
 _COMPLEX = (*_REAL, complex, np.complexfloating)
+_PROJECTOR = "expected a Projector, got {}"
+_SECTORS = "expected a SectorDecomposition, got {}"
 
 
 def snorm(a) -> float:
@@ -138,16 +145,29 @@ def _array(a, message: str, ndims=(2,), copy: bool = False, finite: str = "") ->
 
 
 def _state_vector(a, dim: int | None, normalize: bool = False) -> np.ndarray:
-    """``a`` as a finite vector of length ``dim`` (any if None), ``normalize``d or of norm 1."""
+    """``a`` as a finite vector of length ``dim`` (any if None), ``normalize``d or of norm 1.
+    The norm is taken on ``v = a * s`` for ``s`` of :func:`_unit_scale`, exactly, so no finite
+    vector overflows or underflows it; ``normalize`` divides ``v`` by it as reals (numpy divides
+    a complex by a real through the reciprocal, which leaves ``[1e-320, 0]`` below norm 1)."""
     v = _array(a, "state vector has shape {}, not (d,)", (1,), finite="state vector")
     if dim is not None and v.size != dim:
         raise ValidationError(f"state vector has shape {v.shape}, not ({dim},)")
-    nrm = np.linalg.norm(v)
+    s = _unit_scale(v)
+    parts = np.ascontiguousarray(v).view(float) * s
+    nrm = np.linalg.norm(parts.view(complex))
     if normalize and nrm == 0:
         raise ValidationError("cannot normalize the zero vector")
-    if not normalize and abs(nrm - 1.0) > 1e-10:
-        raise ValidationError(f"state vector must be normalized (norm {nrm:.12g})")
-    return v / nrm if normalize else v
+    if not normalize and abs(float(nrm) / s - 1.0) > 1e-10:
+        raise ValidationError(f"state vector must be normalized (norm {float(nrm) / s:.12g})")
+    return (parts / nrm).view(complex) if normalize else v
+
+
+def _record(x, cls, message: str):
+    """``x`` if it is a ``cls``, else ``ValidationError(message.format(name))``
+    with the name of its type."""
+    if isinstance(x, cls):
+        return x
+    raise ValidationError(message.format(type(x).__name__))
 
 
 def _within_scaled(dev, m: np.ndarray, rtol: float, floor: float = 1.0):
@@ -176,12 +196,18 @@ def _within_scaled(dev, m: np.ndarray, rtol: float, floor: float = 1.0):
 
 
 def _overflow_scale(m: np.ndarray) -> float:
-    """1, or for a finite matrix whose Frobenius norm overflows the power of
-    two that brings its largest real or imaginary part into [1, 2)."""
+    """1, or :func:`_unit_scale` of a finite matrix whose Frobenius norm overflows."""
     with np.errstate(over="ignore"):
         if math.isfinite(fnorm(m)):
             return 1.0
-    return math.ldexp(1.0, 1 - math.frexp(max(np.abs(m.real).max(), np.abs(m.imag).max()))[1])
+    return _unit_scale(m)
+
+
+def _unit_scale(a: np.ndarray) -> float:
+    """The power of two that brings the largest real or imaginary part of a finite array
+    into [1, 2), at most ``2**1023`` (a subnormal peak stays below 1); 1 for a zero array."""
+    peak = max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0))
+    return math.ldexp(1.0, min(1023, 1 - math.frexp(peak)[1])) if peak else 1.0
 
 
 def _norm_exceeds(r: np.ndarray, bound: float) -> bool:
@@ -286,7 +312,9 @@ class Projector:
         _count(self.rank, "projector rank {!r} is not an integer >= 0", 0)
         if not _within_scaled(_hermitian_deviation(m), m, HERMITIAN_RTOL):
             raise ValidationError("projector is not Hermitian")
-        if _norm_exceeds(m @ m - m, IDEMPOTENCY_TOL * len(m)):
+        with np.errstate(over="ignore", invalid="ignore"):    # an overflow is not idempotent
+            residual = m @ m - m
+        if _norm_exceeds(residual, IDEMPOTENCY_TOL * len(m)):
             raise ValidationError("projector is not idempotent")
         tr = m.trace().real
         if abs(tr - self.rank) > TRACE_RANK_TOL * len(m):     # the guard refuses a 0 x 0 matrix
@@ -525,7 +553,7 @@ class DensityMatrix:
 
     def population(self, projector: Projector) -> float:
         """Probability weight inside the projector's range."""
-        if projector.dim != self.dim:
+        if _record(projector, Projector, _PROJECTOR).dim != self.dim:
             raise ValidationError("state dimension does not match the projector")
         return float((projector.matrix @ self.matrix).trace().real)
 
@@ -813,7 +841,7 @@ def offblock_norm(a, sectors: SectorDecomposition) -> float:
 def block_diagonal_part(a, sectors: SectorDecomposition) -> np.ndarray:
     """``sum_n P_n A P_n`` as a plain array, formed through the sector bases
     as ``X W^dag`` (:func:`_sector_columns`)."""
-    w, sizes, _ = sectors._frame
+    w, sizes, _ = _record(sectors, SectorDecomposition, _SECTORS)._frame
     return _sector_columns(w, sizes, _sector_blocks(w, sizes, as_matrix(a))) @ w.conj().T
 
 

@@ -38,17 +38,21 @@ from .operators import (
     Operator,
     Projector,
     SectorDecomposition,
+    _PROJECTOR,
     _ROUNDING,
+    _SECTORS,
     _check_dimension,
     _check_positive,
     _count,
     _eigh_exp,
     _number,
     _rank_groups,
+    _record,
     _sector_blocks,
     _sector_columns,
     _snorm,
     _state_vector,
+    _unit_scale,
     _within_scaled,
     as_matrix,
     as_operator,
@@ -62,6 +66,7 @@ from .operators import (
 _CONTRACTION_SLACK = 1e-12
 # How often the running product is checked against the contraction bound.
 _MONITOR_STRIDE = 64
+_STATE = "expected a DensityMatrix, got {}"
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,7 @@ def _selective_cores(h, p: Projector, ns, t: float):
     hop = as_operator(h)
     if not hop.hermitian:
         raise ValidationError("pulsed propagation requires a Hermitian Hamiltonian")
-    _check_dimension(hop.matrix, p.dim)
+    _check_dimension(hop.matrix, _record(p, Projector, _PROJECTOR).dim)
     w, vecs = hop._eigh
     b = p.basis.conj().T @ vecs
     for n in ns:
@@ -163,7 +168,7 @@ def pulsed_limit(h, p: Projector, t: float) -> Operator:
     chain, ``Q exp(-i Q^dag H Q t) Q^dag``; unitary within the range of P."""
     _number(t, "time scale must be finite", complex_ok=True)
     hop = as_operator(h)
-    q = p.basis
+    q = _record(p, Projector, _PROJECTOR).basis
     x = _sector_columns(q, [p.rank], _sector_blocks(q, [p.rank], hop.matrix), t, hop.hermitian)
     return Operator(x @ q.conj().T)
 
@@ -176,7 +181,8 @@ def survival_probability(rho0: DensityMatrix, v, p: Projector) -> float:
     restricted to the subspace before tracing, so both sandwiched chains
     (``V_N``) and plain unitaries give the textbook survival value.
     """
-    rho, proj, v = rho0.matrix, p.matrix, as_matrix(v)
+    rho = _record(rho0, DensityMatrix, _STATE).matrix
+    proj, v = _record(p, Projector, _PROJECTOR).matrix, as_matrix(v)
     _check_dimension(v, p.dim)
     _check_dimension(rho, p.dim)
     resid = rho - proj @ rho @ proj
@@ -259,19 +265,22 @@ def zeno_time(h, a) -> float:
     Sets the curvature of the short-time quadratic survival law
     ``p(tau) ~ 1 - (tau / tz)^2``.  Returns ``inf`` for an eigenstate
     (zero variance).  The variance is evaluated as ``||H a||^2 - <a|H a>^2``
-    so both moments come from the same matrix-vector product.
+    so both moments come from the same matrix-vector product, taken on ``s H``
+    for the power of two ``s`` of ``operators._unit_scale`` (exact, and finite
+    for any finite ``H``); an eigenstate has ``var <= 16 eps max(m2, s**2)``.
     """
     hop = as_operator(h)
     if not hop.hermitian:
         raise ValidationError("the quadratic decay scale requires a Hermitian Hamiltonian")
     v = _state_vector(a, hop.dim)
-    hv = hop.matrix @ v
+    s = _unit_scale(hop.matrix)
+    hv = (hop.matrix * s) @ v
     m2 = float(np.vdot(hv, hv).real)
     m1 = float(np.vdot(v, hv).real)
     var = m2 - m1 * m1
-    if var <= 16 * np.finfo(float).eps * max(m2, 1.0):
+    if var <= 16 * np.finfo(float).eps * max(m2, s * s):
         return math.inf
-    return 1.0 / math.sqrt(var)
+    return s / math.sqrt(var)
 
 
 def zeno_time_fitted(h, a, tau0: float | None = None, points: int = 5) -> float:
@@ -280,7 +289,9 @@ def zeno_time_fitted(h, a, tau0: float | None = None, points: int = 5) -> float:
     Evaluates ``1 - p(tau)`` on the geometric grid ``tau0 * 2**-k`` for
     ``k = 0 .. points-1`` (default ``tau0 = 0.01 / ||H||``) and fits
     ``log(1 - p)`` against ``log tau``; the intercept gives the time scale.
-    ``points`` must be an integer >= 2.
+    ``points`` must be an integer >= 2.  For a Hermitian ``H = V diag(w) V^dag``
+    the deficit is ``sum_kl p_k p_l 2 sin^2((w_k - w_l) tau / 2)`` with ``p =
+    |V^dag a|^2``, free of the cancellation in ``1 - |A|^2`` at small tau.
     """
     _count(points, "points must be an integer >= 2, got {!r}", 2)
     hop = as_operator(h)
@@ -292,7 +303,14 @@ def zeno_time_fitted(h, a, tau0: float | None = None, points: int = 5) -> float:
         tau0 = 0.01 / nrm
     _number(tau0, "tau0 must be a finite number > 0, got {!r}", 0, strict=True)
     taus = tau0 * 0.5 ** np.arange(points)
-    deficits = np.maximum(1.0 - np.abs(_survival_amplitudes(hop, v, taus)) ** 2, 0.0)
+    if hop.hermitian:
+        w, vecs = hop._eigh
+        p = np.abs(vecs.conj().T @ v) ** 2
+        x = np.multiply.outer(taus / 2, w)      # x_k - x_l: w_k - w_l alone may overflow
+        deficits = 2 * (np.sin(x[:, :, None] - x[:, None, :]) ** 2 @ p) @ p
+    else:
+        deficits = 1.0 - np.abs(_survival_amplitudes(hop, v, taus)) ** 2
+    deficits = np.maximum(deficits, 0.0)
     if np.any(deficits <= 0):
         return math.inf
     _, intercept = loglog_fit(taus, deficits)
@@ -320,8 +338,9 @@ def nonselective_evolve(h, sectors: SectorDecomposition, n: int, t: float,
     rotated back (:func:`_nonselective_grid`): while ``s <= 2 d`` as one ``s x
     s`` matrix on those entries (:func:`_kept_chain`), else blockwise (:func:`_block_chain`).
     """
+    y = next(_nonselective_grid(h, sectors, [n], t, rho0, project_final))
     w = sectors._frame[0]
-    rho = w @ next(_nonselective_grid(h, sectors, [n], t, rho0, project_final)) @ w.conj().T
+    rho = w @ y @ w.conj().T
     return DensityMatrix((rho + rho.conj().T) / 2)
 
 
@@ -335,10 +354,7 @@ def _nonselective_grid(h, sectors: SectorDecomposition, ns, t: float,
     for n in ns:
         _count(n, "measurement count must be an integer >= 1")
     _number(t, "horizon must be finite and non-negative", 0)
-    if rho0.dim != sectors.dim:
-        raise ValidationError("state dimension does not match sectors")
-    sectors.validate_resolution()
-
+    _check_resolution(sectors, rho0)
     hop = as_operator(h)
     _check_dimension(hop.matrix, sectors.dim)
     w, sizes, _ = sectors._frame
@@ -357,6 +373,15 @@ def _nonselective_grid(h, sectors: SectorDecomposition, ns, t: float,
         return DensityMatrix._checked(chain(step(n), start, sizes, n, project_final), psd=False)
 
     return map(evolve, ns)
+
+
+def _check_resolution(sectors: SectorDecomposition, rho0: DensityMatrix) -> None:
+    """Refuse ``sectors`` and ``rho0`` of the wrong type or dimension, or sectors
+    that do not resolve the identity."""
+    _record(sectors, SectorDecomposition, _SECTORS)
+    if _record(rho0, DensityMatrix, _STATE).dim != sectors.dim:
+        raise ValidationError("state dimension does not match sectors")
+    sectors.validate_resolution()
 
 
 # Bytes of kept-entry iterates, and of kept-step powers, held at once: 1365
@@ -489,9 +514,7 @@ def nonselective_limit(h, sectors: SectorDecomposition, t: float,
     ``X' X^dag`` for ``X = [V_n Q_n]`` and ``X' = [V_n Q_n Q_n^dag rho0 Q_n]``.
     """
     _number(t, "time scale must be finite", complex_ok=True)
-    if rho0.dim != sectors.dim:
-        raise ValidationError("state dimension does not match sectors")
-    sectors.validate_resolution()
+    _check_resolution(sectors, rho0)
     hop = as_operator(h)
     w, sizes, _ = sectors._frame
     x = _sector_columns(w, sizes, _sector_blocks(w, sizes, hop.matrix), t, hop.hermitian)

@@ -38,7 +38,7 @@ from .models import (
     three_level,
     three_level_survival,
 )
-from .operators import DensityMatrix, Operator, _cluster_tol, load_matrix
+from .operators import DensityMatrix, Operator, _cluster_tol, _state_vector, load_matrix
 from .pulsed import _nonselective_grid, _probability, _pulsed_errors, _survival_amplitudes
 
 _DEFAULT_T_MAX = 10.0
@@ -428,10 +428,7 @@ def _initial_vector(s: Scenario, dim: int, uniform: bool = False) -> np.ndarray:
     else:
         v = np.zeros(dim, dtype=complex)
         v[0] = 1.0
-    # scaled by its largest |re| or |im| first (as reals: a complex division overflows 1/tiny)
-    parts = v.view(float)
-    v = (parts / np.abs(parts).max()).view(complex)
-    return v / np.linalg.norm(v)
+    return _state_vector(v, dim, normalize=True)
 
 
 def _base_metadata(s: Scenario, cluster_tol) -> dict:

@@ -137,11 +137,44 @@ FAULTS = [
           "return np.exp(-1j * np.multiply.outer(ts, w))",
           "return np.exp(1j * np.multiply.outer(ts, w))",
           (PULSED + "test_survival_amplitude_is_the_propagated_overlap",)),
-    Fault("initial state divided by its norm alone",
-          "src/zenosim/scenario.py",
-          "    parts = v.view(float)\n    v = (parts / np.abs(parts).max()).view(complex)\n",
-          "",
+    # one state-vector rule
+    Fault("state vector norm taken unscaled",
+          "src/zenosim/operators.py",
+          "    nrm = np.linalg.norm(parts.view(complex))\n",
+          "    nrm = np.linalg.norm(v)\n",
+          (OPS + "test_pure_of_a_huge_or_tiny_basis_state_is_that_basis_state[huge]",
+           "tests/test_scenario.py::test_huge_and_tiny_initial_states_are_normalized_exactly")),
+    Fault("unit scale without its 2**1023 cap",
+          "src/zenosim/operators.py",
+          "math.ldexp(1.0, min(1023, 1 - math.frexp(peak)[1]))",
+          "math.ldexp(1.0, 1 - math.frexp(peak)[1])",
+          (OPS + "test_pure_of_a_huge_or_tiny_basis_state_is_that_basis_state[subnormal-min]",)),
+    Fault("state vector divided as complex",
+          "src/zenosim/operators.py",
+          "return (parts / nrm).view(complex) if normalize else v",
+          "return parts.view(complex) / nrm if normalize else v",
           ("tests/test_scenario.py::test_huge_and_tiny_initial_states_are_normalized_exactly",)),
+    Fault("Zeno time of the scaled moments left unscaled",
+          "src/zenosim/pulsed.py",
+          "    return s / math.sqrt(var)\n",
+          "    return 1.0 / math.sqrt(var)\n",
+          (PULSED + "test_zeno_time_of_a_huge_hamiltonian_takes_its_moments_scaled",)),
+    Fault("Hermitian deficits by subtraction",
+          "src/zenosim/pulsed.py",
+          "deficits = 2 * (np.sin(x[:, :, None] - x[:, None, :]) ** 2 @ p) @ p",
+          "deficits = 1.0 - np.abs(_survival_amplitudes(hop, v, taus)) ** 2",
+          (PULSED + "test_zeno_time_fitted_reads_cancellation_free_deficits",)),
+    Fault("pulsed propagator takes any record",
+          "src/zenosim/pulsed.py",
+          "_check_dimension(hop.matrix, _record(p, Projector, _PROJECTOR).dim)",
+          "_check_dimension(hop.matrix, p.dim)",
+          (BOUNDARY + "pulsed_propagator-p-str]",)),
+    Fault("projector residual overflows with a warning",
+          "src/zenosim/operators.py",
+          'with np.errstate(over="ignore", invalid="ignore"):    # an overflow is not idempotent',
+          "if True:",
+          (OPS + "test_a_projector_whose_square_overflows_is_not_idempotent",
+           BOUNDARY + "Projector-matrix-square-overflow]")),
     Fault("amplitude hook returns unchecked",
           "src/zenosim/pulsed.py",
           'amp = _number(amplitude(tau), "amplitude must be a finite number, got {!r}", '

@@ -185,11 +185,27 @@ def test_density_matrix_validation():
 def test_pure_state_passes_the_skipped_positivity_test(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     rho = DensityMatrix.pure(v)
-    u = v / np.linalg.norm(v)
+    u = (v.view(float) / np.linalg.norm(v)).view(complex)     # divided as reals
     assert np.array_equal(rho.matrix, DensityMatrix(np.outer(u, u.conj())).matrix)
     assert not rho.matrix.flags.writeable
     # a few ulp below zero at worst, against the 1e-10 allowance
     assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-14
+
+
+@pytest.mark.parametrize("state", [[1e308, 0], [1e-320, 0], [5e-324, 0], [0, 1e-320j]],
+                         ids=["huge", "tiny", "subnormal-min", "tiny-imaginary"])
+def test_pure_of_a_huge_or_tiny_basis_state_is_that_basis_state(state):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = DensityMatrix.pure(state)
+    assert np.array_equal(rho.matrix, np.diag(np.array(state) != 0).astype(complex))
+
+
+@pytest.mark.parametrize("state", [[1e308, 1e308, 0], [1e200, 1e200]], ids=["1e308", "1e200"])
+def test_pure_of_a_huge_state_has_trace_one(state):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert DensityMatrix.pure(state).trace == pytest.approx(1.0, abs=1e-15)
 
 
 # --------------------------------------------------------------------------
@@ -362,10 +378,11 @@ def test_an_overflowed_spectral_projector_drops_its_cluster(monkeypatch):
     assert [condition for _, condition in dec.dropped] == [math.inf, math.inf]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_projector_whose_square_overflows_is_not_idempotent():
-    with pytest.raises(ValidationError, match="^projector is not idempotent$"):
-        Projector(np.full((2, 2), 1e200), rank=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^projector is not idempotent$"):
+            Projector(np.full((2, 2), 1e200), rank=1)
 
 
 # --------------------------------------------------------------------------

@@ -4,11 +4,12 @@ One table covers every callable in ``zenosim.__all__`` and the public
 methods of its classes.  A row names the callable, valid keyword arguments
 and the kind of each argument it checks; ``BAD`` lists the bad values of
 each kind.  Each case passes one bad value of one argument, the others
-valid, with every warning an error.  Callables, flags and records passed
-as arguments (a bundle's ``h``, ``project_final``, a ``CoupledHamiltonian``)
-have no kind, except a record whose dimension must match (a projector, a
-state, a decomposition), ``constant_bundle``'s only argument and the
-amplitude callable, whose bad values each return a bad number.
+valid, with every warning an error.  A record passed as an argument (a
+projector, a state, a decomposition, a ``CoupledHamiltonian``, a bundle)
+has the ``record`` kind, its bad values of another type, and a record whose
+dimension must match adds one of another dimension.  Callables and flags
+(a bundle's ``h``, ``project_final``) have no kind, except the amplitude
+callable, whose bad values each return a bad number.
 ``test_the_table_covers_the_public_api`` fails on a public callable with no
 row that is not in ``RECORDS``.
 """
@@ -78,6 +79,7 @@ INTEGER = {"bool": True, "half": 2.5, "float": 2.0, "str": "3", "none": None}
 MATRIX = {"str": "x", "none": None, "vector": np.ones(3), "stack": np.ones((2, 2, 2)),
           "nonsquare": [[1, 2]], "ragged": [[1], [1, 2]], "overflow": [[10 ** 400]]}
 OPERATOR = {**MATRIX, "nan": np.full((3, 3), NAN), "inf": np.diag([INF, 0, 0])}
+RECORD = {"str": "x", "none": None, "matrix": np.eye(3)}
 AMPLITUDE = {**NUMBER, "complex-nan": complex(NAN, 0), "complex-inf": complex(1, INF)}
 
 # the bad values of each argument kind; the models of the table have d = 3 (cavity: 27)
@@ -104,14 +106,17 @@ BAD = {
                 "nan": [NAN, 1, 0], "dependent": [[1, 1], [0, 0], [0, 0]]},
     "vector": {"str": "x", "none": None, "matrix": np.eye(3), "nan": [NAN, 1], "zero": [0, 0]},
     "vector_d": {"str": "x", "none": None, "matrix": np.eye(3), "dim2": [1, 0],
-                 "nan": [NAN, 0, 0], "unnormalized": [2, 0, 0]},
-    "projector_d": {"dim2": basis_projector(2, 0)},
-    "state_d": {"dim2": DensityMatrix.pure([1, 0])},
-    "sectors_d": {"dim2": eig(np.diag([0.0, 1.0]))},
+                 "nan": [NAN, 0, 0], "unnormalized": [2, 0, 0], "huge": [1e308, 1e308, 0],
+                 "tiny": [1e-320, 0, 0]},
+    # a matrix whose square overflows
+    "projector_matrix": {**OPERATOR, "square-overflow": np.full((2, 2), 1e200)},
+    "record": RECORD,
+    "projector_d": {**RECORD, "dim2": basis_projector(2, 0)},
+    "state_d": {**RECORD, "dim2": DensityMatrix.pure([1, 0])},
+    "sectors_d": {**RECORD, "dim2": eig(np.diag([0.0, 1.0]))},
     "label": {"absent": (9, 0, 0), "short": (0, 0), "str": "x", "int": 5},
     "rotation": {"unknown": "spin", "none": None},
     "path": {"none": None, "missing": "no/such/dir/m.txt"},
-    "coupled": {"str": "x", "none": None},
     "times": {"str": "x", "none": None, "bool": True, "complex": 1j, "nan": NAN, "inf": INF,
               "overflow": 10 ** 400, "nan-entry": [0.0, NAN], "ragged": [[1], [1, 2]]},
     # amplitude callables, each returning one bad value
@@ -148,7 +153,7 @@ TABLE = [
     # operators
     Row("Operator", Operator, dict(matrix=H.matrix, hermitian=True), dict(matrix="operator")),
     Row("Projector", Projector, dict(matrix=P.matrix, rank=1),
-        dict(matrix="operator", rank="rank")),
+        dict(matrix="projector_matrix", rank="rank")),
     Row("DensityMatrix", DensityMatrix, dict(matrix=RHO.matrix), dict(matrix="operator")),
     Row("DensityMatrix.pure", DensityMatrix.pure, dict(state=[1, 0, 0]), dict(state="vector")),
     Row("DensityMatrix.population", RHO.population, dict(projector=P),
@@ -193,14 +198,15 @@ TABLE = [
         dict(coupling="nonneg")),
     Row("diag_part", diag_part, dict(h=HK.h, sectors=SECTORS),
         dict(h="operator_d", sectors="sectors_d")),
-    Row("exact_propagator", exact_propagator, dict(hk=HK, t=0.1), dict(t="time")),
+    Row("exact_propagator", exact_propagator, dict(hk=HK, t=0.1), dict(hk="record", t="time")),
     Row("zeno_propagator", zeno_propagator, dict(hk=HK, t=0.1, sectors=SECTORS),
-        dict(t="time", sectors="sectors_d")),
+        dict(hk="record", t="time", sectors="sectors_d?")),
     Row("nonadiabatic_defect", nonadiabatic_defect, dict(hk=HK, t=0.1, sectors=SECTORS),
-        dict(t="time", sectors="sectors_d")),
+        dict(hk="record", t="time", sectors="sectors_d?")),
     Row("perturbative_spectrum", perturbative_spectrum, dict(hk=HK, order=2, sectors=SECTORS),
-        dict(order="order", sectors="sectors_d")),
-    Row("zeno_sectors", zeno_sectors, dict(hk=HK, cluster_tol=None), dict(cluster_tol="tol")),
+        dict(hk="record", order="order", sectors="sectors_d?")),
+    Row("zeno_sectors", zeno_sectors, dict(hk=HK, cluster_tol=None),
+        dict(hk="record", cluster_tol="tol")),
     Row("PerturbativeExpansion.reduced_resolvent", EXPANSION.reduced_resolvent, dict(n=0),
         dict(n="index")),
     Row("PerturbativeExpansion.predicted_eigenvalues", EXPANSION.predicted_eigenvalues,
@@ -215,18 +221,19 @@ TABLE = [
     Row("TimeDependentBundle.with_coupling", BUNDLE.with_coupling, dict(coupling=1.0),
         dict(coupling="nonneg")),
     Row("TimeDependentBundle.total", BUNDLE.total, dict(t=0.1), dict(t="real")),
-    Row("constant_bundle", constant_bundle, dict(hk=HK), dict(hk="coupled")),
+    Row("constant_bundle", constant_bundle, dict(hk=HK), dict(hk="record")),
     Row("rotating_bundle", rotating_bundle,
         dict(h0=HK.h, h_meas0=HK.h_meas, generator=rotation_generator(3, 2, 3), rate=0.2,
              coupling=1.0),
         dict(h0="operator_d", h_meas0="operator_d", generator="operator_d", rate="real",
              coupling="nonneg")),
-    Row("required_steps", required_steps, dict(bundle=BUNDLE, t=0.1), dict(t="nonneg")),
+    Row("required_steps", required_steps, dict(bundle=BUNDLE, t=0.1),
+        dict(bundle="record", t="nonneg")),
     Row("propagate_td", propagate_td, dict(bundle=BUNDLE, t=0.01, steps=10),
-        dict(t="nonneg", steps="count")),
+        dict(bundle="record", t="nonneg", steps="count")),
     Row("intertwining_defect", intertwining_defect,
         dict(bundle=BUNDLE, t=0.01, k_grid=[1.0], samples=2, steps=None),
-        dict(t="nonneg", k_grid="k_grid", samples="count", steps="count?")),
+        dict(bundle="record", t="nonneg", k_grid="k_grid", samples="count", steps="count?")),
     # models
     Row("three_level", three_level, dict(omega=1.0, coupling=2.0),
         dict(omega="nonneg", coupling="nonneg")),
@@ -240,7 +247,8 @@ TABLE = [
         dict(g="nonneg", kappa="nonneg", n_max="count2")),
     Row("decay_model", decay_model, dict(tau_z=1.0, gamma=1.0, coupling=1.0),
         dict(tau_z="positive", gamma="positive", coupling="nonneg")),
-    Row("dfs_extract", dfs_extract, dict(hk=HK, cluster_tol=None), dict(cluster_tol="tol")),
+    Row("dfs_extract", dfs_extract, dict(hk=HK, cluster_tol=None),
+        dict(hk="record", cluster_tol="tol")),
     Row("coupling_matrix", coupling_matrix, dict(dim=3, i=1, j=2),
         dict(dim="count", i="level", j="level")),
     Row("rotation_generator", rotation_generator, dict(dim=3, i=2, j=3, kind="phase"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,45 @@ def test_zeno_time_fitted_two_level():
     omega = 1.7
     tz = zeno_time_fitted(rabi2(omega), [1, 0])
     assert abs(tz - 1 / omega) / (1 / omega) < 0.01
+
+
+@pytest.mark.parametrize("h, a, expected", [
+    ([[0, 1e200], [1e200, 0]], [1, 0], 1e-200),
+    (np.full((3, 3), 1e200), [1, 0, 0], 1e-200 / math.sqrt(2)),
+], ids=["rabi", "full"])
+def test_zeno_time_of_a_huge_hamiltonian_takes_its_moments_scaled(h, a, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeno_time(h, a) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_zeno_time_at_unit_scale_is_the_unscaled_formula_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, int(rng.integers(1, 21)))
+    v = rng.standard_normal(len(h)) + 1j * rng.standard_normal(len(h))
+    v /= np.linalg.norm(v)
+    hv = h @ v
+    m2 = float(np.vdot(hv, hv).real)
+    m1 = float(np.vdot(v, hv).real)
+    var = m2 - m1 * m1
+    expected = math.inf if var <= 16 * np.finfo(float).eps * max(m2, 1.0) else 1.0 / math.sqrt(var)
+    assert zeno_time(h, v) == expected
+
+
+def test_zeno_time_fitted_reads_cancellation_free_deficits():
+    rng = np.random.default_rng(5)
+    for d in rng.integers(2, 51, size=60):
+        h = random_hermitian(rng, int(d))
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v /= np.linalg.norm(v)
+        taus = 0.01 / snorm(h) * 0.5 ** np.arange(5)
+        w, vecs = np.linalg.eigh(h)
+        p = np.abs(vecs.conj().T @ v) ** 2
+        deficits = [np.sum(np.outer(p, p) * 2 * np.sin(np.subtract.outer(w, w) * tau / 2) ** 2)
+                    for tau in taus]
+        _, intercept = loglog_fit(taus, np.array(deficits))
+        assert zeno_time_fitted(h, v) == pytest.approx(math.exp(-intercept / 2), rel=1e-12)
 
 
 @pytest.mark.parametrize("points", [1, 0, -3, 2.5, 3.0, True, "5", None])
