@@ -31,9 +31,10 @@ Conventions
   (:attr:`Projector.basis`), through which the block diagnostics and the
   chains work; a sector's ``matrix = fl(Q Q^dag)`` is formed when read.
   One ``e = ||V^dag V - I||_F`` proves that every such matrix passes the
-  projector checks and that the sectors resolve the identity, which is
-  recorded at construction (:func:`_eigh_certificate`); without that
-  certificate, every projector and the resolution are checked in full.
+  projector checks (:func:`_eigh_certificate`); without that certificate
+  every projector is checked in full.  The resolution of the identity, by
+  any decomposition, is checked once on its frame ``W = [Q_1 ... Q_m]``
+  (:meth:`SectorDecomposition.validate_resolution`).
 * Non-Hermitian sectors, the real-eigenvalue (decoherence-free) ones
   included, come from one eigenvector routine and carry the measured
   condition number of their spectral projector; a cluster whose eigenvector
@@ -466,24 +467,57 @@ class SectorDecomposition:
         return w, tuple(q.shape[1] for q in bases), owner
 
     def _identity_residual(self) -> np.ndarray:
-        total = sum((s.projector.matrix for s in self.sectors),
+        """``sum_n M_n - I``, each ``M_n`` of :func:`_projector_matrix` (none is cached)."""
+        total = sum((_projector_matrix(s.projector) for s in self.sectors),
                     np.zeros((self.dim, self.dim), dtype=complex))
         return total - np.eye(self.dim)
 
     def completeness_defect(self) -> float:
         return snorm(self._identity_residual())
 
-    def _pair_products(self):
-        return (si.projector.matrix @ sj.projector.matrix
-                for i, si in enumerate(self.sectors) for sj in self.sectors[i + 1:])
+    def _gram_pairs(self):
+        """``(f, r, block)`` of the sector pairs ``i < j``, in ``np.triu_indices`` order: the
+        Frobenius norms ``f`` of the blocks ``G_ij = Q_i^dag Q_j`` of the frame Gram ``G =
+        W^dag W``, all from one reduction ``M |G|^2 M^T`` over the sector-membership
+        indicator ``M``; the smaller rank ``r`` of each pair (at least 1); and ``block(k)``,
+        the block of pair ``k``.  For orthonormal bases ``P_i P_j = Q_i G_ij Q_j^dag``, so
+        ``||P_i P_j||_2 = ||G_ij||_2``."""
+        w, _, owner = self._frame
+        g = w.conj().T @ w
+        member = np.zeros((len(self), owner.size))
+        member[owner, np.arange(owner.size)] = 1.0
+        i, j = np.triu_indices(len(self), 1)
+        ranks = member.sum(axis=1)
+
+        def block(k):       # zero-padded to a square, which keeps both of its norms
+            b = g[np.ix_(owner == i[k], owner == j[k])]
+            return np.pad(b, [(0, max(b.shape) - n) for n in b.shape])
+        return (np.sqrt((member @ (np.abs(g) ** 2) @ member.T)[i, j]),
+                np.minimum(ranks[i], ranks[j]).clip(1), block)
 
     def orthogonality_defect(self) -> float:
-        return max(map(snorm, self._pair_products()), default=0.0)
+        """``max_{i<j} ||G_ij||_2`` (:meth:`_gram_pairs`).  Each ``||G_ij||_2 >= f / sqrt(r)``,
+        so only a block whose ``f`` reaches the largest such bound can hold the maximum,
+        and only those take an SVD."""
+        f, r, block = self._gram_pairs()
+        low = (f / np.sqrt(r)).max(initial=0.0)
+        return max((snorm(block(k)) for k in np.flatnonzero(f * (1 + _ROUNDING) > low)),
+                   default=0.0)
 
     def validate_resolution(self) -> None:
-        """Assert completeness and mutual orthogonality (Hermitian case).
-        The decomposition is immutable, so a passed check is recorded on it
-        and not repeated; :func:`eig` records a certified one at construction."""
+        """Assert completeness and mutual orthogonality (Hermitian case) of
+        any decomposition; it is immutable, so a passed check is recorded on
+        it and not repeated.  Completeness: ``||sum_n M_n - I||_2 <=
+        COMPLETENESS_TOL d`` on the projector matrices, each formed, added
+        and dropped.  Orthogonality: ``||G_ij||_2 <= ORTHOGONALITY_TOL`` on
+        the bases ``Q_n`` that the consumers of a resolution read
+        (:meth:`_gram_pairs`); a block whose Frobenius norm is within it
+        passes, the rest take an SVD.  ``||G_ij||_2`` and the dense
+        ``||fl(M_i M_j)||_2`` differ by the rounding of the bases (``M_n =
+        Q_n Q_n^dag + O(d u)``) and of the products: under ``2 d u`` in 3,000
+        random draws at d <= 40, and ``8 d u`` (7e-14 at d = 40) in the
+        tests, so only a defect that close to the tolerance can be decided
+        otherwise than on the dense products."""
         if self.__dict__.get("_resolved"):
             return
         if not self.complete:
@@ -491,7 +525,9 @@ class SectorDecomposition:
         if _norm_exceeds(self._identity_residual(), COMPLETENESS_TOL * self.dim):
             raise ValidationError(
                 f"projectors do not resolve the identity ({self.completeness_defect():.3e})")
-        if any(_norm_exceeds(pp, ORTHOGONALITY_TOL) for pp in self._pair_products()):
+        f, _, block = self._gram_pairs()
+        if any(_norm_exceeds(block(k), ORTHOGONALITY_TOL)
+               for k in np.flatnonzero(f * (1 + _ROUNDING) > ORTHOGONALITY_TOL)):
             raise ValidationError(
                 f"projectors are not mutually orthogonal ({self.orthogonality_defect():.3e})")
         self.__dict__["_resolved"] = True
@@ -689,14 +725,12 @@ def _eigh_sectors(w: np.ndarray, v: np.ndarray,
     ``eigh`` can serve a stack of operators (``adiabatic`` does)."""
     tol = _cluster_tol(float(np.abs(w).max()), cluster_tol)    # ||A|| = max |w|
     clusters = cluster_values(w, tol)
-    held, resolved = _eigh_certificate(v, max(map(len, clusters)))
+    held = _eigh_certificate(v, max(map(len, clusters)))
     sectors = tuple(
         Sector(complex(np.mean(w[idx])), _eigh_projector(v[:, idx]) if held
                else Projector(v[:, idx] @ v[:, idx].conj().T, rank=len(idx)))
         for idx in clusters)
-    dec = SectorDecomposition(sectors, tol, v.shape[0], complete=True)
-    dec.__dict__["_resolved"] = resolved
-    return dec
+    return SectorDecomposition(sectors, tol, v.shape[0], complete=True)
 
 
 def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
@@ -737,12 +771,12 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
                                dropped=tuple(dropped))
 
 
-def _eigh_certificate(v: np.ndarray, rank: int) -> tuple[bool, bool]:
-    """``(held, resolved)`` from ``e = ||V^dag V - I||_F`` of the ``d x d``
-    ``eigh`` eigenvectors ``V``.  ``held``: ``M = fl(C C^dag)`` passes the
-    :class:`Projector` checks for every set ``C`` of at most ``rank``
-    columns.  ``resolved``: the ``M_n`` of a partition of the columns into
-    such sets pass :meth:`SectorDecomposition.validate_resolution`.
+def _eigh_certificate(v: np.ndarray, rank: int) -> bool:
+    """Whether ``M = fl(C C^dag)`` passes the :class:`Projector` checks for
+    every set ``C`` of at most ``rank`` columns of the ``d x d`` ``eigh``
+    eigenvectors ``V``, from ``e = ||V^dag V - I||_F``.  The resolution of
+    the sectors is not certified here:
+    :meth:`SectorDecomposition.validate_resolution` checks it on their bases.
 
     ``g_n = 8 (n + 1) u`` overstates the elementwise error of a length-``n``
     complex inner product, ``sqrt(2) gamma_{n+2} |a|^T |b|``; ``e`` adds the
@@ -754,15 +788,10 @@ def _eigh_certificate(v: np.ndarray, rank: int) -> tuple[bool, bool]:
     Trace: ``tr(C C^dag) = r + tr G``, ``|tr G| <= sqrt(r) e``; ``D`` and the
     sum add ``2 g_d r (1 + e)``.  Idempotency: ``C G C^dag`` has norm at most
     ``(1 + e) e``, ``D`` adds ``delta (3 + 2 e + delta)`` and ``fl(M @ M)``
-    ``g_d (sqrt(r) (1 + e) + delta)^2``; their sum ``b`` bounds
-    ``fl(M_i @ M_j)`` too, ``C_i^dag C_j`` being a block of ``V^dag V - I``.
-    Completeness: ``sum_n C_n C_n^dag = V V^dag`` is within ``e`` of ``I``,
-    and the ``D_n`` and the sum add ``2 g_d d (1 + e)``.  The subtractions
-    and SVDs of the checks fit in ``_ROUNDING``.  ``held``'s idempotency
-    clause is implied by its trace clause up to ``r d u`` terms (``b - (1 + e)
-    e``); ``b`` stays for ``resolved``.  At d = 200 and rank 1, ``b`` is
-    3.6e-11, mostly the rounding of ``V^dag V``, against ``ORTHOGONALITY_TOL
-    = 1e-10``; from about d = 330 the resolution keeps its exact check.
+    ``g_d (sqrt(r) (1 + e) + delta)^2``; their sum is ``b``.  The
+    subtractions and SVDs of the checks fit in ``_ROUNDING``.  The
+    idempotency clause is implied by the trace clause up to ``r d u`` terms
+    (``b - (1 + e) e``).
     """
     d = v.shape[0]
     g, gr = 8 * (d + 1) * _UNIT_ROUNDOFF, 8 * (rank + 1) * _UNIT_ROUNDOFF
@@ -771,12 +800,9 @@ def _eigh_certificate(v: np.ndarray, rank: int) -> tuple[bool, bool]:
     slack = (1 + _ROUNDING) ** 2
     b = ((1 + e) * e + delta * (3 + 2 * e + delta)
          + g * (math.sqrt(rank) * (1 + e) + delta) ** 2) * slack
-    held = (2 * gr * (1 + e) * slack <= HERMITIAN_RTOL
+    return (2 * gr * (1 + e) * slack <= HERMITIAN_RTOL
             and (math.sqrt(rank) * e + 2 * g * rank * (1 + e)) * slack <= TRACE_RANK_TOL * d
             and b <= IDEMPOTENCY_TOL * d)
-    resolved = (held and b <= ORTHOGONALITY_TOL
-                and (e + 2 * g * d * (1 + e)) * slack <= COMPLETENESS_TOL * d)
-    return held, resolved
 
 
 def _rank_groups(sizes) -> list[tuple[slice, int, int]]:

@@ -267,7 +267,9 @@ def zeno_time(h, a) -> float:
     (zero variance).  The variance is evaluated as ``||H a||^2 - <a|H a>^2``
     so both moments come from the same matrix-vector product, taken on ``s H``
     for the power of two ``s`` of ``operators._unit_scale`` (exact, and finite
-    for any finite ``H``); an eigenstate has ``var <= 16 eps max(m2, s**2)``.
+    for any finite ``H``).  The largest entry of ``s H`` lies in [1, 2), so an
+    eigenstate has ``var <= 16 eps max(m2, 1)`` on those moments at every
+    scale of ``H``.
     """
     hop = as_operator(h)
     if not hop.hermitian:
@@ -278,7 +280,7 @@ def zeno_time(h, a) -> float:
     m2 = float(np.vdot(hv, hv).real)
     m1 = float(np.vdot(v, hv).real)
     var = m2 - m1 * m1
-    if var <= 16 * np.finfo(float).eps * max(m2, s * s):
+    if var <= 16 * np.finfo(float).eps * max(m2, 1.0):
         return math.inf
     return s / math.sqrt(var)
 

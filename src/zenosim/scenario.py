@@ -418,6 +418,8 @@ def load_scenario(path) -> Scenario:
 
 
 def _initial_vector(s: Scenario, dim: int, uniform: bool = False) -> np.ndarray:
+    """The initial amplitudes, of length ``dim`` but not normalized: each task
+    normalizes them once, through ``_state_vector`` or ``DensityMatrix.pure``."""
     if s.initial_state is not None:
         v = np.array(s.initial_state, dtype=complex)
         if v.size != dim:
@@ -428,7 +430,7 @@ def _initial_vector(s: Scenario, dim: int, uniform: bool = False) -> np.ndarray:
     else:
         v = np.zeros(dim, dtype=complex)
         v[0] = 1.0
-    return _state_vector(v, dim, normalize=True)
+    return v
 
 
 def _base_metadata(s: Scenario, cluster_tol) -> dict:
@@ -475,7 +477,8 @@ def _with_slope(columns, values, md) -> ResultSeries:
 
 def _survival(s, hk, cluster_tol, md) -> ResultSeries:
     ts = np.linspace(0.0, s.t_max, s.samples)
-    amplitudes = _survival_amplitudes(hk.total(), _initial_vector(s, hk.dim), ts)
+    v0 = _state_vector(_initial_vector(s, hk.dim), hk.dim, normalize=True)
+    amplitudes = _survival_amplitudes(hk.total(), v0, ts)
     columns = ("t", "p0")
     values = [ts, _probability(np.abs(amplitudes) ** 2)]
     if s.model_kind == "three_level" and s.initial_state is None:
@@ -515,7 +518,7 @@ def _sweep_n(s, hk, cluster_tol, md) -> ResultSeries:
     sectors = zeno_sectors(hk, cluster_tol=cluster_tol)
     if len(sectors) == 0:
         raise ValidationError("the coupling has no real eigenvalue: no sector to measure")
-    v0 = _initial_vector(s, hk.dim)
+    v0 = _state_vector(_initial_vector(s, hk.dim), hk.dim, normalize=True)
     proj = max(sectors, key=lambda s_: np.linalg.norm(s_.projector.basis.conj().T @ v0)).projector
     ns = [int(n) for n in s.sweep_values]
     return _with_slope(("N", "error"), (ns, _pulsed_errors(hk.total(), proj, ns, s.t_max)), md)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import subprocess
@@ -871,6 +872,92 @@ def test_validate_resolution_decides_as_exact_svd(seed, dim, log_eps, kind):
     assert raised(dec.validate_resolution) == expected
 
 
+def tilted(basis, a, b, angle):
+    """``basis`` with column ``a`` tilted toward column ``b`` by ``angle``: the
+    projectors of two sectors holding them overlap, and miss the identity, by
+    ``sin(angle)``."""
+    basis = basis.copy()
+    basis[:, a] = math.cos(angle) * basis[:, a] + math.sin(angle) * basis[:, b]
+    return basis
+
+
+def sectors_of(basis, blocks):
+    """A decomposition of projectors onto the columns ``blocks`` of ``basis``."""
+    return SectorDecomposition(
+        tuple(Sector(complex(n), projector_from_columns(basis[:, b])) for n, b in enumerate(blocks)),
+        cluster_tol=0.5, dim=len(basis))
+
+
+@PROPERTY
+@given(seeds, st.integers(2, 40), st.sampled_from(["certified", "perturbed", "straddling"]),
+       ratios, st.booleans())
+def test_gram_resolution_decides_as_the_dense_pairwise_check(seed, dim, kind, ratio, complete):
+    """Bases of eig (certified), perturbed ones, and ones whose defect straddles the
+    completeness or orthogonality tolerance, in up to six sectors of mixed rank."""
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=min(int(rng.integers(1, 6)), dim - 1),
+                              replace=False))
+    blocks = np.split(rng.permutation(dim), cuts)
+    basis = unitary(rng, dim)
+    if kind == "certified":
+        h = (basis * np.repeat(np.arange(len(blocks)), list(map(len, blocks)))) @ basis.conj().T
+        found = eig((h + h.conj().T) / 2)
+        dec = SectorDecomposition(found.sectors, found.cluster_tol, dim)
+    elif kind == "perturbed":
+        noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        dec = sectors_of(basis + ratio * 1e-11 * noise, blocks)
+    else:
+        i, j = rng.choice(len(blocks), size=2, replace=False)
+        angle = math.asin(ratio * 1e-10 * (dim if complete else 1))
+        dec = sectors_of(tilted(basis, rng.choice(blocks[i]), rng.choice(blocks[j]), angle),
+                         blocks)
+    got = raised(dec.validate_resolution)
+    if kind == "certified":
+        assert got is None and not any("matrix" in s.projector.__dict__ for s in dec)
+    ms = [p.matrix for p in dec.projectors]
+    expected = exact_resolution_error(ms, dim)
+    if got != expected:
+        # completeness is the dense residual, bit for bit; the orthogonality defect of the
+        # Gram blocks lies within 8 d u of the dense one (and of the printed digits)
+        dense = max(svd_norm(pi @ pj) for k, pi in enumerate(ms) for pj in ms[k + 1:])
+        slack = 8 * dim * np.finfo(float).eps / 2
+        assert "orthogonal" in (got or expected)
+        if got and expected:
+            assert abs(float(got.split("(")[1][:-1]) - dense) <= slack + 5e-4 * dense
+        else:
+            assert abs(dense - 1e-10) <= slack
+
+
+def test_gram_resolution_reads_every_pair_block():
+    # ranks 3, 1, 2 (the frame sorts them to 1, 2, 3): a tilt of 3e-10 toward any
+    # column of another sector breaks orthogonality (1e-10) but not completeness (6e-10)
+    blocks = [[0, 1, 2], [3], [4, 5]]
+    owner = [0, 0, 0, 1, 2, 2]
+    basis = unitary(np.random.default_rng(3), 6)
+    for a, b in itertools.permutations(range(6), 2):
+        if owner[a] != owner[b]:
+            dec = sectors_of(tilted(basis, a, b, 3e-10), blocks)
+            assert raised(dec.validate_resolution).startswith(
+                "projectors are not mutually orthogonal (3.0")
+    sectors_of(basis, blocks).validate_resolution()
+
+
+@pytest.mark.parametrize("dim", [200, 400])
+def test_resolution_of_a_gue_decomposition_forms_no_projector_matrix(rng, dim):
+    dec = eig(random_hermitian(rng, dim))
+    fresh = SectorDecomposition(dec.sectors, dec.cluster_tol, dim)    # nothing recorded
+    tracemalloc.start()
+    try:
+        fresh.validate_resolution()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fresh) == dim
+    assert peak < 50 * 2 ** 20   # dense pair products cache 122 MiB at d = 200, 977 MiB at 400
+    assert not any("matrix" in s.projector.__dict__ for s in fresh)
+    assert fresh.orthogonality_defect() <= 1e-13
+
+
 @PROPERTY
 @given(seeds, st.integers(2, 8), ratios, st.floats(0.3, 1.0))
 def test_survival_support_decides_as_exact_svd(seed, dim, ratio, purity):
@@ -898,33 +985,26 @@ def test_certificate_implies_exact_idempotency(seed, dim, log_eps):
     v = unitary(rng, dim) + 10.0 ** log_eps * (rng.standard_normal((dim, dim))
                                                + 1j * rng.standard_normal((dim, dim)))
     rank = int(rng.integers(1, dim + 1))
-    held, resolved = operators._eigh_certificate(v, rank)
-    assert held or not resolved
-    if held:
+    if operators._eigh_certificate(v, rank):
         for k in range(1, rank + 1):
             cols = v[:, rng.permutation(dim)[:k]]
             m = cols @ cols.conj().T
             assert svd_norm(m @ m - m) <= 1e-10 * dim
             assert raised(Projector, m, rank=k) is None
-    if resolved:
-        cuts = np.arange(rank, dim, rank)
-        blocks = np.split(rng.permutation(dim), cuts)
-        projectors = [v[:, b] @ v[:, b].conj().T for b in blocks]
-        assert exact_resolution_error(projectors, dim) is None
 
 
 def test_certificate_accepts_eigh_vectors_and_rejects_skewed_ones(rng):
     _, v = np.linalg.eigh(random_hermitian(rng, 200))
-    assert operators._eigh_certificate(v, 1) == (True, True)
-    assert operators._eigh_certificate(v, 200) == (True, False)
-    assert operators._eigh_certificate(v * (1 + 1e-6), 1) == (False, False)
+    assert operators._eigh_certificate(v, 1)
+    assert operators._eigh_certificate(v, 200)
+    assert not operators._eigh_certificate(v * (1 + 1e-6), 1)
 
 
 def test_certificate_withholds_projectors_whose_trace_would_fail(rng):
     v = unitary(rng, 9) * (1 + 1e-10)   # ||V^dag V - I||_F = 6e-10, tr(V V^dag) = 9 + 1.8e-9
     assert "trace" in raised(Projector, v @ v.conj().T, rank=9)
-    assert operators._eigh_certificate(v, 9) == (False, False)
-    assert operators._eigh_certificate(v, 1) == (True, False)
+    assert not operators._eigh_certificate(v, 9)
+    assert operators._eigh_certificate(v, 1)
 
 
 @pytest.mark.parametrize("values, tol, distinct", [

@@ -280,6 +280,26 @@ def test_zeno_time_at_unit_scale_is_the_unscaled_formula_bit_for_bit(seed):
     assert zeno_time(h, v) == expected
 
 
+def test_zeno_time_of_a_tiny_hamiltonian_is_not_an_eigenstate():
+    assert zeno_time([[0, 1e-8], [1e-8, 0]], [1, 0]) == pytest.approx(1e8, rel=1e-15)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(-60, 60))
+def test_zeno_time_is_covariant_under_powers_of_two(seed, d, k):
+    # c H is exact and so is its scaling by s / c: the moments are those of H, bit for bit
+    rng = np.random.default_rng(seed)
+    c = math.ldexp(1.0, k)
+    h = random_hermitian(rng, d)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    assert zeno_time(c * h, v) * c == zeno_time(h, v)
+    # a dark state: the zero-eigenvalue eigenstate of a rotated H
+    q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    dark = (q * np.arange(d)) @ q.conj().T
+    assert zeno_time(c * (dark + dark.conj().T) / 2, q[:, 0]) == math.inf
+
+
 def test_zeno_time_fitted_reads_cancellation_free_deficits():
     rng = np.random.default_rng(5)
     for d in rng.integers(2, 51, size=60):

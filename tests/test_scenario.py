@@ -228,6 +228,22 @@ def test_huge_and_tiny_initial_states_are_normalized_exactly(task, state):
         assert rows(state) == rows("[1, 0, 0]")
 
 
+def test_nonselective_normalizes_its_initial_state_once(monkeypatch):
+    from zenosim import operators, scenario
+
+    normalized = []
+    real = operators._state_vector
+
+    def counted(a, dim, normalize=False):
+        normalized.append(normalize)
+        return real(a, dim, normalize)
+    monkeypatch.setattr(operators, "_state_vector", counted)
+    monkeypatch.setattr(scenario, "_state_vector", counted)
+    run(parse_scenario("model: {kind: three_level, params: {omega: 1, K: 1}}\n"
+                       "task: nonselective\nsweep: {N: [4, 8]}\ntime: {t_max: 1.0}\n"))
+    assert normalized.count(True) == 1
+
+
 # --------------------------------------------------------------------------
 # CSV export
 
