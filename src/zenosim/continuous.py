@@ -97,11 +97,13 @@ def zeno_sectors(hk: CoupledHamiltonian, cluster_tol: float | None = None) -> Se
 def real_sectors(h_meas, cluster_tol: float | None = None) -> SectorDecomposition:
     """Real-eigenvalue sectors of a possibly dissipative coupling.
 
-    Eigenvalues with ``|Im eta|`` below the threshold are clustered and
-    each cluster contributes the orthogonal projector onto the span of its
-    right eigenvectors, with the measured condition number of its spectral
-    projector (a cluster whose eigenvector block or spectral projector
-    exceeds ``DEFAULT_MAX_SECTOR_CONDITION`` is dropped).  No real eigenvalue
+    Eigenvalues with ``|Im eta| <= REAL_EIGENVALUE_RTOL * ||h_meas||`` (1e-9
+    relative, so ``c h_meas`` has the sectors of ``h_meas`` for every ``c >
+    0``) are clustered and each cluster contributes the orthogonal
+    projector onto the span of its right eigenvectors, with the measured
+    condition number of its spectral projector (a cluster whose eigenvector
+    block or spectral projector exceeds ``DEFAULT_MAX_SECTOR_CONDITION`` is
+    dropped).  No real eigenvalue
     yields an empty (valid) decomposition.  Complex eigenvalues are never
     clustered here, so a smeared dissipative spectrum cannot poison it.
     """
@@ -278,6 +280,12 @@ def perturbative_spectrum(hk: CoupledHamiltonian, order: int = 2,
     second-order block through the reduced resolvent.  A slice degenerate
     at both orders is kept as one lump and reported via ``resolved=False``
     (its eigenvalue data is still correct for every state in the lump).
+    Eigenvalues of a slice are degenerate within ``_DEGENERACY_RTOL`` times
+    the bound of their block: ``||H||`` at first order, and at second
+    order ``||P_n H S_n H P_n|| <= ||H||^2 ||S_n||``, where ``||S_n||`` is
+    the inverse distance from ``eta_n`` to the nearest other sector.  Both
+    scale like the values they split, so ``c H``, ``c H_meas`` split alike
+    for every ``c > 0``.
     """
     _count(order, "perturbative order must be 1 or 2", 1, 2)
     if not _record(hk, CoupledHamiltonian, _COUPLED).h_meas.hermitian:
@@ -290,13 +298,15 @@ def perturbative_spectrum(hk: CoupledHamiltonian, order: int = 2,
 
     w, owner, diags = _resolvent_frame(sectors)
     g = w.conj().T @ hk.h.matrix @ w
-    scale = max(1.0, snorm(hk.h))
+    hnorm = snorm(hk.h)
     branches: list[PerturbativeBranch] = []
     for n, (s, dn) in enumerate(zip(sectors, diags)):
         own = owner == n
         b1 = g[np.ix_(own, own)]                             # first-order block
         w1, v1 = np.linalg.eigh((b1 + b1.conj().T) / 2)
-        for idx in cluster_values(w1, _DEGENERACY_RTOL * scale):
+        # second-order slices: ||P_n H S_n H P_n|| <= ||H||^2 ||S_n||, ||S_n|| = max|D_n|
+        tol2 = _DEGENERACY_RTOL * hnorm * np.abs(dn).max(initial=0.0) * hnorm
+        for idx in cluster_values(w1, _DEGENERACY_RTOL * hnorm):
             c = v1[:, idx]                                   # slice in the sector basis
             hc, ch = g[:, own] @ c, c.conj().T @ g[own]      # W^dag H V, V^dag H W; V = W_n c
             if order == 1:                                   # the slice stays one branch
@@ -304,7 +314,7 @@ def perturbative_spectrum(hk: CoupledHamiltonian, order: int = 2,
             else:
                 b2 = (ch * dn) @ hc
                 w2, v2 = np.linalg.eigh((b2 + b2.conj().T) / 2)
-            for sub in cluster_values(w2, _DEGENERACY_RTOL * max(1.0, scale ** 2)):
+            for sub in cluster_values(w2, tol2):
                 u = v2[:, sub]
                 cols = w[:, own] @ (c @ u)                   # the branch's basis
                 sh = w @ (dn[:, None] * (hc @ u))            # S_n H cols

@@ -45,6 +45,14 @@ Conventions
   moments on ``s H`` alike.
 * Five guards check arguments: ``_number``, ``_count``, ``_array``,
   ``_state_vector`` and ``_record`` (a record of its type).
+* Every tolerance on a Hamiltonian or a coupling is relative to its norm
+  (the cluster and real-eigenvalue tolerances of a decomposition, the
+  degeneracy tolerances of ``perturbative_spectrum``), so ``c A`` has the
+  sectors of ``A`` for every ``c > 0``.  A floor of 1 stays only on an
+  argument of fixed scale, a projector or a state of norm at most 1: a
+  projector's Hermiticity, a density matrix's Hermiticity and positivity,
+  the trace rule of the chains and the support check of
+  ``survival_probability``.
 
 Intended scale is "desk" size, dimensions up to a couple hundred; there is
 deliberately no sparse or structured path.
@@ -302,7 +310,10 @@ def as_operator(a, hermitian: bool | None = None) -> Operator:
 @dataclass(frozen=True)
 class Projector:
     """Orthogonal projector: Hermitian, idempotent, integer trace.  A sector
-    of :func:`eig` is held by its :attr:`basis` and forms its matrix when read."""
+    of :func:`eig` is held by its :attr:`basis` and forms its matrix when read.
+    The Hermiticity allowance ``HERMITIAN_RTOL * max(1, ||P||_2)`` keeps its
+    floor 1: a projector has norm 0 or 1 at every scale of the operator it
+    comes from."""
 
     matrix: np.ndarray
     rank: int
@@ -549,7 +560,9 @@ class DensityMatrix:
     @classmethod
     def _checked(cls, matrix, psd: bool) -> np.ndarray:
         """Read-only copy of ``matrix`` after the finiteness, shape,
-        Hermiticity and trace checks, and with ``psd`` the positivity test."""
+        Hermiticity and trace checks, and with ``psd`` the positivity test.
+        The Hermiticity allowance ``HERMITIAN_RTOL d max(1, ||rho||_2)`` keeps
+        its floor 1, as a state of trace at most one has a fixed scale."""
         m = _array(matrix, "density matrix must be square, got {}", copy=True,
                    finite="density matrix")
         if not _within_scaled(_hermitian_deviation(m), m, HERMITIAN_RTOL * len(m)):
@@ -599,7 +612,8 @@ class DensityMatrix:
 
 def _check_positive(m: np.ndarray, blocks) -> None:
     """``-lambda_min(herm X) <= _PSD_TOL * max(1, ||X||_2)`` for ``X = m``, block
-    diagonal with the matrices or stacks ``blocks`` (``[m]`` for any ``m``)."""
+    diagonal with the matrices or stacks ``blocks`` (``[m]`` for any ``m``).
+    The floor 1 stays: ``X`` is a state, of trace at most one."""
     lowest = min(np.linalg.eigvalsh((b + b.conj().swapaxes(-1, -2)) / 2).min() for b in blocks)
     if not _within_scaled(-lowest, m, DensityMatrix._PSD_TOL):
         raise ValidationError(f"density matrix has negative eigenvalue {lowest:.3e}")
@@ -637,12 +651,9 @@ def expm(a, t: float | complex = 1.0) -> Operator:
 
 
 def default_cluster_tol(a) -> float:
-    """Default clustering tolerance, 1e-8 * max(1, ||A||)."""
+    """Default clustering tolerance, ``DEFAULT_CLUSTER_RTOL * ||A||`` (1e-8
+    relative); 0 for the zero matrix, whose eigenvalues are exact zeros."""
     return _cluster_tol(snorm(a), None)
-
-
-def _real_tol(norm: float) -> float:
-    return REAL_EIGENVALUE_RTOL * max(1.0, norm)
 
 
 def cluster_values(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -693,24 +704,26 @@ def cluster_values(values: np.ndarray, tol: float) -> list[list[int]]:
 
 
 def _cluster_tol(norm: float | None, cluster_tol) -> float:
-    """The clustering tolerance of a decomposition: the default for an
-    operator of spectral norm ``norm`` when None, else a finite value >= 0."""
+    """The clustering tolerance of a decomposition: the default
+    ``DEFAULT_CLUSTER_RTOL * norm`` for an operator of spectral norm ``norm``
+    when None, else a finite value >= 0."""
     if cluster_tol is None:
-        return DEFAULT_CLUSTER_RTOL * max(1.0, norm)
+        return DEFAULT_CLUSTER_RTOL * norm
     return float(_number(cluster_tol, "cluster tolerance must be finite and >= 0, got {!r}", 0))
 
 
 def eig(a, cluster_tol: float | None = None) -> SectorDecomposition:
     """Spectral decomposition into distinct-eigenvalue sectors.
 
-    Eigenvalues within ``cluster_tol`` of each other are merged into one
-    sector whose projector has rank equal to the multiplicity.  Hermitian
-    input yields an exact resolution of the identity.  For non-Hermitian
-    input the projector of each cluster is the orthogonal projector onto
-    the span of its right eigenvectors; clusters whose eigenvector block or
-    spectral projector has condition number above the fixed threshold
-    ``DEFAULT_MAX_SECTOR_CONDITION = 1e8`` (defective eigenvalue, poorly
-    separated subspace) go to ``dropped``.
+    Eigenvalues within ``cluster_tol`` of each other (default
+    ``DEFAULT_CLUSTER_RTOL * ||A||``, so ``c A`` has the sectors of ``A`` for
+    every ``c > 0``) are merged into one sector whose projector has rank
+    equal to the multiplicity.  Hermitian input yields an exact resolution
+    of the identity.  For non-Hermitian input the projector of each cluster
+    is the orthogonal projector onto the span of its right eigenvectors;
+    clusters whose eigenvector block or spectral projector has condition
+    number above the fixed threshold ``DEFAULT_MAX_SECTOR_CONDITION = 1e8``
+    (defective eigenvalue, poorly separated subspace) go to ``dropped``.
     """
     op = as_operator(a)
     if not op.hermitian:
@@ -741,14 +754,15 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
     span of its eigenvectors and the measured condition number of its
     spectral projector.  A cluster goes to ``dropped``, with the figure,
     when the condition number of its eigenvector block or else of its
-    spectral projector exceeds ``DEFAULT_MAX_SECTOR_CONDITION``.  ``real_only``
-    keeps only eigenvalues with ``|Im eta| <= _real_tol(||op||)``,
+    spectral projector exceeds ``DEFAULT_MAX_SECTOR_CONDITION``.  The default
+    cluster tolerance is ``DEFAULT_CLUSTER_RTOL * ||op||``.  ``real_only``
+    keeps only eigenvalues with ``|Im eta| <= REAL_EIGENVALUE_RTOL * ||op||``,
     reports their real parts and marks the decomposition incomplete.
     """
     norm = snorm(op) if real_only or cluster_tol is None else None     # one SVD serves both
     tol = _cluster_tol(norm, cluster_tol)
     w, vr = np.linalg.eig(op.matrix)
-    keep = (np.flatnonzero(np.abs(w.imag) <= _real_tol(norm)) if real_only
+    keep = (np.flatnonzero(np.abs(w.imag) <= REAL_EIGENVALUE_RTOL * norm) if real_only
             else np.arange(w.size))
     vr_inv = None
     sectors = []

@@ -32,7 +32,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fitting import loglog_fit
 from .operators import (
     DensityMatrix,
     Operator,
@@ -177,9 +176,11 @@ def survival_probability(rho0: DensityMatrix, v, p: Projector) -> float:
     """Probability of still finding the state inside Ran P after applying
     the propagator ``v``.
 
-    Requires the initial state to be supported in Ran P.  The propagator is
-    restricted to the subspace before tracing, so both sandwiched chains
-    (``V_N``) and plain unitaries give the textbook survival value.
+    Requires the initial state to be supported in Ran P: ``||rho - P rho
+    P||_2 <= 1e-10 max(1, ||rho||_2)``, whose floor 1 stays, as a state has a
+    fixed scale.  The propagator is restricted to the subspace before
+    tracing, so both sandwiched chains (``V_N``) and plain unitaries give the
+    textbook survival value.
     """
     rho = _record(rho0, DensityMatrix, _STATE).matrix
     proj, v = _record(p, Projector, _PROJECTOR).matrix, as_matrix(v)
@@ -289,11 +290,13 @@ def zeno_time_fitted(h, a, tau0: float | None = None, points: int = 5) -> float:
     """Quadratic-decay scale recovered from short-time survival data.
 
     Evaluates ``1 - p(tau)`` on the geometric grid ``tau0 * 2**-k`` for
-    ``k = 0 .. points-1`` (default ``tau0 = 0.01 / ||H||``) and fits
-    ``log(1 - p)`` against ``log tau``; the intercept gives the time scale.
-    ``points`` must be an integer >= 2.  For a Hermitian ``H = V diag(w) V^dag``
-    the deficit is ``sum_kl p_k p_l 2 sin^2((w_k - w_l) tau / 2)`` with ``p =
-    |V^dag a|^2``, free of the cancellation in ``1 - |A|^2`` at small tau.
+    ``k = 0 .. points-1`` (default ``tau0 = 0.01 / ||H||``) and fits the
+    model ``log(1 - p) = 2 log tau - 2 log tz`` with its one free parameter:
+    the intercept is ``mean(log(1 - p) - 2 log tau)``, so ``c H`` gives ``tz /
+    c`` for every ``c > 0``.  ``points`` must be an integer >= 2.  For a
+    Hermitian ``H = V diag(w) V^dag`` the deficit is ``sum_kl p_k p_l 2
+    sin^2((w_k - w_l) tau / 2)`` with ``p = |V^dag a|^2``, free of the
+    cancellation in ``1 - |A|^2`` at small tau.
     """
     _count(points, "points must be an integer >= 2, got {!r}", 2)
     hop = as_operator(h)
@@ -315,8 +318,7 @@ def zeno_time_fitted(h, a, tau0: float | None = None, points: int = 5) -> float:
     deficits = np.maximum(deficits, 0.0)
     if np.any(deficits <= 0):
         return math.inf
-    _, intercept = loglog_fit(taus, deficits)
-    # model: log(1 - p) = 2 log tau - 2 log tz
+    intercept = float(np.mean(np.log(deficits) - 2 * np.log(taus)))
     return math.exp(-intercept / 2.0)
 
 
@@ -397,7 +399,8 @@ def _check_traces(first: int, traces: np.ndarray) -> float:
     """Refuse the first of the steps ``first, first + 1, ...`` that changed
     the trace by more than ``1e-12`` relative, and return the last trace:
     ``traces[j + 1]`` is the trace after step ``first + j`` and
-    ``traces[0]`` the one before ``first``."""
+    ``traces[0]`` the one before ``first``.  The floor 1 of ``1e-12 max(1,
+    |trace|)`` stays: the trace of a state is at most one at every scale."""
     prev, delta = traces[:-1], np.abs(np.diff(traces))
     bad = np.flatnonzero(delta > 1e-12 * np.maximum(1.0, np.abs(prev)))
     if bad.size:

@@ -49,6 +49,7 @@ PERT = "tests/test_continuous.py::"
 GOLDEN = "tests/test_golden.py::"
 ADIA = "tests/test_adiabatic.py::"
 PULSED = "tests/test_pulsed.py::"
+SCALE = "tests/test_scale_covariance.py::"
 BOUNDARY = "tests/test_public_boundary.py::test_a_bad_argument_raises_a_zeno_error["
 
 FAULTS = [
@@ -301,6 +302,27 @@ FAULTS = [
           '        _number(lam, "lam must be finite, got {!r}")\n        w, owner, diags',
           "        w, owner, diags",
           (PERT + "test_generator_and_predicted_eigenvalues_refuse_a_non_finite_lam",)),
+    # one scale rule: tolerances relative to the norm of the operator they judge
+    Fault("absolute floor 1 back in the default cluster tolerance",
+          "src/zenosim/operators.py",
+          "        return DEFAULT_CLUSTER_RTOL * norm",
+          "        return DEFAULT_CLUSTER_RTOL * max(1.0, norm)",
+          (SCALE + "test_the_zeno_limits_are_covariant_under_a_power_of_two_scale",)),
+    Fault("absolute floor 1 back in the real-eigenvalue tolerance",
+          "src/zenosim/operators.py",
+          "np.abs(w.imag) <= REAL_EIGENVALUE_RTOL * norm)",
+          "np.abs(w.imag) <= REAL_EIGENVALUE_RTOL * max(1.0, norm))",
+          (SCALE + "test_a_tiny_dissipative_coupling_protects_only_its_real_level",)),
+    Fault("fitted Zeno time with a free slope",
+          "src/zenosim/pulsed.py",
+          "    intercept = float(np.mean(np.log(deficits) - 2 * np.log(taus)))",
+          "    from .fitting import loglog_fit\n    intercept = loglog_fit(taus, deficits)[1]",
+          (SCALE + "test_zeno_time_fitted_is_covariant_under_powers_of_two",)),
+    Fault("absolute floor 1 back in the perturbative degeneracy tolerances",
+          "src/zenosim/continuous.py",
+          "    hnorm = snorm(hk.h)",
+          "    hnorm = max(1.0, snorm(hk.h))",
+          (SCALE + "test_perturbative_spectrum_resolves_every_branch_at_every_scale",)),
     # the argument guards
     Fault("finite-number guard lets a bool through",
           "src/zenosim/operators.py",
