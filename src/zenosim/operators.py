@@ -18,23 +18,24 @@ Conventions
   diagnostics such as :func:`offblock_norm`.
 * One decision, ``dev <= rtol * max(floor, ||M||_2)`` for a matrix or each
   slice of a stack (:func:`_within_scaled`), backs every scaled tolerance:
-  the floor settles most single matrices, ``||M||_F / sqrt(n) <= ||M||_2 <=
-  ||M||_F`` (with a relative slack ``_ROUNDING`` for rounding) the rest
-  unless ``dev`` falls between them, and only then an SVD runs, so each
+  the floor passes most single matrices and ``||M||_2 <= ||M||_F`` fails a
+  single one far off, ``||M||_F / sqrt(n) <= ||M||_2 <= ||M||_F`` (with a
+  relative slack ``_ROUNDING`` for rounding) decides the rest unless ``dev``
+  falls between them, and only then an SVD runs, so each
   verdict is the exact one.  A NaN ``dev`` fails; an overflowed norm is
   decided on the matrix scaled by a power of two.  Hermitian: ``max|A -
   A^dag| <= HERMITIAN_RTOL * ||A||_2`` (a projector's floor is 1, a density
   matrix's tolerance n-fold).  Positive: ``-lambda_min(herm X) <= _PSD_TOL *
   max(1, ||X||_2)`` (:func:`_check_positive`).  A residual bound ``||R|| <=
   b`` passes outright when ``||R||_F <= b``.
-* The Hermitian sectors of :func:`eig` are held by their ``eigh`` columns
-  (:attr:`Projector.basis`), through which the block diagnostics and the
-  chains work; a sector's ``matrix = fl(Q Q^dag)`` is formed when read.
-  One ``e = ||V^dag V - I||_F`` proves that every such matrix passes the
-  projector checks (:func:`_eigh_certificate`); without that certificate
-  every projector is checked in full.  The resolution of the identity, by
-  any decomposition, is checked once on its frame ``W = [Q_1 ... Q_m]``
-  (:meth:`SectorDecomposition.validate_resolution`).
+* A projector built from orthonormal columns ``C`` (the Hermitian sectors of
+  :func:`eig`, :func:`projector_from_columns`, :func:`basis_projector`) is
+  held by them as its :attr:`Projector.basis`, through which the block
+  diagnostics and the chains work, and forms ``matrix = fl(C C^dag)`` when
+  read.  One ``e >= ||C^dag C - I||_F`` proves that matrix a projector
+  (:func:`_eigh_certificate`); without it the matrix is checked in full.  The
+  resolution of the identity, by any decomposition, is checked once on its
+  frame ``W = [Q_1 ... Q_m]`` (:meth:`SectorDecomposition.validate_resolution`).
 * Non-Hermitian sectors, the real-eigenvalue (decoherence-free) ones
   included, come from one eigenvector routine and carry the measured
   condition number of their spectral projector; a cluster whose eigenvector
@@ -62,7 +63,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -182,14 +183,20 @@ def _record(x, cls, message: str):
 def _within_scaled(dev, m: np.ndarray, rtol: float, floor: float = 1.0):
     """``dev <= rtol * max(floor, ||m||_2)``: a bool for a matrix ``m``, a bool
     array for the slices of a stack (``dev`` one value per slice).  The floor
-    passes most single matrices outright; otherwise ``||m||_F / sqrt(n) <=
-    ||m||_2 <= ||m||_F`` decides a whole stack at once unless ``dev`` falls
-    between the two allowances, and only those slices take the SVD.  A NaN or
-    Inf ``dev`` fails.  A slice whose norm overflows is decided on it and its
-    ``dev`` scaled by :func:`_overflow_scale`, exactly, as the allowance is
-    linear above its floor (at most 1)."""
-    if m.ndim == 2 and dev <= rtol * floor:
-        return True
+    passes most single matrices outright, and the upper allowance ``rtol *
+    max(floor, ||m||_F)`` fails a single one far off (one whose norm is NaN
+    or overflows goes on); otherwise ``||m||_F / sqrt(n) <= ||m||_2 <=
+    ||m||_F`` decides a whole stack at once unless ``dev`` falls between the
+    two allowances, and only those slices take the SVD.  A NaN or Inf ``dev``
+    fails.  A slice whose norm overflows is decided on it and its ``dev``
+    scaled by :func:`_overflow_scale`, exactly, as the allowance is linear
+    above its floor (at most 1)."""
+    if m.ndim == 2:
+        if dev <= rtol * floor:
+            return True
+        f = math.sqrt(np.vdot(m, m).real)
+        if f <= _FLOAT_MAX and dev > rtol * max(floor, f * (1 + _ROUNDING)):
+            return False
     ms, devs = np.ascontiguousarray(m).reshape(-1, *m.shape[-2:]), np.reshape(dev, -1)
     parts = ms.view(float)
     with np.errstate(over="ignore"):
@@ -307,16 +314,18 @@ def as_operator(a, hermitian: bool | None = None) -> Operator:
     return Operator(m, hermitian=is_hermitian(m) if hermitian is None else hermitian)
 
 
-@dataclass(frozen=True)
 class Projector:
-    """Orthogonal projector: Hermitian, idempotent, integer trace.  A sector
-    of :func:`eig` is held by its :attr:`basis` and forms its matrix when read.
-    The Hermiticity allowance ``HERMITIAN_RTOL * max(1, ||P||_2)`` keeps its
+    """Orthogonal projector: Hermitian, idempotent, integer trace, frozen.
+    ``Projector(matrix, rank)`` checks and stores its matrix, a projector
+    built from columns stores them (:func:`_column_projector`); the other of
+    :attr:`matrix` and :attr:`basis` is formed on first read and kept.  The
+    Hermiticity allowance ``HERMITIAN_RTOL * max(1, ||P||_2)`` keeps its
     floor 1: a projector has norm 0 or 1 at every scale of the operator it
     comes from."""
 
-    matrix: np.ndarray
-    rank: int
+    def __init__(self, matrix: np.ndarray, rank: int):
+        self.__dict__.update(matrix=matrix, rank=rank)
+        self.__post_init__()
 
     def __post_init__(self):
         m = _array(self.matrix, "projector must be square, got shape {}", copy=True,
@@ -332,25 +341,30 @@ class Projector:
         if abs(tr - self.rank) > TRACE_RANK_TOL * len(m):     # the guard refuses a 0 x 0 matrix
             raise ValidationError(f"projector trace {tr:.12g} does not match rank {self.rank}")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self.__dict__.update(matrix=m, dim=len(m))
 
-    def __getattr__(self, name):    # the first read of a basis-held projector's matrix
-        if name != "matrix" or "basis" not in self.__dict__:
-            raise AttributeError(name)
-        m = self.__dict__["matrix"] = _projector_matrix(self)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"Projector(dim={self.dim}, rank={self.rank})"
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The ``dim x dim`` matrix (read-only): a projector held by its
+        basis ``Q`` forms ``fl(Q Q^dag)`` (:func:`_projector_matrix`)."""
+        m = _projector_matrix(self)
         m.setflags(write=False)
         return m
-
-    @property
-    def dim(self) -> int:
-        return self.__dict__.get("matrix", self.__dict__.get("basis")).shape[0]
 
     @cached_property
     def basis(self) -> np.ndarray:
         """Orthonormal ``dim x rank`` basis ``Q`` of the range (read-only):
-        the ``eigh`` columns of a sector of :func:`eig`, whose matrix is
-        ``fl(Q Q^dag)`` bit for bit, else the eigenvectors of the matrix with
-        eigenvalue above 1/2 (computed once)."""
+        the columns a projector was built from, else the eigenvectors of its
+        matrix with eigenvalue above 1/2."""
         w, v = np.linalg.eigh(self.matrix)
         cols = v[:, w > 0.5]
         if cols.shape[1] != self.rank:
@@ -373,17 +387,19 @@ def _projector_matrix(p: Projector) -> np.ndarray:
     return p.__dict__["matrix"] if "matrix" in p.__dict__ else p.basis @ p.basis.conj().T
 
 
-def _eigh_projector(cols: np.ndarray) -> Projector:
-    """Projector held by ``eigh`` columns that :func:`_eigh_certificate` certified."""
-    p = object.__new__(Projector)
+def _column_projector(cols: np.ndarray, certified: bool) -> Projector:
+    """Projector held by orthonormal ``d x k`` columns ``C`` as its basis (made read-only).
+    ``certified`` by :func:`_eigh_certificate`, it runs no check; otherwise ``fl(C C^dag)``
+    takes the :class:`Projector` checks, with their messages, and is stored too."""
     cols.setflags(write=False)
-    p.__dict__.update(rank=cols.shape[1], basis=cols)
+    p = object.__new__(Projector) if certified else Projector(cols @ cols.conj().T, cols.shape[1])
+    p.__dict__.update(rank=cols.shape[1], dim=cols.shape[0], basis=cols)
     return p
 
 
 def projector_from_columns(columns: np.ndarray) -> Projector:
     """Orthogonal projector onto the span of independent columns
-    (orthonormalized by QR); a 1-D vector is one column."""
+    (orthonormalized by QR and held by the QR factor); a 1-D vector is one column."""
     cols = _array(columns, "projector columns have shape {}, not (d,) or (d, k)", (1, 2),
                   finite="projector columns")
     cols = cols[:, None] if cols.ndim == 1 else cols
@@ -393,18 +409,19 @@ def projector_from_columns(columns: np.ndarray) -> Projector:
     rank = np.linalg.matrix_rank(r)
     if rank < cols.shape[1]:
         raise ValidationError(f"projector columns have rank {rank} < their count {cols.shape[1]}")
-    return Projector(q @ q.conj().T, rank=cols.shape[1])
+    return _column_projector(q, _eigh_certificate(q, q.shape[1]))
 
 
 def basis_projector(dim: int, *indices: int) -> Projector:
-    """Projector onto the span of the given distinct canonical basis vectors."""
+    """Projector onto the span of the given distinct canonical basis vectors,
+    held by those columns of the identity."""
     dim = _count(dim, "dim {!r} is not an integer >= 1")
     for k, i in enumerate(indices):
         _count(i, "basis index {} is not an integer in 0 .. {high}", 0, dim - 1)
         if i in indices[:k]:
             raise ValidationError(f"basis index {i} is repeated")
     cols = np.eye(dim, dtype=complex)[:, list(indices)]
-    return Projector(cols @ cols.conj().T, rank=len(indices))
+    return _column_projector(cols, _eigh_certificate(cols, len(indices)))
 
 
 @dataclass(frozen=True)
@@ -735,14 +752,14 @@ def _eigh_sectors(w: np.ndarray, v: np.ndarray,
                   cluster_tol: float | None) -> SectorDecomposition:
     """The Hermitian branch of :func:`eig`, from the ``eigh`` eigenvalues
     ``w`` and eigenvectors ``V`` of the operator, so that one batched
-    ``eigh`` can serve a stack of operators (``adiabatic`` does)."""
+    ``eigh`` can serve a stack of operators (``adiabatic`` does).  Each
+    sector is held by its columns of ``V`` (:func:`_column_projector`), all
+    certified by one :func:`_eigh_certificate` or each checked in full."""
     tol = _cluster_tol(float(np.abs(w).max()), cluster_tol)    # ||A|| = max |w|
     clusters = cluster_values(w, tol)
     held = _eigh_certificate(v, max(map(len, clusters)))
-    sectors = tuple(
-        Sector(complex(np.mean(w[idx])), _eigh_projector(v[:, idx]) if held
-               else Projector(v[:, idx] @ v[:, idx].conj().T, rank=len(idx)))
-        for idx in clusters)
+    sectors = tuple(Sector(complex(np.mean(w[idx])), _column_projector(v[:, idx], held))
+                    for idx in clusters)
     return SectorDecomposition(sectors, tol, v.shape[0], complete=True)
 
 
@@ -752,9 +769,12 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
 
     Each cluster of eigenvalues gives the orthogonal projector onto the
     span of its eigenvectors and the measured condition number of its
-    spectral projector.  A cluster goes to ``dropped``, with the figure,
-    when the condition number of its eigenvector block or else of its
-    spectral projector exceeds ``DEFAULT_MAX_SECTOR_CONDITION``.  The default
+    spectral projector.  The projector is ``fl(Q Q^dag)`` of the QR factor
+    ``Q`` of the eigenvector block, checked in full and held by that matrix,
+    so its :attr:`Projector.basis` is the eigenvectors of P with eigenvalue
+    1.  A cluster goes to ``dropped``, with the figure, when the condition
+    number of its eigenvector block or else of its spectral projector
+    exceeds ``DEFAULT_MAX_SECTOR_CONDITION``.  The default
     cluster tolerance is ``DEFAULT_CLUSTER_RTOL * ||op||``.  ``real_only``
     keeps only eigenvalues with ``|Im eta| <= REAL_EIGENVALUE_RTOL * ||op||``,
     reports their real parts and marks the decomposition incomplete.
@@ -779,7 +799,8 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
         if condition > DEFAULT_MAX_SECTOR_CONDITION:
             dropped.append((eta, condition))
             continue
-        sectors.append(Sector(eta, projector_from_columns(vr[:, idx]), condition=condition))
+        q = np.linalg.qr(vr[:, idx])[0]
+        sectors.append(Sector(eta, Projector(q @ q.conj().T, len(idx)), condition=condition))
     complete = not real_only and not dropped and sum(s.multiplicity for s in sectors) == op.dim
     return SectorDecomposition(tuple(sectors), tol, op.dim, complete=complete,
                                dropped=tuple(dropped))
@@ -787,14 +808,19 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
 
 def _eigh_certificate(v: np.ndarray, rank: int) -> bool:
     """Whether ``M = fl(C C^dag)`` passes the :class:`Projector` checks for
-    every set ``C`` of at most ``rank`` columns of the ``d x d`` ``eigh``
-    eigenvectors ``V``, from ``e = ||V^dag V - I||_F``.  The resolution of
-    the sectors is not certified here:
-    :meth:`SectorDecomposition.validate_resolution` checks it on their bases.
+    every set ``C`` of at most ``rank`` of the ``d x k`` columns ``V`` (the
+    ``eigh`` eigenvectors of :func:`eig`, a QR factor, identity columns), from
+    ``e >= ||V^dag V - I||_F``.  The resolution of several sectors is not
+    certified here: :meth:`SectorDecomposition.validate_resolution` checks it
+    on their bases.
 
     ``g_n = 8 (n + 1) u`` overstates the elementwise error of a length-``n``
-    complex inner product, ``sqrt(2) gamma_{n+2} |a|^T |b|``; ``e`` adds the
-    rounding of ``V^dag V`` to the computed norm.  ``G = C^dag C - I`` is a
+    complex inner product, ``sqrt(2) gamma_{n+2} |a|^T |b|``.  Gram rounding:
+    the ``k x k`` computed ``fl(V^dag V) - I`` is within ``g_d ||  |V|^T |V|
+    ||_F <= g_d ||V||_F^2 = g_d (k + tr(V^dag V - I))`` of ``V^dag V - I`` in
+    Frobenius norm, and ``|tr X| <= sqrt(k) ||X||_F``, so ``||V^dag V - I||_F
+    <= (f + g_d k) / (1 - g_d sqrt(k)) = e`` for the computed norm ``f`` (with
+    ``_ROUNDING`` for the norm's own rounding).  ``G = C^dag C - I`` is a
     principal submatrix of ``V^dag V - I``, so for ``r`` columns
     ``||C||^2 <= 1 + e``, ``||C||_F^2 <= r (1 + e)``, and ``M = C C^dag + D``
     with ``|D| <= g_r |C| |C|^T`` and ``||D||_F <= delta = g_r r (1 + e)``.
@@ -807,9 +833,10 @@ def _eigh_certificate(v: np.ndarray, rank: int) -> bool:
     idempotency clause is implied by the trace clause up to ``r d u`` terms
     (``b - (1 + e) e``).
     """
-    d = v.shape[0]
+    d, k = v.shape
     g, gr = 8 * (d + 1) * _UNIT_ROUNDOFF, 8 * (rank + 1) * _UNIT_ROUNDOFF
-    e = (fnorm(v.conj().T @ v - np.eye(d)) * (1 + _ROUNDING) + g * d) / (1 - g * math.sqrt(d))
+    f = float(np.linalg.norm(v.conj().T @ v - np.eye(k)))     # 0 for no columns
+    e = (f * (1 + _ROUNDING) + g * k) / (1 - g * math.sqrt(k))
     delta = gr * rank * (1 + e)
     slack = (1 + _ROUNDING) ** 2
     b = ((1 + e) * e + delta * (3 + 2 * e + delta)

@@ -11,9 +11,11 @@ path or a check adds its fault here.
 
 Run from the repository root with ``python tests/fault_catalogue.py``.
 Two faults run at a time, each in its own copy, and a fault whose tests
-run past ``TIMEOUT`` seconds counts as broken.  The last line printed is
-``N of M faults caught, T s``.  pytest does not collect this file (its
-name does not start with ``test_``).
+run past ``TIMEOUT`` seconds counts as broken.  The tests run under the
+``catalogue`` hypothesis profile of ``tests/conftest.py``, which does not
+shrink a failing example: a fault is caught or not either way.  The last
+line printed is ``N of M faults caught, T s``.  pytest does not collect
+this file (its name does not start with ``test_``).
 """
 
 from __future__ import annotations
@@ -259,6 +261,22 @@ FAULTS = [
           "total = sum((s.projector.matrix for s in self.sectors),",
           (OPS + "test_certified_resolution_needs_no_svd",
            OPS + "test_resolution_of_a_gue_decomposition_forms_no_projector_matrix[200]")),
+    # projectors held by their columns
+    Fault("certificate on the QR factor taken as given",
+          "src/zenosim/operators.py",
+          "return _column_projector(q, _eigh_certificate(q, q.shape[1]))",
+          "return _column_projector(q, True)",
+          (OPS + "test_skewed_qr_columns_take_the_full_check_and_its_message",)),
+    Fault("uncertified columns skip the full check",
+          "src/zenosim/operators.py",
+          "p = object.__new__(Projector) if certified else",
+          "p = object.__new__(Projector) if True else",
+          (OPS + "test_columns_that_miss_the_certificate_stay_the_basis_of_the_checked_matrix",)),
+    Fault("non-Hermitian sectors held by their QR factor",
+          "src/zenosim/operators.py",
+          "Sector(eta, Projector(q @ q.conj().T, len(idx))",
+          "Sector(eta, projector_from_columns(vr[:, idx])",
+          (GOLDEN + "test_shipped_scenario_matches_reference[dfs_cavity]",)),
     Fault("ambiguous cluster raised only past 2 tol",
           "src/zenosim/operators.py",
           "        if diameter > tol:",
@@ -401,8 +419,8 @@ def _run(fault: Fault, tree: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                               *fault.tests], cwd=tree, env=env, capture_output=True, text=True,
-                              timeout=TIMEOUT)
+                               "--hypothesis-profile", "catalogue", *fault.tests], cwd=tree,
+                              env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return f"BROKEN: the tests ran past {TIMEOUT:g} s"
     finally:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,6 +432,24 @@ def test_perturbative_data_of_a_certified_decomposition_form_no_sector_matrix(rn
     exp.generator(0.01)
     exp.reduced_resolvent(3)
     assert not any("matrix" in s.projector.__dict__ for s in sectors)
+
+
+def test_perturbative_branches_hold_their_projectors_by_columns(rng):
+    hk = CoupledHamiltonian(as_operator(random_hermitian(rng, 100)),
+                            as_operator(random_hermitian(rng, 100)), 1.0)
+    sectors = zeno_sectors(hk)
+    sectors.validate_resolution()
+    tracemalloc.start()
+    try:
+        exp = perturbative_spectrum(hk, sectors=sectors)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(exp.branches) == 100
+    # 100 dense corrections take 15.3 MiB; dense projectors held another 15.3 MiB
+    assert held < 20 * 2 ** 20
+    p = exp.branches[0].projector
+    assert "matrix" not in p.__dict__ and p.basis.shape == (100, 1)
 
 
 @pytest.mark.parametrize("n", [-1, 3, True, False, 1.0, "0", None])

@@ -814,6 +814,45 @@ def test_hermitian_check_of_an_overflowing_norm_decides_on_the_scaled_matrix():
     assert operators.is_hermitian([[a, a * (1 + 1e-14)], [a, a]])
 
 
+def _verdict(dev, m, rtol, floor):
+    """The decision, or the message of a finite ``dev`` against Inf entries, which reaches
+    the SVD's guard (past an Inf * 0 in the scaled copy)."""
+    try:
+        with np.errstate(invalid="ignore"):
+            return operators._within_scaled(dev, m, rtol, floor)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_a_single_matrix_is_decided_as_its_stack_slice(n):
+    """Deviations at and around the floor, the Frobenius bounds and the spectral norm,
+    on matrices tiny, plain, huge, with an overflowing norm, with NaN and with Inf.  The
+    floor passes a single matrix outright, NaN and Inf entries included, where a stack
+    slice with a NaN norm fails; no caller passes a finite deviation of such a matrix."""
+    rng = np.random.default_rng(n)
+    checked = 0
+    for scale, special in itertools.product((1e-300, 1.0, 1e200, 1e307), (None, np.nan, np.inf)):
+        m = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        if special is not None:
+            m[rng.integers(n), rng.integers(n)] = special
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = float(np.sqrt(np.sum(np.abs(m) ** 2)))
+            norms = (1.0, f, f / math.sqrt(n), svd_norm(m) if np.isfinite(m).all() else f)
+        for rtol, floor in ((1e-12, 1.0), (1e-10, np.finfo(float).tiny)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                devs = [rtol * x * c for x in norms for c in (0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 2.0)]
+            for dev in devs + [0.0, math.nan, math.inf]:
+                single = _verdict(dev, m, rtol, floor)
+                if dev <= rtol * floor and special is not None:
+                    assert single is True       # the floor settles it before any norm
+                    continue
+                sliced = _verdict(np.array([dev]), m[None], rtol, floor)
+                assert single == (sliced if isinstance(sliced, str) else bool(sliced[0]))
+                checked += 1
+    assert checked > 400
+
+
 @PROPERTY
 @given(seeds, dims, st.sampled_from(["hermitian", "idempotent", "trace"]), ratios,
        st.sampled_from([1.0, 3.0]))
@@ -1086,10 +1125,100 @@ def test_eig_falls_back_and_rejects_a_resolution_of_skewed_eigenvectors(rng, mon
         v = v + 1e-6 * np.roll(v, 1, axis=1)
         return w, v / np.linalg.norm(v, axis=0)   # unit columns: each projector passes
     monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
-    dec = eig(random_hermitian(rng, 5))
-    assert all("basis" not in s.projector.__dict__ for s in dec)   # built and checked densely
+    h = random_hermitian(rng, 5)
+    _, v = skewed_eigh(h)
+    dec = eig(h)
+    for k, s in enumerate(dec):     # checked in full (the matrix is stored), held by eigh's columns
+        assert "matrix" in s.projector.__dict__
+        assert np.array_equal(s.projector.basis, v[:, [k]])
     with pytest.raises(ValidationError, match="do not resolve the identity"):
         dec.validate_resolution()
+
+
+# --------------------------------------------------------------------------
+# projectors held by the columns they are built from
+
+
+def _post_inits(monkeypatch):
+    """A list that grows by one on each run of ``Projector.__post_init__``."""
+    calls = []
+    real = Projector.__post_init__
+    monkeypatch.setattr(Projector, "__post_init__", lambda self: calls.append(1) or real(self))
+    return calls
+
+
+def test_each_column_route_forms_the_matrix_of_its_columns_bit_for_bit(rng, monkeypatch):
+    calls = _post_inits(monkeypatch)
+    cols = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    q = np.linalg.qr(cols)[0]
+    h = random_hermitian(rng, 7)
+    _, v = np.linalg.eigh(h)
+    routes = [(projector_from_columns(cols), q),
+              (basis_projector(7, 4, 0, 2), np.eye(7, dtype=complex)[:, [4, 0, 2]])]
+    routes += [(p, v[:, [k]]) for k, p in enumerate(eig(h).projectors)]
+    assert calls == []           # every route certified: no full check ran
+    for p, c in routes:
+        assert np.array_equal(p.basis, c) and not p.basis.flags.writeable
+        assert "matrix" not in p.__dict__ and p.dim == 7 and p.rank == c.shape[1]
+        m = p.matrix
+        assert np.array_equal(m, c @ c.conj().T) and not m.flags.writeable and p.matrix is m
+    assert calls == []
+
+
+def test_non_hermitian_sectors_are_held_by_the_matrix_of_their_qr_factor(rng, monkeypatch):
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    w, vr = np.linalg.eig(a)
+    calls = _post_inits(monkeypatch)
+    dec = eig(a)
+    assert len(calls) == len(dec) == 6          # each projector checked in full
+    for s in dec:
+        [k] = np.flatnonzero(np.abs(w - s.eigenvalue) <= 1e-12)
+        q = np.linalg.qr(vr[:, [k]])[0]
+        assert "basis" not in s.projector.__dict__
+        assert np.array_equal(s.projector.matrix, q @ q.conj().T)
+        lam, vecs = np.linalg.eigh(s.projector.matrix)     # the basis: eigenvalue 1 of P
+        assert np.array_equal(s.projector.basis, vecs[:, lam > 0.5])
+
+
+def _skewed_qr(monkeypatch, factors):
+    """``np.linalg.qr`` whose factor ``q`` has its columns scaled by ``factors``."""
+    real_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: (real_qr(a)[0] * factors, real_qr(a)[1]))
+    return lambda a: real_qr(a)[0] * factors
+
+
+def test_skewed_qr_columns_take_the_full_check_and_its_message(monkeypatch):
+    _skewed_qr(monkeypatch, [1.001])
+    calls = _post_inits(monkeypatch)
+    with pytest.raises(ValidationError, match="projector is not idempotent"):
+        projector_from_columns([1.0, 1j, 0.0])
+    assert calls == [1]
+
+
+def test_columns_that_miss_the_certificate_stay_the_basis_of_the_checked_matrix(monkeypatch):
+    # tr G = 2e-20 but ||G||_F = 2.8e-10: the certificate's trace clause, sqrt(2) ||G||_F
+    # = 4e-10, exceeds 3e-10, while P passes every check (idempotency defect 2e-10)
+    skewed = _skewed_qr(monkeypatch, [1 + 1e-10, 1 - 1e-10])
+    calls = _post_inits(monkeypatch)
+    cols = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    p = projector_from_columns(cols)
+    q = skewed(cols)
+    assert not operators._eigh_certificate(q, 2) and calls == [1]
+    assert "matrix" in p.__dict__ and np.array_equal(p.basis, q)
+    assert np.array_equal(p.matrix, q @ q.conj().T) and p.rank == 2
+
+
+def test_frame_of_column_projectors_takes_no_eigh(rng, monkeypatch):
+    # 200 rank-1 projector_from_columns sectors at d = 200 took a d x d eigh each
+    # (1.8 s) when the basis came from the matrix
+    q = unitary(rng, 200)
+    dec = SectorDecomposition(
+        tuple(Sector(complex(n), projector_from_columns(q[:, n])) for n in range(200)),
+        cluster_tol=0.5, dim=200)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail(f"eigh of {a.shape}"))
+    dec.validate_resolution()
+    w, _, _ = dec._frame
+    assert np.allclose(np.abs(w.conj().T @ q), np.eye(200), atol=1e-13)
 
 
 def test_import_does_not_load_scipy_linalg():
