@@ -10,10 +10,13 @@ independent block evolutions with exactly conserved per-sector weights.
 
 Chains run where that motion lives: a selective chain on ``rank x rank``
 cores in a basis of ``Ran P``, a nonselective one in the basis of all
-sector bases, with steps formed there once per N grid and advanced a block
-per numpy call (:func:`pulsed_propagator`, :func:`nonselective_evolve`).
-Both limits come from the sector blocks ``Q_n exp(-i Q_n^dag H Q_n t)`` of
-``operators._sector_columns``, as the continuous limit does.
+sector bases, with steps formed there from one diagonalization per N grid
+(:func:`pulsed_propagator`, :func:`nonselective_evolve`).  A selective
+core is held as its difference from ``I`` and powered by binary powering on
+that difference, so the sweep-N error keeps its relative accuracy at every
+N; its limit is taken as the difference ``exp(-i G t) - I`` for ``G = Q^dag H
+Q``.  Both limits come from the sector blocks ``Q_n exp(-i Q_n^dag H Q_n t)``
+of ``operators._sector_columns``, as the continuous limit does.
 
 The survival amplitude ``<a| exp(-i H t) |a>`` of a time grid comes from one
 diagonalization (:func:`_survival_amplitudes`) for every pure-state caller;
@@ -60,11 +63,6 @@ from .operators import (
     snorm,
 )
 
-# Spectral-norm drift beyond which a pulsed chain is considered broken
-# rather than renormalizable roundoff.
-_CONTRACTION_SLACK = 1e-12
-# How often the running product is checked against the contraction bound.
-_MONITOR_STRIDE = 64
 _STATE = "expected a DensityMatrix, got {}"
 
 
@@ -92,24 +90,23 @@ def pulsed_propagator(h, p: Projector, n: int, t: float) -> Operator:
 
     The chain runs inside ``Ran P``: with the orthonormal basis ``Q`` of
     the range (``P = Q Q^dag``) the power is ``Q [Q^dag U Q]^N Q^dag``, so
-    each step multiplies ``rank x rank`` matrices instead of ``dim x dim``
-    ones.  The step is formed from the eigenbasis of ``H = V diag(w)
-    V^dag`` as ``(B e^{-i w t/N}) B^dag`` with ``B = Q^dag V``.  The power
-    is accumulated in blocks of ``_MONITOR_STRIDE`` steps, the block formed
-    once by repeated squaring (:func:`_chain_power`), and is checked after
-    every block against the contraction bound ``||V|| <= 1``, which the
-    isometry ``Q`` leaves unchanged; norm overshoot within roundoff is
-    renormalized away, anything larger raises.
+    each product is of ``rank x rank`` matrices instead of ``dim x dim``
+    ones.  It is formed as ``Q (I + R) Q^dag`` from the difference ``R =
+    [Q^dag U Q]^N - I`` of :func:`_selective_cores`, which keeps the
+    relative accuracy of ``R`` however large N grows.
     """
-    [v] = _selective_cores(h, p, [n], t)
+    [r] = _selective_cores(h, p, [n], t)
     q = p.basis
-    return Operator(q @ v @ q.conj().T)
+    return Operator(q @ (np.eye(p.rank) + r) @ q.conj().T)
 
 
 def _selective_cores(h, p: Projector, ns, t: float):
-    """The ``rank x rank`` cores ``[Q^dag U(t/N) Q]^N`` of
-    :func:`pulsed_propagator` in the basis ``Q`` of ``Ran P``, one per N
-    in ``ns``, from one ``B = Q^dag V`` for the whole grid."""
+    """The differences ``R = [Q^dag U(t/N) Q]^N - I`` of the ``rank x
+    rank`` cores of :func:`pulsed_propagator` in the basis ``Q`` of ``Ran
+    P``, one per N in ``ns``, from one ``B = Q^dag V`` for the whole grid:
+    the step difference ``D = Q^dag U Q - I`` is ``B (e^{-i w t/N} - 1)
+    B^dag`` on the eigenbasis of ``H = V diag(w) V^dag`` (:func:`_eigh_expm1`)
+    and ``R`` its power (:func:`_chain_power`)."""
     hop = as_operator(h)
     if not hop.hermitian:
         raise ValidationError("pulsed propagation requires a Hermitian Hamiltonian")
@@ -119,47 +116,61 @@ def _selective_cores(h, p: Projector, ns, t: float):
     for n in ns:
         _count(n, "pulse count must be an integer >= 1")
         _number(t, "horizon must be finite and non-negative", 0)
-        yield _chain_power(_eigh_exp(w, b, t / n), n, p.dim)
+        yield _chain_power(_eigh_expm1(w, b, t / n), n, p.dim)
 
 
-def _chain_power(step: np.ndarray, n: int, dim: int) -> np.ndarray:
-    """``step^n`` for a selective chain in a space of dimension ``dim``.
+def _eigh_expm1(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
+    """``V (e^{-i t w} - 1) V^dag`` for eigenvalues ``w`` and eigenvectors (or
+    rows of them) ``V``, with ``e^{-ix} - 1 = -2 sin^2(x/2) - i sin x`` free of
+    the cancellation in ``e^{-ix} - 1`` at small ``x``."""
+    x = t * w
+    return (v * (-2 * np.sin(x / 2) ** 2 - 1j * np.sin(x))) @ v.conj().T
 
-    From N = ``_MONITOR_STRIDE`` on, the block ``step^_MONITOR_STRIDE`` is
-    formed once by repeated squaring and applied ``N // _MONITOR_STRIDE``
-    times, the contraction bound checked after each block; the other
-    ``N mod _MONITOR_STRIDE`` steps are applied one by one.
-    """
-    v = None
-    if n >= _MONITOR_STRIDE:
-        block = np.linalg.matrix_power(step, _MONITOR_STRIDE)
-        for _ in range(n // _MONITOR_STRIDE):
-            v = _enforce_contraction(block if v is None else block @ v, dim)
-    if n % _MONITOR_STRIDE == 0:
-        return v                        # checked after its last block
-    for _ in range(n % _MONITOR_STRIDE):
-        v = step if v is None else step @ v
-    return _enforce_contraction(v, dim)
+
+def _chain_power(d: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """``R`` with ``I + R = (I + D)^n`` for the step difference ``D`` of a
+    selective chain in a space of dimension ``dim``, by binary powering on
+    the differences: a set bit of ``n`` multiplies, ``R <- R + D + R D``, and
+    each bit squares, ``D <- 2 D + D D``.  No ``I`` is added on the way, so
+    every difference keeps its relative accuracy, and ``R`` is checked once
+    (:func:`_enforce_contraction`)."""
+    r = None
+    while True:
+        if n & 1:
+            r = d if r is None else r + d + r @ d
+        n >>= 1
+        if not n:
+            return _enforce_contraction(r, dim)
+        d = 2 * d + d @ d
 
 
 def _pulsed_errors(h, p: Projector, ns, t: float) -> list[float]:
     """``||pulsed_propagator(h, p, N, t) - pulsed_limit(h, p, t)||`` for each
-    N in ``ns``, as ``||v_N - l||`` on the ``rank x rank`` cores of ``V_N =
-    Q v_N Q^dag`` and of the limit ``Q l Q^dag`` (on the basis ``I``)."""
+    N in ``ns``, as ``||R_N - E||`` on the ``rank x rank`` differences ``I +
+    R_N`` of the cores (:func:`_selective_cores`) and ``I + E = exp(-i G t)``
+    of the limit's, ``G = Q^dag H Q``, formed as ``E = C (e^{-i g t} - 1)
+    C^dag`` from ``G = C diag(g) C^dag`` (:func:`_eigh_expm1`)."""
     hop = as_operator(h)
     cores = list(_selective_cores(hop, p, ns, t))
-    limit = _sector_columns(np.eye(p.rank), [p.rank],
-                            _sector_blocks(p.basis, [p.rank], hop.matrix), t, hermitian=True)
-    return [_snorm(v - limit) for v in cores]
+    q = p.basis
+    limit = _eigh_expm1(*np.linalg.eigh(q.conj().T @ hop.matrix @ q), t)
+    return [_snorm(r - limit) for r in cores]
 
 
-def _enforce_contraction(v: np.ndarray, dim: int) -> np.ndarray:
-    s = _snorm(v)
-    if s > 1.0 + _CONTRACTION_SLACK * dim:
+def _enforce_contraction(r: np.ndarray, dim: int) -> np.ndarray:
+    """The difference ``R`` of a chain core ``I + R``, checked against the
+    contraction bound ``||I + R|| <= 1``, which the isometry ``Q`` leaves
+    unchanged.  A spectral-norm overshoot ``s - 1`` beyond ``1e-12 dim`` means a
+    broken chain rather than renormalizable roundoff and raises; a smaller one
+    is renormalized away without cancellation, ``(I + R) / s = I + (R - (s -
+    1) I) / s``."""
+    eye = np.eye(len(r))
+    s = _snorm(eye + r)
+    if s > 1.0 + 1e-12 * dim:
         raise NumericalError(f"pulsed chain lost contractivity (norm {s:.15g})")
     if s > 1.0:
-        v = v / s
-    return v
+        r = (r - (s - 1.0) * eye) / s
+    return r
 
 
 def pulsed_limit(h, p: Projector, t: float) -> Operator:

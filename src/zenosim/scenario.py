@@ -28,7 +28,6 @@ from .continuous import (
     zeno_sectors,
 )
 from .errors import NumericalError, ValidationError
-from .fitting import loglog_slope
 from .models import (
     cavity,
     decay_model,
@@ -467,11 +466,12 @@ def run(s: Scenario, cluster_tol: float | None = None) -> ResultSeries:
 
 
 def _with_slope(columns, values, md) -> ResultSeries:
-    """The table, with the log-log slope of its second column against its
-    first in ``md`` when there are two or more rows, all positive."""
+    """The table, with the least-squares slope of the log of its second
+    column against the log of its first in ``md`` when there are two or more
+    rows, all positive (an error decaying like C/x gives -1)."""
     xs, ys = values[0], values[1]
     if len(xs) >= 2 and all(v > 0 for v in [*xs, *ys]):
-        md["slope"] = loglog_slope(xs, ys)
+        md["slope"] = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
     return ResultSeries(columns, values, md)
 
 

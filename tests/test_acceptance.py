@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
 pass.  Slopes and rates are fitted with plain numpy here, independently of
-the library's own fitting helpers; closed forms are evaluated inline.
+the slope the scenario runner writes; closed forms are evaluated inline.
 """
 
 import json

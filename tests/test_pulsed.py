@@ -34,7 +34,6 @@ from zenosim import (
     zeno_time,
     zeno_time_fitted,
 )
-from zenosim.fitting import loglog_fit, loglog_slope
 from zenosim.cli import main
 from zenosim.pulsed import _probability, _survival_amplitudes
 from zenosim.scenario import load_scenario, read_result_csv, run
@@ -325,13 +324,6 @@ def test_zeno_time_fitted_refuses_points_that_are_not_integers_of_at_least_two(p
 @pytest.mark.parametrize("points", [2, np.int64(3)])
 def test_zeno_time_fitted_accepts_integer_points(points):
     assert abs(zeno_time_fitted(rabi2(1.7), [1, 0], points=points) * 1.7 - 1) < 0.01
-
-
-@pytest.mark.parametrize("x, y", [([1.0], [2.0]), ([], []), ([1.0, 2.0], [1.0, 2.0, 4.0])])
-def test_loglog_fit_needs_two_matching_samples(x, y):
-    for fit in (loglog_fit, loglog_slope):
-        with pytest.raises(ValidationError, match="at least two matching samples"):
-            fit(x, y)
 
 
 def test_short_time_law_ratio_drift():

@@ -227,7 +227,7 @@ def test_selective_chain_contracts(problem, n, t, data):
 
 def _stepwise_core(h, p, n, t):
     """``[Q^dag U(t/N) Q]^N`` by N - 1 multiplications of the step: the
-    reference for the power blocks."""
+    reference for the binary power on the step difference."""
     q = p.basis
     step = q.conj().T @ expm(h, t / n).matrix @ q
     v = step
@@ -244,21 +244,24 @@ def _stepwise_core(h, p, n, t):
 @example(5, 0, 65, 2.0, 1)
 @example(12, 3, 128, 3.0, 2)
 @example(1, 2, 129, 0.5, 3)
+@example(3, 1, 1, 1.0, 4)
+@example(2, 2, 2, 1.5, 5)
 def test_selective_power_blocks_match_the_stepwise_chain(rank, extra, n, t, seed):
+    # N on both sides of powers of two: 63 has six set bits, 64 one, 65 and 129 two
     rng = np.random.default_rng(seed)
     d = rank + extra
     h = as_operator(random_hermitian(rng, d))
     p = projector_from_columns(_unitary(rng, d)[:, :rank])
-    [core] = _selective_cores(h, p, [n], t)
-    assert np.max(np.abs(core - _stepwise_core(h, p, n, t))) <= 1e-12
+    [r] = _selective_cores(h, p, [n], t)
+    assert np.max(np.abs(np.eye(rank) + r - _stepwise_core(h, p, n, t))) <= 1e-12
 
 
 def _spy_contraction(monkeypatch):
     calls, enforce = [], pulsed._enforce_contraction
 
-    def spy(v, dim):
-        calls.append(snorm(v))
-        return enforce(v, dim)
+    def spy(r, dim):
+        calls.append(snorm(np.eye(len(r)) + r))
+        return enforce(r, dim)
     monkeypatch.setattr(pulsed, "_enforce_contraction", spy)
     return calls
 
@@ -267,8 +270,8 @@ def test_power_blocks_refuse_a_gain_at_the_first_monitor(monkeypatch):
     calls = _spy_contraction(monkeypatch)
     step = (1 + 1e-9) * _unitary(np.random.default_rng(3), 2)
     with pytest.raises(NumericalError, match=r"^pulsed chain lost contractivity \(norm "):
-        _chain_power(step, 200, 2)
-    assert len(calls) == 1 and calls[0] > 1 + 6e-8          # (1 + 1e-9)^64
+        _chain_power(step - np.eye(2), 200, 2)
+    assert len(calls) == 1 and calls[0] > 1 + 1.9e-7        # (1 + 1e-9)^200
 
 
 def test_power_blocks_renormalize_a_roundoff_gain_silently(monkeypatch):
@@ -276,10 +279,10 @@ def test_power_blocks_renormalize_a_roundoff_gain_silently(monkeypatch):
     u = _unitary(np.random.default_rng(4), 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v = _chain_power((1 + 1e-15) * u, 200, 2)
-    assert len(calls) == 4 and max(calls) > 1.0             # three blocks and the end
-    assert snorm(v) <= 1.0 + 1e-15
-    assert np.max(np.abs(v - np.linalg.matrix_power(u, 200))) <= 1e-12
+        r = _chain_power((1 + 1e-15) * u - np.eye(2), 200, 2)
+    assert len(calls) == 1 and calls[0] > 1.0               # one check, of the core
+    assert snorm(np.eye(2) + r) <= 1.0 + 1e-15
+    assert np.max(np.abs(np.eye(2) + r - np.linalg.matrix_power(u, 200))) <= 1e-12
 
 
 def test_core_errors_refuse_a_non_hermitian_hamiltonian():
@@ -576,11 +579,9 @@ def _rotated_selective(h, p, n, t):
     q = p.basis
     step = q.conj().T @ expm(h, t / n).matrix @ q
     v = step.copy()
-    for k in range(1, n):
+    for _ in range(1, n):
         v = step @ v
-        if k % pulsed._MONITOR_STRIDE == 0:
-            v = pulsed._enforce_contraction(v, p.dim)
-    return q @ pulsed._enforce_contraction(v, p.dim) @ q.conj().T
+    return q @ v @ q.conj().T
 
 
 def _rotated_nonselective(h, sectors, n, t, rho0, project_final):
