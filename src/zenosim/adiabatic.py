@@ -44,7 +44,6 @@ from .operators import (
     _eigh_sectors,
     _is_hermitian,
     _number,
-    _projector_matrix,
     _record,
     as_matrix,
     as_operator,
@@ -402,12 +401,12 @@ def intertwining_defect(bundle: TimeDependentBundle, t: float, k_grid,
             for k, n in zip(ks, plans)]
 
     sectors0 = sector_path[0]
-    p0 = np.array([_projector_matrix(p) for p in sectors0.projectors])
+    p0 = np.array([p.matrix for p in sectors0.projectors])
     rho0 = np.array([m / p.rank for m, p in zip(p0, sectors0.projectors)])
     per = max(1, _STACK_BYTES // p0.nbytes)     # 37 checkpoints at d = 3 with three sectors
     worst = np.zeros((len(ks), 2, len(sectors0)))      # defect and drift per K and sector
     for i in range(1, samples + 1, per):
-        pt = np.array([[_projector_matrix(p) for p in here.projectors]
+        pt = np.array([[p.matrix for p in here.projectors]
                        for here in sector_path[i:i + per]])
         for run, w in zip(runs, worst):
             u = np.array(list(islice(run, len(pt))))[:, None]      # (checkpoint, 1, d, d)

@@ -28,14 +28,16 @@ Conventions
   matrix's tolerance n-fold).  Positive: ``-lambda_min(herm X) <= _PSD_TOL *
   max(1, ||X||_2)`` (:func:`_check_positive`).  A residual bound ``||R|| <=
   b`` passes outright when ``||R||_F <= b``.
-* A projector built from orthonormal columns ``C`` (the Hermitian sectors of
-  :func:`eig`, :func:`projector_from_columns`, :func:`basis_projector`) is
-  held by them as its :attr:`Projector.basis`, through which the block
-  diagnostics and the chains work, and forms ``matrix = fl(C C^dag)`` when
-  read.  One ``e >= ||C^dag C - I||_F`` proves that matrix a projector
-  (:func:`_eigh_certificate`); without it the matrix is checked in full.  The
-  resolution of the identity, by any decomposition, is checked once on its
-  frame ``W = [Q_1 ... Q_m]`` (:meth:`SectorDecomposition.validate_resolution`).
+* A projector is held by its orthonormal :attr:`Projector.basis` ``Q`` alone,
+  through which the block diagnostics and the chains work; its ``matrix =
+  fl(Q Q^dag)`` is formed on each read and not kept.  Built from orthonormal
+  columns ``C`` (the Hermitian sectors of :func:`eig`,
+  :func:`projector_from_columns`, :func:`basis_projector`) it is held by
+  them: one ``e >= ||C^dag C - I||_F`` proves ``fl(C C^dag)`` a projector
+  (:func:`_eigh_certificate`), and without it that matrix is checked in
+  full.  The resolution of the identity, by any decomposition, is checked
+  once on its frame ``W = [Q_1 ... Q_m]``
+  (:meth:`SectorDecomposition.validate_resolution`).
 * Non-Hermitian sectors, the real-eigenvalue (decoherence-free) ones
   included, come from one eigenvector routine and carry the measured
   condition number of their spectral projector; a cluster whose eigenvector
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -114,7 +116,7 @@ def fnorm(a) -> float:
 def as_matrix(a) -> np.ndarray:
     """Coerce an Operator, Projector, DensityMatrix or array-like to a
     complex square ndarray (no copy when already suitable)."""
-    if isinstance(a, (Operator, Projector, DensityMatrix)):
+    if isinstance(a, _MatrixRecord):
         return a.matrix
     return _array(a, "expected a square matrix, got shape {}")
 
@@ -252,8 +254,34 @@ def _is_hermitian(m: np.ndarray):
     return _within_scaled(_hermitian_deviation(m), m, HERMITIAN_RTOL, _TINY)
 
 
+class _MatrixRecord:
+    """What :class:`Operator`, :class:`Projector` and :class:`DensityMatrix` share: a
+    read-only ``matrix``, its ``dim``, ``@`` and the array protocol.  Each is a frozen
+    dataclass with its own checks in ``__post_init__``."""
+
+    @classmethod
+    def _trusted(cls, **fields):
+        """A record of ``fields`` that are already checked, built without ``__init__``."""
+        record = object.__new__(cls)
+        record.__dict__.update(fields)
+        return record
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
+    def __matmul__(self, other):
+        return self.matrix @ as_matrix(other)
+
+    def __rmatmul__(self, other):
+        return as_matrix(other) @ self.matrix
+
+
 @dataclass(frozen=True)
-class Operator:
+class Operator(_MatrixRecord):
     """Dense complex square matrix with a Hermiticity flag.
 
     The flag is asserted by the caller and verified on construction; use
@@ -276,10 +304,6 @@ class Operator:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """``(w, V)`` of ``np.linalg.eigh`` of a Hermitian operator, computed
@@ -291,15 +315,6 @@ class Operator:
         w.setflags(write=False)
         v.setflags(write=False)
         return w, v
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.matrix, dtype=dtype)
-
-    def __matmul__(self, other):
-        return self.matrix @ as_matrix(other)
-
-    def __rmatmul__(self, other):
-        return as_matrix(other) @ self.matrix
 
 
 def as_operator(a, hermitian: bool | None = None) -> Operator:
@@ -314,86 +329,68 @@ def as_operator(a, hermitian: bool | None = None) -> Operator:
     return Operator(m, hermitian=is_hermitian(m) if hermitian is None else hermitian)
 
 
-class Projector:
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Projector(_MatrixRecord):
     """Orthogonal projector: Hermitian, idempotent, integer trace, frozen.
-    ``Projector(matrix, rank)`` checks and stores its matrix, a projector
-    built from columns stores them (:func:`_column_projector`); the other of
-    :attr:`matrix` and :attr:`basis` is formed on first read and kept.  The
-    Hermiticity allowance ``HERMITIAN_RTOL * max(1, ||P||_2)`` keeps its
-    floor 1: a projector has norm 0 or 1 at every scale of the operator it
-    comes from."""
+    It is held by its orthonormal ``dim x rank`` :attr:`basis` ``Q`` (read-only)
+    alone.  ``Projector(matrix, rank)`` checks the matrix and holds its
+    eigenvectors with eigenvalue above 1/2; a projector built from columns
+    holds them (:func:`_column_projector`).  The Hermiticity allowance
+    ``HERMITIAN_RTOL * max(1, ||P||_2)`` keeps its floor 1: a projector has
+    norm 0 or 1 at every scale of the operator it comes from."""
+
+    basis: np.ndarray
+    rank: int
 
     def __init__(self, matrix: np.ndarray, rank: int):
-        self.__dict__.update(matrix=matrix, rank=rank)
-        self.__post_init__()
+        self.__post_init__(matrix, rank)
 
-    def __post_init__(self):
-        m = _array(self.matrix, "projector must be square, got shape {}", copy=True,
-                   finite="projector")
-        _count(self.rank, "projector rank {!r} is not an integer >= 0", 0)
+    def __post_init__(self, matrix, rank, basis=None):
+        """The checks of ``matrix`` as a projector of ``rank``; it is then held by
+        ``basis``, columns ``C`` with ``matrix = fl(C C^dag)``, or by its eigenvectors."""
+        m = _array(matrix, "projector must be square, got shape {}", finite="projector")
+        rank = _count(rank, "projector rank {!r} is not an integer >= 0", 0)
         if not _within_scaled(_hermitian_deviation(m), m, HERMITIAN_RTOL):
             raise ValidationError("projector is not Hermitian")
         with np.errstate(over="ignore", invalid="ignore"):    # an overflow is not idempotent
-            residual = m @ m - m
-        if _norm_exceeds(residual, IDEMPOTENCY_TOL * len(m)):
+            idempotent = not _norm_exceeds(m @ m - m, IDEMPOTENCY_TOL * len(m))
+        if not idempotent:
             raise ValidationError("projector is not idempotent")
         tr = m.trace().real
-        if abs(tr - self.rank) > TRACE_RANK_TOL * len(m):     # the guard refuses a 0 x 0 matrix
-            raise ValidationError(f"projector trace {tr:.12g} does not match rank {self.rank}")
-        m.setflags(write=False)
-        self.__dict__.update(matrix=m, dim=len(m))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        if abs(tr - rank) > TRACE_RANK_TOL * len(m):     # the guard refuses a 0 x 0 matrix
+            raise ValidationError(f"projector trace {tr:.12g} does not match rank {rank}")
+        if basis is None:
+            w, v = np.linalg.eigh(m)
+            basis = v[:, w > 0.5]
+            if basis.shape[1] != rank:
+                raise ValidationError("projector rank does not match its spectrum")
+            basis.setflags(write=False)
+        self.__dict__.update(basis=basis, rank=rank)
 
     def __repr__(self):
         return f"Projector(dim={self.dim}, rank={self.rank})"
 
-    @cached_property
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
     def matrix(self) -> np.ndarray:
-        """The ``dim x dim`` matrix (read-only): a projector held by its
-        basis ``Q`` forms ``fl(Q Q^dag)`` (:func:`_projector_matrix`)."""
-        m = _projector_matrix(self)
+        """The ``dim x dim`` matrix ``fl(Q Q^dag)`` (read-only), formed on each
+        read (``d^2 r`` flops) and not kept."""
+        m = self.basis @ self.basis.conj().T
         m.setflags(write=False)
         return m
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        """Orthonormal ``dim x rank`` basis ``Q`` of the range (read-only):
-        the columns a projector was built from, else the eigenvectors of its
-        matrix with eigenvalue above 1/2."""
-        w, v = np.linalg.eigh(self.matrix)
-        cols = v[:, w > 0.5]
-        if cols.shape[1] != self.rank:
-            raise ValidationError("projector rank does not match its spectrum")
-        cols.setflags(write=False)
-        return cols
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.matrix, dtype=dtype)
-
-    def __matmul__(self, other):
-        return self.matrix @ as_matrix(other)
-
-    def __rmatmul__(self, other):
-        return as_matrix(other) @ self.matrix
-
-
-def _projector_matrix(p: Projector) -> np.ndarray:
-    """``p.matrix`` bit for bit, ``fl(Q Q^dag)`` of a basis-held ``p`` not cached on it."""
-    return p.__dict__["matrix"] if "matrix" in p.__dict__ else p.basis @ p.basis.conj().T
 
 
 def _column_projector(cols: np.ndarray, certified: bool) -> Projector:
     """Projector held by orthonormal ``d x k`` columns ``C`` as its basis (made read-only).
     ``certified`` by :func:`_eigh_certificate`, it runs no check; otherwise ``fl(C C^dag)``
-    takes the :class:`Projector` checks, with their messages, and is stored too."""
+    takes the :class:`Projector` checks, with their messages."""
     cols.setflags(write=False)
-    p = object.__new__(Projector) if certified else Projector(cols @ cols.conj().T, cols.shape[1])
-    p.__dict__.update(rank=cols.shape[1], dim=cols.shape[0], basis=cols)
+    p = Projector._trusted(basis=cols, rank=cols.shape[1])
+    if not certified:
+        p.__post_init__(p.matrix, p.rank, cols)
     return p
 
 
@@ -495,8 +492,8 @@ class SectorDecomposition:
         return w, tuple(q.shape[1] for q in bases), owner
 
     def _identity_residual(self) -> np.ndarray:
-        """``sum_n M_n - I``, each ``M_n`` of :func:`_projector_matrix` (none is cached)."""
-        total = sum((_projector_matrix(s.projector) for s in self.sectors),
+        """``sum_n M_n - I`` of the projector matrices, each formed on read and dropped."""
+        total = sum((s.projector.matrix for s in self.sectors),
                     np.zeros((self.dim, self.dim), dtype=complex))
         return total - np.eye(self.dim)
 
@@ -541,8 +538,8 @@ class SectorDecomposition:
         the bases ``Q_n`` that the consumers of a resolution read
         (:meth:`_gram_pairs`); a block whose Frobenius norm is within it
         passes, the rest take an SVD.  ``||G_ij||_2`` and the dense
-        ``||fl(M_i M_j)||_2`` differ by the rounding of the bases (``M_n =
-        Q_n Q_n^dag + O(d u)``) and of the products: under ``2 d u`` in 3,000
+        ``||fl(M_i M_j)||_2`` differ by the rounding of ``M_n = fl(Q_n
+        Q_n^dag)`` and of the products: under ``2 d u`` in 3,000
         random draws at d <= 40, and ``8 d u`` (7e-14 at d = 40) in the
         tests, so only a defect that close to the tolerance can be decided
         otherwise than on the dense products."""
@@ -562,7 +559,7 @@ class SectorDecomposition:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(_MatrixRecord):
     """Hermitian, positive-semidefinite matrix with trace at most one
     (exactly one under unitary dynamics; dissipative models leak trace)."""
 
@@ -605,13 +602,7 @@ class DensityMatrix:
         density matrix.
         """
         v = _state_vector(state, None, normalize=True)
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", cls._checked(np.outer(v, v.conj()), psd=False))
-        return rho
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        return cls._trusted(matrix=cls._checked(np.outer(v, v.conj()), psd=False))
 
     @property
     def trace(self) -> float:
@@ -622,9 +613,6 @@ class DensityMatrix:
         if _record(projector, Projector, _PROJECTOR).dim != self.dim:
             raise ValidationError("state dimension does not match the projector")
         return float((projector.matrix @ self.matrix).trace().real)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.matrix, dtype=dtype)
 
 
 def _check_positive(m: np.ndarray, blocks) -> None:
@@ -769,15 +757,15 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
 
     Each cluster of eigenvalues gives the orthogonal projector onto the
     span of its eigenvectors and the measured condition number of its
-    spectral projector.  The projector is ``fl(Q Q^dag)`` of the QR factor
-    ``Q`` of the eigenvector block, checked in full and held by that matrix,
-    so its :attr:`Projector.basis` is the eigenvectors of P with eigenvalue
-    1.  A cluster goes to ``dropped``, with the figure, when the condition
-    number of its eigenvector block or else of its spectral projector
-    exceeds ``DEFAULT_MAX_SECTOR_CONDITION``.  The default
-    cluster tolerance is ``DEFAULT_CLUSTER_RTOL * ||op||``.  ``real_only``
-    keeps only eigenvalues with ``|Im eta| <= REAL_EIGENVALUE_RTOL * ||op||``,
-    reports their real parts and marks the decomposition incomplete.
+    spectral projector.  The projector is ``Projector(fl(Q Q^dag), r)`` of
+    the QR factor ``Q`` of the eigenvector block, checked in full and held
+    by the eigenvectors of that matrix with eigenvalue 1.  A cluster goes to
+    ``dropped``, with the figure, when the condition number of its
+    eigenvector block or else of its spectral projector exceeds
+    ``DEFAULT_MAX_SECTOR_CONDITION``.  The default cluster tolerance is
+    ``DEFAULT_CLUSTER_RTOL * ||op||``.  ``real_only`` keeps only eigenvalues
+    with ``|Im eta| <= REAL_EIGENVALUE_RTOL * ||op||``, reports their real
+    parts and marks the decomposition incomplete.
     """
     norm = snorm(op) if real_only or cluster_tol is None else None     # one SVD serves both
     tol = _cluster_tol(norm, cluster_tol)
@@ -796,6 +784,7 @@ def _eigenvector_sectors(op: Operator, cluster_tol: float | None,
             vr_inv = np.linalg.inv(vr) if vr_inv is None else vr_inv
             product = vr[:, idx] @ vr_inv[idx, :]      # an overflowed one is unbounded
             condition = snorm(product) if np.isfinite(product).all() else math.inf
+            del product                                 # not held through the projector's eigh
         if condition > DEFAULT_MAX_SECTOR_CONDITION:
             dropped.append((eta, condition))
             continue

@@ -236,11 +236,6 @@ FAULTS = [
           "return snorm(r) > bound",
           (OPS + "test_a_projector_whose_square_overflows_is_not_idempotent",)),
     # sector transport
-    Fault("chunk stack read through the caching Projector.matrix",
-          "src/zenosim/adiabatic.py",
-          "pt = np.array([[_projector_matrix(p) for p in here.projectors]",
-          "pt = np.array([[p.matrix for p in here.projectors]",
-          (GRIDS + "test_intertwining_defect_holds_one_chunk_of_projectors",)),
     Fault("every coupling measured on the first coupling's run",
           "src/zenosim/adiabatic.py",
           "_midpoint_checkpoints(bundle.with_coupling(k), t, n, samples)",
@@ -267,13 +262,23 @@ FAULTS = [
           "i, j = np.triu_indices(len(self), 1)",
           "i, j = np.triu_indices(len(self), 2)",
           (OPS + "test_gram_resolution_reads_every_pair_block",)),
-    Fault("completeness reads the caching Projector.matrix",
+    # projectors held by their basis alone, and the records they share
+    Fault("the matrix view kept on the projector",
           "src/zenosim/operators.py",
-          "total = sum((_projector_matrix(s.projector) for s in self.sectors),",
-          "total = sum((s.projector.matrix for s in self.sectors),",
-          (OPS + "test_certified_resolution_needs_no_svd",
+          "m = self.basis @ self.basis.conj().T\n",
+          'm = self.__dict__["matrix"] = self.basis @ self.basis.conj().T\n',
+          (GRIDS + "test_intertwining_defect_holds_one_chunk_of_projectors",
            OPS + "test_resolution_of_a_gue_decomposition_forms_no_projector_matrix[200]")),
-    # projectors held by their columns
+    Fault("record assignable",
+          "src/zenosim/operators.py",
+          "@dataclass(frozen=True, init=False, eq=False, repr=False)",
+          "@dataclass(init=False, eq=False, repr=False)",
+          (OPS + "test_records_are_frozen[projector]",)),
+    Fault("__array__ ignores copy",
+          "src/zenosim/operators.py",
+          "return np.array(self.matrix, dtype=dtype, copy=copy)",
+          "return np.asarray(self.matrix, dtype=dtype)",
+          (OPS + "test_np_array_of_a_record_is_a_writable_copy[operator]",)),
     Fault("certificate on the QR factor taken as given",
           "src/zenosim/operators.py",
           "return _column_projector(q, _eigh_certificate(q, q.shape[1]))",
@@ -281,8 +286,8 @@ FAULTS = [
           (OPS + "test_skewed_qr_columns_take_the_full_check_and_its_message",)),
     Fault("uncertified columns skip the full check",
           "src/zenosim/operators.py",
-          "p = object.__new__(Projector) if certified else",
-          "p = object.__new__(Projector) if True else",
+          "    if not certified:\n        p.__post_init__(",
+          "    if False:\n        p.__post_init__(",
           (OPS + "test_columns_that_miss_the_certificate_stay_the_basis_of_the_checked_matrix",)),
     Fault("non-Hermitian sectors held by their QR factor",
           "src/zenosim/operators.py",

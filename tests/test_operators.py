@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import types
 import warnings
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -1071,7 +1072,7 @@ def test_eig_holds_sectors_by_their_basis_in_little_memory(rng):
     for s in dec:
         m = s.projector.matrix
         assert np.array_equal(m, s.projector.basis @ s.projector.basis.conj().T)
-        assert not m.flags.writeable and s.projector.matrix is m
+        assert not m.flags.writeable and "matrix" not in s.projector.__dict__
         assert raised(Projector, m, rank=s.multiplicity) is None
 
 
@@ -1127,9 +1128,10 @@ def test_eig_falls_back_and_rejects_a_resolution_of_skewed_eigenvectors(rng, mon
     monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
     h = random_hermitian(rng, 5)
     _, v = skewed_eigh(h)
+    calls = _post_inits(monkeypatch)
     dec = eig(h)
-    for k, s in enumerate(dec):     # checked in full (the matrix is stored), held by eigh's columns
-        assert "matrix" in s.projector.__dict__
+    assert len(calls) == len(dec) == 5      # each projector checked in full
+    for k, s in enumerate(dec):             # and held by eigh's columns
         assert np.array_equal(s.projector.basis, v[:, [k]])
     with pytest.raises(ValidationError, match="do not resolve the identity"):
         dec.validate_resolution()
@@ -1143,7 +1145,8 @@ def _post_inits(monkeypatch):
     """A list that grows by one on each run of ``Projector.__post_init__``."""
     calls = []
     real = Projector.__post_init__
-    monkeypatch.setattr(Projector, "__post_init__", lambda self: calls.append(1) or real(self))
+    monkeypatch.setattr(Projector, "__post_init__",
+                        lambda self, *args: calls.append(1) or real(self, *args))
     return calls
 
 
@@ -1159,13 +1162,14 @@ def test_each_column_route_forms_the_matrix_of_its_columns_bit_for_bit(rng, monk
     assert calls == []           # every route certified: no full check ran
     for p, c in routes:
         assert np.array_equal(p.basis, c) and not p.basis.flags.writeable
-        assert "matrix" not in p.__dict__ and p.dim == 7 and p.rank == c.shape[1]
+        assert p.dim == 7 and p.rank == c.shape[1]
         m = p.matrix
-        assert np.array_equal(m, c @ c.conj().T) and not m.flags.writeable and p.matrix is m
+        assert np.array_equal(m, c @ c.conj().T) and not m.flags.writeable
+        assert p.matrix is not m and set(p.__dict__) == {"basis", "rank"}     # nothing kept
     assert calls == []
 
 
-def test_non_hermitian_sectors_are_held_by_the_matrix_of_their_qr_factor(rng, monkeypatch):
+def test_non_hermitian_sectors_are_held_by_the_eigenvectors_of_their_qr_matrix(rng, monkeypatch):
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     w, vr = np.linalg.eig(a)
     calls = _post_inits(monkeypatch)
@@ -1174,10 +1178,13 @@ def test_non_hermitian_sectors_are_held_by_the_matrix_of_their_qr_factor(rng, mo
     for s in dec:
         [k] = np.flatnonzero(np.abs(w - s.eigenvalue) <= 1e-12)
         q = np.linalg.qr(vr[:, [k]])[0]
-        assert "basis" not in s.projector.__dict__
-        assert np.array_equal(s.projector.matrix, q @ q.conj().T)
-        lam, vecs = np.linalg.eigh(s.projector.matrix)     # the basis: eigenvalue 1 of P
-        assert np.array_equal(s.projector.basis, vecs[:, lam > 0.5])
+        m = q @ q.conj().T
+        lam, vecs = np.linalg.eigh(m)           # the basis: eigenvalue 1 of the checked matrix
+        basis = s.projector.basis
+        assert np.array_equal(basis, vecs[:, lam > 0.5])
+        assert set(s.projector.__dict__) == {"basis", "rank"}
+        assert np.array_equal(s.projector.matrix, basis @ basis.conj().T)
+        assert svd_norm(s.projector.matrix - m) <= 1e-14
 
 
 def _skewed_qr(monkeypatch, factors):
@@ -1204,7 +1211,7 @@ def test_columns_that_miss_the_certificate_stay_the_basis_of_the_checked_matrix(
     p = projector_from_columns(cols)
     q = skewed(cols)
     assert not operators._eigh_certificate(q, 2) and calls == [1]
-    assert "matrix" in p.__dict__ and np.array_equal(p.basis, q)
+    assert np.array_equal(p.basis, q) and set(p.__dict__) == {"basis", "rank"}
     assert np.array_equal(p.matrix, q @ q.conj().T) and p.rank == 2
 
 
@@ -1219,6 +1226,93 @@ def test_frame_of_column_projectors_takes_no_eigh(rng, monkeypatch):
     dec.validate_resolution()
     w, _, _ = dec._frame
     assert np.allclose(np.abs(w.conj().T @ q), np.eye(200), atol=1e-13)
+
+
+# --------------------------------------------------------------------------
+# the matrix records: Operator, Projector, DensityMatrix
+
+
+RECORDS = {
+    "operator": lambda: Operator(np.array([[1.0, 2j], [-2j, 3.0]]), hermitian=True),
+    "projector": lambda: projector_from_columns([1.0, 1j]),
+    "density": lambda: DensityMatrix.pure([0.6, 0.8j]),
+}
+FIELDS = {"operator": ("matrix", "hermitian"), "projector": ("basis", "rank"),
+          "density": ("matrix",)}
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_records_are_frozen(kind):
+    x = RECORDS[kind]()
+    for name in (*FIELDS[kind], "matrix", "other"):
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(x, name, None)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(x, name)
+    assert x.dim == 2 and x.matrix.shape == (2, 2) and not x.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_records_multiply_with_arrays_and_with_each_other(kind):
+    x = RECORDS[kind]()
+    a = np.array([[1.0, 2.0], [3.0, 4j]])
+    for y in (a, *(make() for make in RECORDS.values())):
+        m = y if isinstance(y, np.ndarray) else y.matrix
+        assert np.array_equal(x @ y, x.matrix @ m) and np.array_equal(y @ x, m @ x.matrix)
+    assert np.array_equal(a.tolist() @ x, a @ x.matrix)       # a list defers to __rmatmul__
+
+
+@pytest.mark.parametrize("kind", RECORDS)
+def test_np_array_of_a_record_is_a_writable_copy(kind):
+    x = RECORDS[kind]()
+    m = x.matrix
+    a = np.array(x)
+    assert np.array_equal(a, m) and a.flags.writeable and not np.shares_memory(a, m)
+    a[0, 0] = 5.0
+    assert np.array_equal(x.matrix, m)
+    assert np.array_equal(np.array(x, dtype=np.complex64), m.astype(np.complex64))
+    view = np.asarray(x)
+    assert np.array_equal(view, m) and not view.flags.writeable
+    if kind != "projector":         # a projector forms its matrix on each read
+        assert view is x.matrix
+
+
+def _uncertified_columns(monkeypatch):
+    _skewed_qr(monkeypatch, [1 + 1e-10, 1 - 1e-10])
+    return projector_from_columns(np.eye(3, 2))
+
+
+PROJECTOR_ROUTES = {
+    "projector_from_columns": lambda rng, mp: projector_from_columns(rng.standard_normal((5, 2))),
+    "basis_projector": lambda rng, mp: basis_projector(5, 3, 1),
+    "hermitian eig": lambda rng, mp: eig(random_hermitian(rng, 5)).projectors[2],
+    "non-hermitian eig": lambda rng, mp: eig(rng.standard_normal((5, 5))).projectors[2],
+    "Projector(m, r)": lambda rng, mp: Projector(basis_projector(5, 0, 4).matrix, 2),
+    "uncertified columns": lambda rng, mp: _uncertified_columns(mp),
+}
+
+
+@pytest.mark.parametrize("route", PROJECTOR_ROUTES)
+def test_every_projector_route_holds_its_basis_alone(rng, monkeypatch, route):
+    p = PROJECTOR_ROUTES[route](rng, monkeypatch)
+    reads = (p.matrix, np.asarray(p), np.array(p), p @ p, repr(p), p.dim)
+    assert set(p.__dict__) == {"basis", "rank"} and not p.basis.flags.writeable
+    assert np.array_equal(p.matrix, p.basis @ p.basis.conj().T) and p.rank == p.basis.shape[1]
+    assert all(np.array_equal(m, p.matrix) for m in reads[:3])
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 12), st.floats(0.0, 1.0))
+def test_projector_of_a_matrix_lies_within_the_check_tolerances_of_it(seed, dim, size):
+    """``Projector(m, r).matrix`` is ``fl(Q Q^dag)`` of the eigenvectors of ``m``, not ``m``:
+    ``m - P`` has the eigenvalues of ``m``, less 1 above 1/2, which its idempotency check bounds."""
+    rng = np.random.default_rng(seed)
+    q = unitary(rng, dim)[:, :int(rng.integers(0, dim + 1))]
+    e = random_hermitian(rng, dim)
+    m = q @ q.conj().T + size * 1e-10 * e / svd_norm(e)
+    if raised(Projector, m, rank=q.shape[1]) is None:
+        p = Projector(m, q.shape[1])
+        assert svd_norm(p.matrix - m) <= 1.001 * operators.IDEMPOTENCY_TOL * dim
 
 
 def test_import_does_not_load_scipy_linalg():

@@ -769,13 +769,6 @@ def test_intertwining_defect_holds_one_chunk_of_projectors():
     assert peak <= 10 * 2**20           # every checkpoint projector held twice took 85 MiB
 
 
-def test_uncached_projector_matrix_is_the_cached_one():
-    [p, _] = eig(as_operator(np.diag([1.0, 1.0, 2.0]))).projectors
-    m = operators._projector_matrix(p)
-    assert "matrix" not in p.__dict__
-    assert np.array_equal(m, p.matrix) and operators._projector_matrix(p) is p.matrix
-
-
 def test_a_bundle_changing_shape_between_probes_and_midpoints_is_refused():
     m = three_level(1.0, 1.0)
     hm, probes = m.h_meas.matrix, set(np.linspace(0.0, 1.0, 9).tolist())
